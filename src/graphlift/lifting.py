@@ -20,12 +20,11 @@ projection relations hold identically and cannot see a perturbation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphError, Path, maximal_paths
+from .graphs import Path, maximal_paths
 from .modules import PythagoreanModule, validate_module
 
 BasisEntry = tuple[Path, int]

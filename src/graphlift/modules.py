@@ -214,16 +214,42 @@ def path_operator(module: PythagoreanModule, path: Path) -> np.ndarray:
 
 def _nullspace(system: np.ndarray) -> np.ndarray:
     """Orthonormal basis (as columns) of the right nullspace; singular values
-    below RANK_TOL times the largest are treated as zero."""
+    up to RANK_TOL times the largest, or times 1 if that is smaller, count as
+    zero, so a system of pure roundoff has full nullity. Only a wide system
+    needs the full right factor; a tall one never forms a rows x rows U."""
     rows, cols = system.shape
     if cols == 0:
         return np.zeros((0, 0), dtype=np.complex128)
     if rows == 0:
         return np.eye(cols, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(system, full_matrices=True)
-    cutoff = RANK_TOL * (s[0] if s.size else 0.0)
+    _, s, vh = np.linalg.svd(system, full_matrices=rows < cols)
+    cutoff = RANK_TOL * max(1.0, s[0])
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T
+
+
+def _graded_nullspace(graph: Graph, dims_s: dict[str, int], dims_t: dict[str, int],
+                      relations) -> tuple[np.ndarray, dict[str, slice]]:
+    """Nullspace of theta_head a = b theta_tail, one equation per relation
+    (head, tail, a, b), over graded maps theta with blocks theta_v of shape
+    dims_t[v] x dims_s[v], each flattened row-major and stacked in vertex
+    order. Returns the nullspace columns and each vertex's column slice."""
+    span = {}
+    cols = 0
+    for v in graph.vertices:
+        span[v] = slice(cols, cols + dims_t[v] * dims_s[v])
+        cols = span[v].stop
+    blocks = []
+    for head, tail, a, b in relations:
+        rows = dims_t[head] * dims_s[tail]
+        if rows == 0:
+            continue
+        block = np.zeros((rows, cols), dtype=np.complex128)
+        block[:, span[head]] += np.kron(np.eye(dims_t[head]), a.T)
+        block[:, span[tail]] -= np.kron(b, np.eye(dims_s[tail]))
+        blocks.append(block)
+    system = np.vstack(blocks) if blocks else np.zeros((0, cols), dtype=np.complex128)
+    return _nullspace(system), span
 
 
 @dataclass(frozen=True)
@@ -240,49 +266,22 @@ class IntertwinerSpace:
 
 
 def intertwiner_space(source: PythagoreanModule, target: PythagoreanModule) -> IntertwinerSpace:
-    """Solve theta_{source(g)} A_g = A'_g theta_{range(g)} for all edges g over
-    graded maps theta; the nullspace is extracted by SVD."""
+    """Solve theta_{source(g)} A_g = A'_g theta_{range(g)} for all edges g.
+
+    Commuting with the vertex projections makes a map block diagonal, so the
+    unknowns are the graded blocks theta_v alone: the sum over vertices of
+    target x source fiber dimensions, not the square of the total fiber. The
+    stacked per-edge equations are solved by SVD."""
     if source.graph != target.graph:
         raise ModuleError("modules live on different graphs")
     g = source.graph
-    sizes = {v: target.dims[v] * source.dims[v] for v in g.vertices}
-    col_at = {}
-    at = 0
-    for v in g.vertices:
-        col_at[v] = at
-        at += sizes[v]
-    cols = at
-    blocks = []
-    for e in g.edges:
-        a = source.ops[e.id]
-        b = target.ops[e.id]
-        rows = target.dims[e.source] * source.dims[e.range]
-        if rows == 0:
-            continue
-        block = np.zeros((rows, cols), dtype=np.complex128)
-        if sizes[e.source]:
-            block[:, col_at[e.source] : col_at[e.source] + sizes[e.source]] += np.kron(
-                np.eye(target.dims[e.source]), a.T
-            )
-        if sizes[e.range]:
-            block[:, col_at[e.range] : col_at[e.range] + sizes[e.range]] -= np.kron(
-                b, np.eye(source.dims[e.range])
-            )
-        blocks.append(block)
-    if cols == 0:
-        return IntertwinerSpace(source, target, ())
-    null = _nullspace(np.vstack(blocks)) if blocks else np.eye(cols, dtype=np.complex128)
-    basis = []
-    for k in range(null.shape[1]):
-        vec = null[:, k]
-        theta = {
-            v: vec[col_at[v] : col_at[v] + sizes[v]].reshape(
-                target.dims[v], source.dims[v]
-            )
-            for v in g.vertices
-        }
-        basis.append(theta)
-    return IntertwinerSpace(source, target, tuple(basis))
+    relations = [(e.source, e.range, source.ops[e.id], target.ops[e.id]) for e in g.edges]
+    null, span = _graded_nullspace(g, source.dims, target.dims, relations)
+    basis = tuple(
+        {v: vec[span[v]].reshape(target.dims[v], source.dims[v]) for v in g.vertices}
+        for vec in null.T
+    )
+    return IntertwinerSpace(source, target, basis)
 
 
 def _global_generators(module: PythagoreanModule) -> list[np.ndarray]:
@@ -310,39 +309,28 @@ def _global_generators(module: PythagoreanModule) -> list[np.ndarray]:
     return gens
 
 
-def _span_append(basis: list[np.ndarray], candidate: np.ndarray) -> np.ndarray | None:
-    """Gram-Schmidt a vector against `basis`; append and return it if nonzero."""
-    v = candidate.reshape(-1)
-    scale = max(1.0, float(np.linalg.norm(v)))
-    for _ in range(2):  # second pass keeps the basis orthonormal in float
-        for b in basis:
-            v = v - np.vdot(b, v) * b
-    if np.linalg.norm(v) <= RANK_TOL * scale:
-        return None
-    v = v / np.linalg.norm(v)
-    basis.append(v)
-    return v
-
-
 def _algebra_dimension(gens: list[np.ndarray], d: int) -> int:
     """Dimension of the unital algebra spanned by words in `gens`, computed by
-    span closure under right multiplication."""
-    basis: list[np.ndarray] = []
-    eye = np.eye(d, dtype=np.complex128)
-    _span_append(basis, eye)
-    frontier = [eye]
+    span closure under right multiplication, one frontier round at a time.
+
+    Each round stacks the products m @ g of the last round's new elements,
+    projects the basis out twice (the second pass keeps it orthonormal in
+    float) and keeps the left singular vectors whose singular value exceeds
+    RANK_TOL times the largest candidate norm (at least 1)."""
+    stack = np.asarray(gens)
     cap = d * d
-    while frontier and len(basis) < cap:
-        new_frontier = []
-        for mat in frontier:
-            for g in gens:
-                added = _span_append(basis, mat @ g)
-                if added is not None:
-                    new_frontier.append(added.reshape(d, d))
-                    if len(basis) == cap:
-                        return cap
-        frontier = new_frontier
-    return len(basis)
+    basis = np.eye(d, dtype=np.complex128).reshape(cap, 1) / np.sqrt(d)
+    frontier = basis
+    while frontier.shape[1] and basis.shape[1] < cap:
+        mats = frontier.T.reshape(-1, 1, d, d)
+        cand = (mats @ stack).reshape(-1, cap).T
+        scale = max(1.0, float(np.linalg.norm(cand, axis=0).max()))
+        for _ in range(2):
+            cand = cand - basis @ (basis.conj().T @ cand)
+        u, s, _ = np.linalg.svd(cand, full_matrices=False)
+        frontier = u[:, s > RANK_TOL * scale][:, : cap - basis.shape[1]]
+        basis = np.hstack([basis, frontier])
+    return basis.shape[1]
 
 
 def is_irreducible(module: PythagoreanModule) -> bool:
@@ -359,19 +347,23 @@ def is_irreducible(module: PythagoreanModule) -> bool:
 def is_indecomposable(module: PythagoreanModule) -> bool:
     """True iff only scalars commute with all generators and their adjoints.
 
-    A splitting into two mutually orthogonal submodules is the same thing as a
-    nontrivial orthogonal projection in that commutant, and a star-closed
-    commutant of dimension > 1 always contains one.
+    Commuting with the vertex projections makes a map graded, so this
+    commutant is End(M) intersected with End(M)*: the graded theta with
+    theta_{source(g)} A_g = A_g theta_{range(g)} (the intertwiner system of M
+    with itself) and theta_{range(g)} A_g* = A_g* theta_{source(g)}, which
+    says that theta* lies in End(M). A splitting into two mutually orthogonal
+    submodules is the same thing as a nontrivial orthogonal projection in
+    that commutant, and a star-closed commutant of dimension > 1 always
+    contains one.
     """
-    d = module.total_dim
-    if d == 0:
+    if module.total_dim == 0:
         raise ModuleError("the zero module has no decomposability verdict")
-    eye = np.eye(d, dtype=np.complex128)
-    blocks = []
-    for g in _global_generators(module):
-        for mat in (g, g.conj().T):
-            blocks.append(np.kron(eye, mat.T) - np.kron(mat, eye))
-    null = _nullspace(np.vstack(blocks))
+    relations = []
+    for e in module.graph.edges:
+        a = module.ops[e.id]
+        a_star = a.conj().T
+        relations += [(e.source, e.range, a, a), (e.range, e.source, a_star, a_star)]
+    null, _ = _graded_nullspace(module.graph, module.dims, module.dims, relations)
     return null.shape[1] == 1
 
 

@@ -26,12 +26,30 @@ def one_dim_components(graph: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(looped), tuple(free)
 
 
+_SPAN_TOL = 1e-10
+
+
+def _span_append(basis: list[np.ndarray], candidate: np.ndarray) -> np.ndarray | None:
+    """Gram-Schmidt a vector against `basis`; append and return it if nonzero."""
+    v = candidate.reshape(-1)
+    scale = max(1.0, float(np.linalg.norm(v)))
+    for _ in range(2):  # second pass keeps the basis orthonormal in float
+        for b in basis:
+            v = v - np.vdot(b, v) * b
+    if np.linalg.norm(v) <= _SPAN_TOL * scale:
+        return None
+    v = v / np.linalg.norm(v)
+    basis.append(v)
+    return v
+
+
 def orbit_span_dim(module: PythagoreanModule, vec: np.ndarray) -> int:
-    """Dimension of the orbit of vec under the generated unital algebra."""
-    from graphlift.modules import _global_generators, _span_append
+    """Dimension of the orbit of vec under the generated unital algebra. The
+    seed may also be a d x d matrix: the orbit of the identity is the algebra."""
+    from graphlift.modules import _global_generators
 
     basis: list[np.ndarray] = []
-    seed = np.asarray(vec, dtype=np.complex128).reshape(-1)
+    seed = np.asarray(vec, dtype=np.complex128)
     if _span_append(basis, seed) is None:
         return 0
     gens = _global_generators(module)
@@ -42,9 +60,26 @@ def orbit_span_dim(module: PythagoreanModule, vec: np.ndarray) -> int:
             for g in gens:
                 added = _span_append(basis, g @ w)
                 if added is not None:
-                    fresh.append(added)
+                    fresh.append(added.reshape(seed.shape))
         frontier = fresh
     return len(basis)
+
+
+def dense_commutant_dim(module: PythagoreanModule) -> int:
+    """Reference only: dimension of the maps on the whole total fiber (no
+    grading assumed) commuting with every generator and its adjoint, from the
+    full d^2 x d^2 Kronecker system. Memory grows as d^4; keep d small."""
+    from graphlift.modules import _global_generators
+
+    d = module.total_dim
+    eye = np.eye(d, dtype=np.complex128)
+    blocks = [
+        np.kron(eye, mat.T) - np.kron(mat, eye)
+        for g in _global_generators(module)
+        for mat in (g, g.conj().T)
+    ]
+    s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    return d * d - int(np.sum(s > _SPAN_TOL * max(1.0, s[0])))
 
 
 def perturb_edge(module: PythagoreanModule, edge_id: str,

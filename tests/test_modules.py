@@ -27,7 +27,12 @@ from graphlift import (
     validate_module,
 )
 
-from helpers import perturb_edge
+from helpers import (
+    dense_commutant_dim,
+    orbit_span_dim,
+    perturb_edge,
+    random_feasible_dims,
+)
 
 
 def loop_only_graph() -> Graph:
@@ -340,6 +345,84 @@ class TestStructure:
             is_irreducible(zero)
         with pytest.raises(ModuleError):
             is_indecomposable(zero)
+
+
+def _oracle_cases() -> list[tuple[str, PythagoreanModule]]:
+    """Small modules meeting both verdicts: seeded randoms (total dim <= 6),
+    phase-module sums, sums of randoms, and unitary conjugates of both."""
+    graphs = {
+        "loop": loop_only_graph(),
+        "two-loop": Graph(("1",), (Edge("a", "1", "1"), Edge("b", "1", "1"))),
+        "odd2": sphere_odd_graph(2),
+        "odd3": sphere_odd_graph(3),
+        "even2": sphere_even_graph(2),
+    }
+    rng = np.random.default_rng(31)
+    cases = []
+    for name, g in graphs.items():
+        for k in range(4):
+            dims = random_feasible_dims(g, rng, hi=2)
+            while sum(dims.values()) > 6:
+                dims = random_feasible_dims(g, rng, hi=2)
+            m = random_module(g, dims, 100 + k)
+            cases.append((f"{name}-random{k}", m))
+            cases.append((f"{name}-conjugate{k}", unitary_conjugate(m, 200 + k)))
+        small = random_module(g, {v: 1 for v in g.vertices if g.in_edges(v)}, 7)
+        pair = direct_sum(small, random_module(g, small.dims, 8))
+        cases.append((f"{name}-random-sum", pair))
+        cases.append((f"{name}-random-sum-conjugate", unitary_conjugate(pair, 9)))
+    g = sphere_odd_graph(2)
+    z = cmath.exp(0.7j)
+    phases = {
+        "same": (one_dim_module(g, "1", z), one_dim_module(g, "1", z)),
+        "distinct": (one_dim_module(g, "1", z), one_dim_module(g, "1", -z)),
+        "vertices": (one_dim_module(g, "1", z), one_dim_module(g, "2", z)),
+    }
+    for name, (a, b) in phases.items():
+        cases.append((f"phase-sum-{name}", direct_sum(a, b)))
+        cases.append((f"phase-sum-{name}-conjugate", unitary_conjugate(direct_sum(a, b), 5)))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestStructureOracles:
+    @pytest.mark.parametrize("module", [m for _, m in ORACLE_CASES],
+                             ids=[name for name, _ in ORACLE_CASES])
+    def test_indecomposable_matches_dense_commutant(self, module):
+        assert is_indecomposable(module) == (dense_commutant_dim(module) == 1)
+
+    @pytest.mark.parametrize("module", [m for _, m in ORACLE_CASES],
+                             ids=[name for name, _ in ORACLE_CASES])
+    def test_algebra_dimension_matches_gram_schmidt(self, module):
+        from graphlift.modules import _algebra_dimension, _global_generators
+
+        d = module.total_dim
+        got = _algebra_dimension(_global_generators(module), d)
+        assert got == orbit_span_dim(module, np.eye(d))
+
+    def test_conjugated_scalar_sum_still_splits(self):
+        # Conjugating a (+) a leaves only roundoff in the commutation system;
+        # that must not count as rank.
+        g = sphere_odd_graph(2)
+        s = direct_sum(*[one_dim_module(g, "1", cmath.exp(0.7j))] * 2)
+        c = unitary_conjugate(s, 5)
+        assert not is_indecomposable(c)
+        assert intertwiner_space(c, c).dimension == 4
+        assert are_equivalent(s, c).verdict == EQUIVALENT
+
+    def test_cases_meet_both_verdicts(self):
+        verdicts = {is_indecomposable(m) for _, m in ORACLE_CASES}
+        assert verdicts == {True, False}
+
+    def test_total_dim_24(self):
+        # The full-space commutant system here would need a ~4 GB SVD factor.
+        g = sphere_odd_graph(4)
+        assert is_indecomposable(random_module(g, {v: 6 for v in g.vertices}, 41))
+        threes = {v: 3 for v in g.vertices}
+        pair = direct_sum(random_module(g, threes, 42), random_module(g, threes, 43))
+        assert not is_indecomposable(pair)
 
 
 class TestEquivalence:

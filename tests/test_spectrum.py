@@ -16,6 +16,7 @@ from graphlift import (
     classify,
     is_indecomposable,
     is_irreducible,
+    is_isomorphic,
     lens_graph_coprime,
     projective_graph,
     representative_module,
@@ -53,7 +54,7 @@ class TestHypotheses:
         assert report.diagnostics == ()
         assert not report.by_analogy
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_even_spheres_have_recognized_sources(self, n):
         report = check_hypotheses(sphere_even_graph(n))
         assert report.verdict == LOOP_GRAPH_WITH_SOURCES
@@ -97,6 +98,54 @@ class TestHypotheses:
         report = check_hypotheses(g)
         assert report.verdict == LOOP_GRAPH_WITH_SOURCES
         assert report.by_analogy
+
+
+def even_sphere_mutations(n: int) -> dict[str, Graph]:
+    """Supported graphs one edit away from sphere_even_graph(n)."""
+    g = sphere_even_graph(n)
+    src = next(e for e in g.edges if e.source == str(n + 1))
+    others = tuple(e for e in g.edges if e != src)
+    graphs = {
+        "drop-source-edge": Graph(g.vertices, others),
+        "duplicate-source-edge": Graph(
+            g.vertices, g.edges + (Edge("dup", src.source, src.range),)
+        ),
+    }
+    if n >= 2:
+        inner = next(e for e in g.edges if e.source != e.range and e.source != src.source)
+        graphs["drop-inner-edge"] = Graph(g.vertices, tuple(e for e in g.edges if e != inner))
+        graphs["duplicate-inner-edge"] = Graph(
+            g.vertices, g.edges + (Edge("dup", inner.source, inner.range),)
+        )
+        retarget = str(n) if src.range == "1" else "1"
+        graphs["retarget-source-edge"] = Graph(
+            g.vertices, others + (Edge(src.id, src.source, retarget),)
+        )
+    return graphs
+
+
+class TestEvenSphereShape:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_isomorphism_search_agrees(self, n):
+        target = sphere_even_graph(n)
+        names = [str(k) for k in range(1, n + 3)]
+        mapping = dict(zip(names, reversed(names)))
+        shuffled = relabel_graph(target, mapping)
+        shuffled = Graph(shuffled.vertices[::-1], shuffled.edges[::-1])
+        cases = {"identity": target, "relabeled": shuffled, **even_sphere_mutations(n)}
+        for name, g in cases.items():
+            report = check_hypotheses(g)
+            assert report.verdict == LOOP_GRAPH_WITH_SOURCES, name
+            assert report.by_analogy == (is_isomorphic(g, target) is None), name
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+    def test_one_edit_stays_by_analogy(self, n):
+        mutations = even_sphere_mutations(n)
+        assert len(mutations) == (2 if n == 1 else 5)
+        for name, g in mutations.items():
+            report = check_hypotheses(g)
+            assert report.verdict == LOOP_GRAPH_WITH_SOURCES, name
+            assert report.by_analogy, name
 
 
 class TestClassify:
