@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lft = top.add_parser("lift", help="truncated lifted representation")
     lift_sub = lft.add_subparsers(dest="subcommand", required=True)
-    lbuild = lift_sub.add_parser("build", help="bases and generator matrices")
+    lbuild = lift_sub.add_parser("build", help="bases and generator index maps")
     lbuild.add_argument("--module", required=True)
     lbuild.add_argument("--level", type=int, required=True)
     lbuild.add_argument("--out")

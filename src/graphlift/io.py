@@ -157,10 +157,17 @@ def _basis_entry(path: Path, fiber: int) -> dict:
     }
 
 
+LIFT_FORMAT = "partial-maps"
+
+
 def lift_to_dict(trunc: TruncatedLift) -> dict:
-    """Bases for levels 0..m+1 and generator matrices out of levels 0..m."""
+    """Bases for levels 0..m+1 and the generators out of levels 0..m as index
+    lists: per edge, the target index of each basis entry (-1 where the edge
+    cannot act); per vertex, the indices of the entries it projects onto."""
     m = trunc.level
+    g = trunc.module.graph
     return {
+        "format": LIFT_FORMAT,
         "module": module_to_dict(trunc.module),
         "level": m,
         "bases": {
@@ -168,16 +175,13 @@ def lift_to_dict(trunc: TruncatedLift) -> dict:
             for k in range(m + 2)
         },
         "edges": {
-            str(k): {
-                e.id: [[int(x) for x in row] for row in trunc.edge_matrix(e.id, k)]
-                for e in trunc.module.graph.edges
-            }
+            str(k): {e.id: trunc.edge_targets(e.id, k).tolist() for e in g.edges}
             for k in range(m + 1)
         },
         "projections": {
             str(k): {
-                v: [int(x) for x in np.diag(trunc.projection_matrix(v, k))]
-                for v in trunc.module.graph.vertices
+                v: np.flatnonzero(trunc.projection_mask(v, k)).tolist()
+                for v in g.vertices
             }
             for k in range(m + 1)
         },
@@ -185,8 +189,12 @@ def lift_to_dict(trunc: TruncatedLift) -> dict:
 
 
 def lift_from_dict(doc) -> TruncatedLift:
-    """Rebuild the lift from its module and level; matrices are recomputed."""
+    """Rebuild the lift from its module and level; the maps are recomputed.
+    Documents without a "format" key (dense 0/1 matrices) decode the same."""
     _need(doc, "/", dict, "object")
+    if "format" in doc and doc["format"] != LIFT_FORMAT:
+        _fail("/format", f"unknown lift format {doc['format']!r}, "
+                         f"expected {LIFT_FORMAT!r}")
     module = module_from_dict(_need_key(doc, "/", "module"))
     level = _need_key(doc, "/", "level")
     if not isinstance(level, int) or level < 0:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from graphlift import Edge, Graph, PythagoreanModule
+from graphlift import CkReport, Edge, Graph, PythagoreanModule, TruncatedLift
 
 
 def one_dim_components(graph: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -80,6 +80,40 @@ def dense_commutant_dim(module: PythagoreanModule) -> int:
     ]
     s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
     return d * d - int(np.sum(s > _SPAN_TOL * max(1.0, s[0])))
+
+
+def dense_ck_residuals(trunc: TruncatedLift) -> CkReport:
+    """Reference only: the relation residuals of `ck_residuals`, with the same
+    Frobenius definitions, from dense materialized generator matrices."""
+    g = trunc.module.graph
+    m = trunc.level
+    diags = {v: np.diag(trunc.projection_matrix(v, m)) for v in g.vertices}
+    ortho = 0.0
+    for i, u in enumerate(g.vertices):
+        for v in g.vertices[i + 1 :]:
+            ortho = max(ortho, float(np.linalg.norm(diags[u] * diags[v])))
+    completeness = float(np.linalg.norm(sum(diags.values()) - 1.0))
+    edge_mats = {e.id: trunc.edge_matrix(e.id, m) for e in g.edges}
+    edge_isometry = {
+        e.id: float(np.linalg.norm(
+            edge_mats[e.id].T @ edge_mats[e.id]
+            - trunc.projection_matrix(e.source, m), "fro"))
+        for e in g.edges
+    }
+    vertex_sum = {}
+    for w in g.vertices:
+        incoming = g.in_edges(w)
+        if incoming:
+            acc = sum(edge_mats[e.id] @ edge_mats[e.id].T for e in incoming)
+            vertex_sum[w] = float(np.linalg.norm(
+                acc - trunc.projection_matrix(w, m + 1), "fro"))
+    embed_isometry = {}
+    for k in range(m + 1):
+        emb = trunc.embed_matrix(k)
+        embed_isometry[k] = float(np.linalg.norm(
+            emb.conj().T @ emb - np.eye(trunc.dimension_at(k)), "fro"))
+    return CkReport(m, ortho, completeness, edge_isometry, vertex_sum,
+                    embed_isometry)
 
 
 def perturb_edge(module: PythagoreanModule, edge_id: str,

@@ -5,10 +5,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlift import (
     CodecError,
+    LensParams,
     classify,
+    lens_graph_coprime,
     lift,
     one_dim_module,
     random_module,
@@ -31,6 +35,8 @@ from graphlift.io import (
     spectrum_to_dict,
     write_json,
 )
+
+from helpers import random_feasible_dims
 
 
 class TestGraphCodec:
@@ -165,17 +171,51 @@ class TestLiftCodec:
             assert np.allclose(back.embed_matrix(k), t.embed_matrix(k))
 
     def test_document_layout(self):
-        g = sphere_odd_graph(1)
+        g = sphere_odd_graph(2)
         t = lift(one_dim_module(g, "1", 1j), 1)
         doc = lift_to_dict(t)
-        assert set(doc) == {"module", "level", "bases", "edges", "projections"}
+        assert set(doc) == {"format", "module", "level", "bases", "edges",
+                            "projections"}
+        assert doc["format"] == "partial-maps"
         assert doc["level"] == 1
         assert set(doc["bases"]) == {"0", "1", "2"}
-        assert set(doc["edges"]) == {"0", "1"}
-        assert doc["edges"]["0"]["11"] == [[1]]
+        assert [e["path"] for e in doc["bases"]["1"]] == ["11", "21"]
+        assert set(doc["edges"]) == set(doc["projections"]) == {"0", "1"}
+        assert doc["edges"]["0"] == {"11": [0], "21": [1], "22": [-1]}
+        assert doc["projections"]["1"] == {"1": [0], "2": [1]}
         entry = doc["bases"]["2"][0]
         assert entry == {"path": "11.11", "source": "1", "range": "1",
                          "length": 2, "fiber": 0}
+
+    def test_unknown_format_located(self):
+        g = sphere_odd_graph(1)
+        doc = lift_to_dict(lift(one_dim_module(g, "1", 1j), 1))
+        doc["format"] = "dense"
+        with pytest.raises(CodecError, match="/format: unknown lift format 'dense'"):
+            lift_from_dict(doc)
+
+    def test_legacy_dense_document_decodes(self):
+        g = sphere_odd_graph(2)
+        t = lift(random_module(g, {"1": 2, "2": 1}, 3), 2)
+        doc = lift_to_dict(t)
+        del doc["format"]
+        doc["edges"] = {
+            str(k): {e.id: t.edge_matrix(e.id, k).astype(int).tolist()
+                     for e in g.edges}
+            for k in range(3)
+        }
+        doc["projections"] = {
+            str(k): {v: np.diag(t.projection_matrix(v, k)).astype(int).tolist()
+                     for v in g.vertices}
+            for k in range(3)
+        }
+        back = lift_from_dict(json.loads(json.dumps(doc)))
+        assert back.level == 2
+        for k in range(3):
+            assert np.array_equal(back.embed_matrix(k), t.embed_matrix(k))
+            for e in g.edges:
+                assert np.array_equal(back.edge_targets(e.id, k),
+                                      t.edge_targets(e.id, k))
 
     def test_bad_level_located(self):
         g = sphere_odd_graph(1)
@@ -183,6 +223,39 @@ class TestLiftCodec:
         doc["level"] = -3
         with pytest.raises(CodecError, match="/level: expected a nonnegative"):
             lift_from_dict(doc)
+
+
+ROUND_TRIP_GRAPHS = (
+    lambda: sphere_odd_graph(1),
+    lambda: sphere_odd_graph(3),
+    lambda: sphere_odd_graph(4),
+    lambda: sphere_even_graph(2),
+    lambda: lens_graph_coprime(LensParams(2, 3, (1, 1))),
+)
+
+
+class TestLiftRoundTripProperty:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(graph=st.sampled_from(ROUND_TRIP_GRAPHS),
+           seed=st.integers(0, 2**16), level=st.integers(0, 4))
+    def test_maps_rebuild_the_generator_matrices(self, graph, seed, level):
+        g = graph()
+        dims = random_feasible_dims(g, np.random.default_rng(seed), hi=3)
+        t = lift(random_module(g, dims, seed), level)
+        doc = json.loads(json.dumps(lift_to_dict(t)))
+        for k in range(level + 1):
+            rows = len(doc["bases"][str(k + 1)])
+            cols = len(doc["bases"][str(k)])
+            for e in g.edges:
+                mat = np.zeros((rows, cols))
+                for col, row in enumerate(doc["edges"][str(k)][e.id]):
+                    if row >= 0:
+                        mat[row, col] = 1.0
+                assert np.array_equal(mat, t.edge_matrix(e.id, k))
+            for v in g.vertices:
+                diag = np.zeros(cols)
+                diag[doc["projections"][str(k)][v]] = 1.0
+                assert np.array_equal(np.diag(diag), t.projection_matrix(v, k))
 
 
 class TestComplexSyntax:

@@ -7,15 +7,18 @@ import pytest
 
 from graphlift import (
     CkReport,
+    LensParams,
     LiftError,
     LiftVector,
     Path,
+    TruncatedLift,
     ck_residuals,
     compose_paths,
     direct_sum,
     embed_vector,
     generator_matrices,
     isolated_module,
+    lens_graph_coprime,
     lift,
     lift_intertwiner,
     one_dim_module,
@@ -27,7 +30,7 @@ from graphlift import (
     word_operator,
 )
 
-from helpers import perturb_edge
+from helpers import dense_ck_residuals, perturb_edge, random_feasible_dims
 
 Z8 = cmath.exp(2j * cmath.pi / 8)
 
@@ -119,6 +122,17 @@ class TestEmbedding:
             vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             lv = LiftVector(t, k, vec)
             assert embed_vector(lv).norm == pytest.approx(lv.norm, abs=1e-12)
+
+    def test_embed_vector_matches_dense_matrix(self):
+        g = sphere_even_graph(2)
+        m = random_module(g, {"1": 2, "2": 1, "3": 1, "4": 2}, 6)
+        t = lift(m, 3)
+        rng = np.random.default_rng(1)
+        for k in range(4):
+            d = t.dimension_at(k)
+            vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            got = embed_vector(LiftVector(t, k, vec)).coeffs
+            assert np.allclose(got, t.embed_matrix(k) @ vec, rtol=0, atol=1e-14)
 
     def test_embedding_commutes_with_edges(self):
         g = sphere_odd_graph(2)
@@ -277,6 +291,84 @@ class TestRelationReport:
         assert lift(bad, 1, validate=False).dimension > 0
 
 
+def _residual_table(report: CkReport) -> dict:
+    table = {"orthogonality": report.projector_orthogonality,
+             "completeness": report.projector_completeness}
+    for name in ("edge_isometry", "vertex_sum", "embed_isometry"):
+        table.update({(name, key): r for key, r in getattr(report, name).items()})
+    return table
+
+
+PARITY_GRAPHS = {
+    "odd2": lambda: sphere_odd_graph(2),
+    "odd3": lambda: sphere_odd_graph(3),
+    "odd4": lambda: sphere_odd_graph(4),
+    "even2": lambda: sphere_even_graph(2),
+    "lens2-3": lambda: lens_graph_coprime(LensParams(2, 3, (1, 1))),
+}
+
+
+def _parity_modules(name: str):
+    """A valid module with every fiber nonzero, a valid one with a zero
+    fiber, and the first of them perturbed off the defining relation."""
+    g = PARITY_GRAPHS[name]()
+    rng = np.random.default_rng(sorted(PARITY_GRAPHS).index(name))
+    full = zero = None
+    while full is None or zero is None:
+        dims = random_feasible_dims(g, rng, hi=2)
+        if 0 in dims.values():
+            zero = zero or dims
+        else:
+            full = full or dims
+    valid = random_module(g, full, 11)
+    live = next(e.id for e in g.edges if valid.ops[e.id].size)
+    return {"valid": valid, "zero fiber": random_module(g, zero, 12),
+            "perturbed": perturb_edge(valid, live, 1e-3)}
+
+
+class TestSparseRelations:
+    @pytest.mark.parametrize("name", sorted(PARITY_GRAPHS))
+    def test_matches_dense_reference(self, name):
+        for kind, module in _parity_modules(name).items():
+            for level in range(6):
+                trunc = lift(module, level, validate=False)
+                got = _residual_table(ck_residuals(trunc))
+                want = _residual_table(dense_ck_residuals(trunc))
+                assert got.keys() == want.keys()
+                for key, r in want.items():
+                    assert got[key] == pytest.approx(r, abs=1e-12), (kind, level, key)
+                if kind == "perturbed":
+                    assert min(max(got.values()), max(want.values())) > 1e-9
+                else:
+                    assert max(got.values()) <= 1e-9
+
+    def test_check_forms_no_dense_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense matrix materialized")
+
+        for method in ("edge_matrix", "projection_matrix", "embed_matrix"):
+            monkeypatch.setattr(TruncatedLift, method, refuse)
+        g = sphere_odd_graph(3)
+        report = ck_residuals(lift(random_module(g, {"1": 2, "2": 1, "3": 2}, 5), 4))
+        assert report.passed(1e-11)
+        assert set(report.embed_isometry) == set(range(5))
+
+    def test_colliding_targets_are_seen(self):
+        g = sphere_odd_graph(2)
+        t = lift(random_module(g, {"1": 2, "2": 1}, 2), 2)
+        targets = t.edge_targets("21", 2).copy()
+        cols = np.flatnonzero(targets >= 0)
+        targets[cols[1]] = targets[cols[0]]  # two columns onto one row
+        t._edge_maps[2]["21"] = targets
+        report = ck_residuals(t)
+        # E*E gains the pair (c0, c1) both ways; E E* counts the row twice
+        # and leaves the row it no longer hits empty
+        assert report.edge_isometry["21"] == pytest.approx(np.sqrt(2))
+        assert report.vertex_sum["2"] == pytest.approx(np.sqrt(2))
+        assert report.edge_isometry["11"] == 0.0
+        assert not report.passed()
+
+
 class TestWords:
     def test_vertex_word_is_projection(self):
         g = sphere_odd_graph(2)
@@ -321,6 +413,28 @@ class TestWords:
         t = phase_lift("1", Z8, 2)
         with pytest.raises(LiftError, match="unknown symbol"):
             word_operator(t, ["zz"], 1)
+
+    @pytest.mark.parametrize("word,start", [
+        (["21"], 0), (["21*"], 1), (["2", "21", "11*", "11", "1"], 1),
+        (["22*", "21", "1", "11*", "21*", "22"], 2), (["11", "22", "21*"], 2),
+    ])
+    def test_word_equals_dense_product(self, word, start):
+        g = sphere_odd_graph(2)
+        t = lift(random_module(g, {"1": 2, "2": 1}, 3), 3)
+        mat = np.eye(t.dimension_at(start))
+        k = start
+        for token in reversed(word):
+            if token.endswith("*"):
+                mat = t.edge_matrix(token[:-1], k - 1).T @ mat
+                k -= 1
+            elif token in g.edge_by_id:
+                mat = t.edge_matrix(token, k) @ mat
+                k += 1
+            else:
+                mat = t.projection_matrix(token, k) @ mat
+        out = word_operator(t, word, start)
+        assert out.target_level == k
+        assert np.array_equal(out.matrix, mat)
 
     def test_mixed_word_tracks_levels(self):
         g = sphere_odd_graph(2)
