@@ -371,7 +371,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        # an overflow surfaces as a NaN or infinite residual in the verdict
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

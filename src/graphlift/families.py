@@ -12,9 +12,6 @@ from math import gcd
 
 from .graphs import Edge, Graph, GraphError, loop_structure, power_graph, skew_product
 
-NO_REVISIT = "no-revisit"
-RANGE_DISTINCT = "range-distinct"
-
 
 def _pair_id(head: int, tail: int) -> str:
     # "ji" for an edge i -> j; underscore-separated once labels leave one digit
@@ -96,15 +93,9 @@ def _base_of(skew_vertex: str) -> str:
     return skew_vertex.rsplit("@", 1)[0]
 
 
-def _admissible_paths_from(skew: Graph, i: str, admissibility: str) -> list[tuple[str, ...]]:
-    """Admissible leveled paths out of (i, 0), as edge-id tuples in traversal order.
-
-    A path qualifies when it is a single edge, or when its final edge lands at
-    level 0 while every other edge lands away from level 0. The default
-    `no-revisit` policy forbids repeating any visited leveled vertex, start
-    included; `range-distinct` only forbids repeating an edge's head vertex
-    and is kept for comparison (the structural validator is the guard).
-    """
+def _admissible_paths_from(skew: Graph, i: str) -> list[tuple[str, ...]]:
+    """Admissible leveled paths out of (i, 0), as edge-id tuples in traversal
+    order; `lens_graph_coprime` states the rule."""
     start = f"{i}@0"
     found: list[tuple[str, ...]] = []
 
@@ -123,20 +114,20 @@ def _admissible_paths_from(skew: Graph, i: str, admissibility: str) -> list[tupl
                 extend(head, acc, blocked | {head})
             acc.pop()
 
-    blocked0 = {start} if admissibility == NO_REVISIT else set()
-    extend(start, [], blocked0)
+    extend(start, [], {start})
     return found
 
 
-def lens_graph_coprime(params: LensParams, admissibility: str = NO_REVISIT) -> Graph:
+def lens_graph_coprime(params: LensParams) -> Graph:
     """Contract the leveled odd sphere along admissible paths.
 
     Each admissible path out of (i, 0) becomes one edge of the result, running
     from i to the base vertex its final edge lands on; the edge id encodes the
-    underlying leveled path for auditability.
+    underlying leveled path for auditability. A path is admissible when it is
+    a single edge, or when only its final edge returns to level 0; no path
+    revisits a leveled vertex, its start included, so every vertex keeps
+    exactly one loop.
     """
-    if admissibility not in (NO_REVISIT, RANGE_DISTINCT):
-        raise GraphError(f"unknown admissibility policy {admissibility!r}")
     require_coprime(params)
     base = sphere_odd_graph(params.n)
     weights = {str(i + 1): params.weights[i] for i in range(params.n)}
@@ -145,7 +136,7 @@ def lens_graph_coprime(params: LensParams, admissibility: str = NO_REVISIT) -> G
     index = {v: k for k, v in enumerate(vertices)}
     edges = []
     for i in vertices:
-        for ids in _admissible_paths_from(skew, i, admissibility):
+        for ids in _admissible_paths_from(skew, i):
             target = _base_of(skew.edge_by_id[ids[-1]].range)
             edges.append(Edge(".".join(reversed(ids)), i, target))
     edges.sort(key=lambda e: (index[e.source], index[e.range], e.id))

@@ -33,6 +33,10 @@ def _need(obj, where: str, kind, label: str):
     return obj
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _need_key(obj: dict, where: str, key: str):
     if key not in obj:
         _fail(where, f"missing key {key!r}")
@@ -85,7 +89,7 @@ def _entries_to_matrix(doc, where: str, shape: tuple[int, int]) -> np.ndarray:
             _fail(f"{where}/{i}", f"expected {cols} entries, got {len(row)}")
         for j, pair in enumerate(row):
             _need(pair, f"{where}/{i}/{j}", list, "array")
-            if len(pair) != 2 or not all(isinstance(x, (int, float)) for x in pair):
+            if len(pair) != 2 or not all(_is_int(x) or isinstance(x, float) for x in pair):
                 _fail(f"{where}/{i}/{j}", "expected a [re, im] pair of numbers")
             out[i, j] = complex(pair[0], pair[1])
     return out
@@ -107,7 +111,7 @@ def module_from_dict(doc) -> PythagoreanModule:
     for v, d in raw_dims.items():
         if v not in graph.vertex_index:
             _fail(f"/dims/{v}", "unknown vertex")
-        if not isinstance(d, int) or d < 0:
+        if not _is_int(d) or d < 0:
             _fail(f"/dims/{v}", "expected a nonnegative integer")
         dims[v] = d
     dims = {v: dims.get(v, 0) for v in graph.vertices}
@@ -197,7 +201,7 @@ def lift_from_dict(doc) -> TruncatedLift:
                          f"expected {LIFT_FORMAT!r}")
     module = module_from_dict(_need_key(doc, "/", "module"))
     level = _need_key(doc, "/", "level")
-    if not isinstance(level, int) or level < 0:
+    if not _is_int(level) or level < 0:
         _fail("/level", "expected a nonnegative integer")
     return lift(module, level, validate=False)
 

@@ -15,7 +15,9 @@ the source end as the sum over incoming edges nu of (mu.nu, A_nu e_b), and
 unextendable entries ride along unchanged. The embedding is an isometry
 exactly when the module satisfies its defining relation, so the embedding
 Gram residual is the lift-level witness of module validity; the edge and
-projection relations hold identically and cannot see a perturbation.
+projection relations hold identically and cannot see a perturbation. The
+class of a pair (lambda, xi) with lambda of length L is xi at lambda's own
+block of W_L, carried to any higher level by these embeddings alone.
 
 Storage follows that description, so lift work scales with nonzeros rather
 than with dimension squared. Each E_e out of W_k is a partial injection
@@ -38,6 +40,9 @@ from .graphs import Path, maximal_paths
 from .modules import PythagoreanModule, validate_module
 
 BasisEntry = tuple[Path, int]
+
+# largest Frobenius gap theta A = B theta that `lift_intertwiner` accepts
+INTERTWINER_TOL = 1e-9
 
 
 class LiftError(ValueError):
@@ -99,21 +104,20 @@ class EmbedMap:
 class TruncatedLift:
     """Levels 0..level+1 of the lifted representation of one module."""
 
-    def __init__(self, module: PythagoreanModule, level: int,
-                 validate: bool = True, tol: float = 1e-9):
+    def __init__(self, module: PythagoreanModule, level: int, validate: bool = True):
         if level < 0:
             raise LiftError("level must be nonnegative")
         if validate:
-            report = validate_module(module, tol)
+            report = validate_module(module)
             if not report.passed:
                 raise LiftError(
                     "module fails validation: max residual "
-                    f"{report.max_residual:.3e} > {tol:.1e}"
+                    f"{report.max_residual:.3e} > {report.tol:.1e}"
                 )
         self.module = module
         self.level = int(level)
         self._bases: dict[int, tuple[BasisEntry, ...]] = {}
-        self._indexes: dict[int, dict] = {}
+        self._indexes: dict[int, dict[tuple, int]] = {}
         self._ranges: dict[int, np.ndarray] = {}
         self._edge_maps: dict[int, dict[str, np.ndarray]] = {}
         self._embeds: dict[int, EmbedMap] = {}
@@ -131,16 +135,17 @@ class TruncatedLift:
             g = self.module.graph
             entries = []
             counts = []
+            index = {}  # one key per path: the index of its first fiber entry
             for v in g.vertices:
                 before = len(entries)
                 for p in maximal_paths(g, v, k):
                     d = self.module.dims[p.source]
+                    if d:
+                        index[(p.edges, p.base)] = len(entries)
                     entries.extend((p, b) for b in range(d))
                 counts.append(len(entries) - before)
             self._bases[k] = tuple(entries)
-            self._indexes[k] = {
-                (p.edges, p.base, b): i for i, (p, b) in enumerate(self._bases[k])
-            }
+            self._indexes[k] = index
             self._ranges[k] = _frozen(np.repeat(np.arange(len(counts)), counts))
         return self._bases[k]
 
@@ -155,7 +160,7 @@ class TruncatedLift:
     def dimension(self) -> int:
         return self.dimension_at(self.level)
 
-    def _index(self, k: int) -> dict:
+    def _index(self, k: int) -> dict[tuple, int]:
         self.basis_at(k)
         return self._indexes[k]
 
@@ -175,7 +180,7 @@ class TruncatedLift:
                     continue
                 d = self.module.dims[p.source]
                 for e in g.out_edges(p.range):
-                    row0 = upper[(p.edges + (e.id,), p.base, 0)]
+                    row0 = upper[(p.edges + (e.id,), p.base)]
                     maps[e.id][col : col + d] = np.arange(row0, row0 + d)
             self._edge_maps[k] = {eid: _frozen(t) for eid, t in maps.items()}
         return self._edge_maps[k][edge_id]
@@ -207,13 +212,13 @@ class TruncatedLift:
                 if not incoming:
                     cols, rows = groups.setdefault(("fixed", p.source), ([], []))
                     cols.append(col)
-                    rows.append(upper[(p.edges, p.base, 0)])
+                    rows.append(upper[(p.edges, p.base)])
                 for nu in incoming:
                     if self.module.dims[nu.source] == 0:
                         continue
                     cols, rows = groups.setdefault(("edge", nu.id), ([], []))
                     cols.append(col)
-                    rows.append(upper[((nu.id,) + p.edges, nu.source, 0)])
+                    rows.append(upper[((nu.id,) + p.edges, nu.source)])
             parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp),
                       np.zeros(0, np.complex128))]
             for (kind, name), (cols, rows) in groups.items():
@@ -258,9 +263,10 @@ class TruncatedLift:
     def reduce_class(self, path: Path | str, xi, level: int | None = None) -> "LiftVector":
         """Coordinates of the class of (path, xi) in the basis of W_level.
 
-        The pair is expanded at the source end, one incoming edge at a time,
-        until every summand's path is level-maximal; coefficients over equal
-        paths accumulate. A vertex id stands for its length-0 path.
+        A path of length L is itself a basis path of W_L, so the class is xi
+        placed at that path's block of W_L and carried up by the level
+        embeddings; the result equals `embed_vector` applied level - L times.
+        A vertex id stands for its length-0 path.
         """
         if isinstance(path, str):
             path = Path(self.module.graph, (), base=path)
@@ -273,38 +279,17 @@ class TruncatedLift:
         if d == 0:
             raise LiftError(f"fiber at {path.source!r} is zero-dimensional")
         xi = np.asarray(xi, dtype=np.complex128).reshape(d)
-        g = self.module.graph
-        pending = {(path.edges, path.base): xi}
-        done: dict[tuple, np.ndarray] = {}
-        while pending:
-            (edges, base), vec = pending.popitem()
-            src = g.edge_by_id[edges[0]].source if edges else base
-            incoming = g.in_edges(src)
-            if len(edges) == m or not incoming:
-                if vec.size:
-                    done[(edges, base)] = done.get((edges, base), 0) + vec
-                continue
-            for nu in incoming:
-                out = self.module.ops[nu.id] @ vec
-                if not out.size:
-                    continue
-                key = ((nu.id,) + edges, nu.source)
-                if key in pending:
-                    pending[key] = pending[key] + out
-                else:
-                    pending[key] = out
-        index = self._index(m)
-        coeffs = np.zeros(self.dimension_at(m), dtype=np.complex128)
-        for (edges, base), vec in done.items():
-            at = index[(edges, base, 0)]
-            coeffs[at : at + vec.size] += vec
+        at = self._index(path.length)[(path.edges, path.base)]
+        coeffs = np.zeros(self.dimension_at(path.length), dtype=np.complex128)
+        coeffs[at : at + d] = xi
+        for k in range(path.length, m):
+            coeffs = self.embed_map(k).apply(coeffs)
         return LiftVector(self, m, coeffs)
 
 
-def lift(module: PythagoreanModule, level: int, validate: bool = True,
-         tol: float = 1e-9) -> TruncatedLift:
+def lift(module: PythagoreanModule, level: int, validate: bool = True) -> TruncatedLift:
     """Build the truncated lift; by default the module is validated first."""
-    return TruncatedLift(module, level, validate=validate, tol=tol)
+    return TruncatedLift(module, level, validate=validate)
 
 
 @dataclass(eq=False)
@@ -375,10 +360,12 @@ class CkReport:
 
     @property
     def max_residual(self) -> float:
-        worst = max(self.projector_orthogonality, self.projector_completeness)
-        for table in (self.edge_isometry, self.vertex_sum, self.embed_isometry):
-            worst = max(worst, max(table.values(), default=0.0))
-        return worst
+        """The worst residual; NaN when any residual is NaN."""
+        return float(np.max([
+            self.projector_orthogonality, self.projector_completeness,
+            *self.edge_isometry.values(), *self.vertex_sum.values(),
+            *self.embed_isometry.values(),
+        ]))
 
     def passed(self, tol: float = 1e-9) -> bool:
         return self.max_residual <= tol
@@ -470,8 +457,7 @@ def word_operator(trunc: TruncatedLift, word: list[str], start_level: int) -> Wo
 
 
 def lift_intertwiner(theta: dict[str, np.ndarray], source: TruncatedLift,
-                     target: TruncatedLift, tol: float = 1e-9,
-                     level: int | None = None) -> np.ndarray:
+                     target: TruncatedLift, level: int | None = None) -> np.ndarray:
     """Lift a graded intertwiner to a matrix between two lifts of one level.
 
     The map acts blockwise on each basis path's fiber, so it commutes with
@@ -497,7 +483,7 @@ def lift_intertwiner(theta: dict[str, np.ndarray], source: TruncatedLift,
         lhs = blocks[e.source] @ source.module.ops[e.id]
         rhs = target.module.ops[e.id] @ blocks[e.range]
         gap = float(np.linalg.norm(lhs - rhs, "fro"))
-        if gap > tol:
+        if gap > INTERTWINER_TOL:
             raise LiftError(f"not an intertwiner: edge {e.id!r} residual {gap:.3e}")
     m = source.level if level is None else source._check_level(level, source.level + 1)
     index = target._index(m)
@@ -507,6 +493,6 @@ def lift_intertwiner(theta: dict[str, np.ndarray], source: TruncatedLift,
         block = blocks[p.source]
         if block.shape[0] == 0:
             continue
-        row0 = index[(p.edges, p.base, 0)]
+        row0 = index[(p.edges, p.base)]
         mat[row0 : row0 + block.shape[0], col] = block[:, b]
     return mat

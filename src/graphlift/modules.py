@@ -19,6 +19,9 @@ import numpy as np
 from .graphs import Graph, Path
 
 RANK_TOL = 1e-10
+# random combinations of the intertwiner basis that `are_equivalent` tries
+EQUIVALENCE_DRAWS = 20
+EQUIVALENCE_SEED = 0
 
 
 class ModuleError(ValueError):
@@ -27,11 +30,13 @@ class ModuleError(ValueError):
 
 def _as_operator(value, shape: tuple[int, int], edge_id: str) -> np.ndarray:
     a = np.asarray(value, dtype=np.complex128)
-    if a.shape == shape:
-        return a
     if a.size == 0 and 0 in shape:
         return np.zeros(shape, dtype=np.complex128)
-    raise ModuleError(f"edge {edge_id!r}: operator shape {a.shape} != {shape}")
+    if a.shape != shape:
+        raise ModuleError(f"edge {edge_id!r}: operator shape {a.shape} != {shape}")
+    if not np.isfinite(a).all():
+        raise ModuleError(f"edge {edge_id!r}: operator has non-finite entries")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +93,8 @@ class ModuleReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
+        """The worst residual; NaN when any residual is NaN."""
+        return float(np.max(list(self.residuals.values()), initial=0.0))
 
     @property
     def passed(self) -> bool:
@@ -388,8 +394,7 @@ def _graded_invertible(theta: dict[str, np.ndarray], dims: dict[str, int]) -> bo
     return True
 
 
-def are_equivalent(m1: PythagoreanModule, m2: PythagoreanModule,
-                   draws: int = 20, seed: int = 0) -> Equivalence:
+def are_equivalent(m1: PythagoreanModule, m2: PythagoreanModule) -> Equivalence:
     """Decide module equivalence where possible.
 
     Mismatched fibers or a vanishing intertwiner space in either direction
@@ -407,8 +412,8 @@ def are_equivalent(m1: PythagoreanModule, m2: PythagoreanModule,
     forward = intertwiner_space(m1, m2)
     if forward.dimension == 0 or intertwiner_space(m2, m1).dimension == 0:
         return Equivalence(INEQUIVALENT)
-    rng = np.random.default_rng(seed)
-    for _ in range(draws):
+    rng = np.random.default_rng(EQUIVALENCE_SEED)
+    for _ in range(EQUIVALENCE_DRAWS):
         coeff = rng.standard_normal(forward.dimension) + 1j * rng.standard_normal(
             forward.dimension
         )

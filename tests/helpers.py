@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from graphlift import CkReport, Edge, Graph, PythagoreanModule, TruncatedLift
+from graphlift import (
+    CkReport,
+    Edge,
+    Graph,
+    PythagoreanModule,
+    TruncatedLift,
+    sphere_odd_graph,
+)
 
 
 def one_dim_components(graph: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -156,3 +163,32 @@ def random_feasible_dims(graph: Graph, rng, hi: int = 3) -> dict[str, int]:
         )
         if feasible:
             return dims
+
+
+def overflow_module() -> PythagoreanModule:
+    """Finite operators on sphere_odd_graph(2) whose Gram overflows to NaN at
+    vertex "2", listed after the clean vertex "1"."""
+    big = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]])
+    ops = {"11": np.eye(1), "21": np.zeros((1, 2)), "22": big}
+    return PythagoreanModule(sphere_odd_graph(2), {"1": 1, "2": 2}, ops)
+
+
+def expand_class(trunc: TruncatedLift, path, xi: np.ndarray, level: int) -> np.ndarray:
+    """Reference class reduction: expand (path, xi) at the source end, one
+    incoming edge at a time, until every summand's path is level-maximal."""
+    g = trunc.module.graph
+    pending = [(path.edges, path.base, np.asarray(xi, dtype=np.complex128))]
+    coeffs = np.zeros(trunc.dimension_at(level), dtype=np.complex128)
+    index = trunc._index(level)
+    while pending:
+        edges, base, vec = pending.pop()
+        src = g.edge_by_id[edges[0]].source if edges else base
+        if len(edges) == level or not g.in_edges(src):
+            at = index[(edges, base)]
+            coeffs[at : at + vec.size] += vec
+            continue
+        for nu in g.in_edges(src):
+            if trunc.module.dims[nu.source]:
+                pending.append(((nu.id,) + edges, nu.source,
+                                trunc.module.ops[nu.id] @ vec))
+    return coeffs

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from graphlift import cli, lens_edge_provenance, sphere_odd_graph
-from graphlift.io import graph_from_dict, module_from_dict, read_json
+from graphlift.io import graph_from_dict, module_from_dict, module_to_dict, read_json
+
+from helpers import overflow_module
 
 
 def run(capsys, *argv):
@@ -281,6 +283,61 @@ class TestLiftCommands:
                            phase_module_file, "--vertex", "2", "--level", "1")
         assert code == 2
         assert "zero-dimensional" in err
+
+
+class TestBadNumbers:
+    @pytest.fixture()
+    def nan_module_file(self, tmp_path, capsys, odd_graph_file):
+        path = tmp_path / "nan.json"
+        run(capsys, "module", "random", "--graph", odd_graph_file,
+            "--dims", "2,1,2", "--seed", "7", "--out", str(path))
+        doc = read_json(str(path))
+        doc["ops"]["33"][0][0][0] = float("nan")
+        path.write_text(json.dumps(doc))  # a NaN literal, which json accepts
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ("module", "check", "{}"),
+        ("module", "irreducible", "{}"),
+        ("lift", "check", "--module", "{}", "--level", "2"),
+        ("lift", "build", "--module", "{}", "--level", "2"),
+    ])
+    def test_nan_literal_refused(self, capsys, nan_module_file, argv):
+        code, out, err = run(capsys, *(a.format(nan_module_file) for a in argv))
+        assert code == 2 and out == ""
+        assert err == "error: /: edge '33': operator has non-finite entries\n"
+
+    def test_nan_phase_refused(self, capsys, odd_graph_file):
+        code, _, err = run(capsys, "module", "make", "--graph", odd_graph_file,
+                           "--vertex", "1", "--z", "nan")
+        assert code == 2
+        assert "operator has non-finite entries" in err
+
+    def test_overflow_to_nan_fails(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(module_to_dict(overflow_module())))
+        code, out, err = run(capsys, "module", "check", str(path))
+        assert code == 1 and err == ""
+        assert "vertex 2: residual nan" in out
+        assert out.strip().endswith("max residual nan against 1.0e-09: FAIL")
+        code, out, err = run(capsys, "lift", "check", "--module", str(path),
+                             "--level", "2")
+        assert code == 1 and err == ""
+        assert "embedding level 1: nan" in out and out.strip().endswith("FAIL")
+        code, _, err = run(capsys, "lift", "build", "--module", str(path),
+                           "--level", "2", "--out", str(tmp_path / "lift.json"))
+        assert code == 2
+        assert err == "error: module fails validation: max residual nan > 1.0e-09\n"
+        assert not (tmp_path / "lift.json").exists()
+
+    def test_boolean_dim_refused(self, tmp_path, capsys, phase_module_file):
+        doc = read_json(phase_module_file)
+        doc["dims"]["1"] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "module", "check", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: /dims/1: expected a nonnegative integer")
 
 
 class TestUsageErrors:

@@ -7,7 +7,6 @@ from graphlift import (
     Graph,
     GraphError,
     LensParams,
-    RANGE_DISTINCT,
     lens_edge_provenance,
     lens_graph_coprime,
     loop_structure,
@@ -165,13 +164,6 @@ class TestLensGraph:
     def test_gcd_violation_raises(self):
         with pytest.raises(GraphError, match="gcd"):
             lens_graph_coprime(LensParams(2, 4, (2, 1)))
-
-    def test_literal_reading_creates_extra_loops(self):
-        params = LensParams(2, 3, (1, 1))
-        literal = lens_graph_coprime(params, RANGE_DISTINCT)
-        report = validate_quantum_graph(literal, "lens")
-        by_name = {c.name: c for c in report.checks}
-        assert not by_name["one-loop-per-vertex"].passed
 
     def test_deterministic(self):
         for params in LENS_CASES:

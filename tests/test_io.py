@@ -105,6 +105,12 @@ class TestModuleCodec:
         with pytest.raises(CodecError, match="/dims/1: expected a nonnegative"):
             module_from_dict(doc)
 
+    def test_boolean_dim_located(self):
+        doc = module_to_dict(one_dim_module(sphere_odd_graph(1), "1", 1j))
+        doc["dims"]["1"] = True
+        with pytest.raises(CodecError, match="/dims/1: expected a nonnegative"):
+            module_from_dict(doc)
+
     def test_unknown_edge_in_ops_located(self):
         doc = module_to_dict(one_dim_module(sphere_odd_graph(1), "1", 1j))
         doc["ops"]["zz"] = []
@@ -134,6 +140,19 @@ class TestModuleCodec:
         doc = module_to_dict(one_dim_module(sphere_odd_graph(1), "1", 1j))
         doc["ops"]["11"] = [[[0.0, "x"]]]
         with pytest.raises(CodecError, match=r"/ops/11/0/0: expected a \[re, im\]"):
+            module_from_dict(doc)
+
+    def test_boolean_pair_located(self):
+        doc = module_to_dict(one_dim_module(sphere_odd_graph(1), "1", 1j))
+        doc["ops"]["11"] = [[[True, False]]]
+        with pytest.raises(CodecError, match=r"/ops/11/0/0: expected a \[re, im\]"):
+            module_from_dict(doc)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_names_edge(self, literal):
+        text = json.dumps(module_to_dict(one_dim_module(sphere_odd_graph(1), "1", 1j)))
+        doc = json.loads(text.replace("[0.0, 1.0]", f"[0.0, {literal}]"))
+        with pytest.raises(CodecError, match="'11': operator has non-finite"):
             module_from_dict(doc)
 
     def test_unknown_keys_ignored(self):
@@ -221,6 +240,13 @@ class TestLiftCodec:
         g = sphere_odd_graph(1)
         doc = lift_to_dict(lift(one_dim_module(g, "1", 1j), 1))
         doc["level"] = -3
+        with pytest.raises(CodecError, match="/level: expected a nonnegative"):
+            lift_from_dict(doc)
+
+    def test_boolean_level_located(self):
+        g = sphere_odd_graph(1)
+        doc = lift_to_dict(lift(one_dim_module(g, "1", 1j), 1))
+        doc["level"] = True
         with pytest.raises(CodecError, match="/level: expected a nonnegative"):
             lift_from_dict(doc)
 

@@ -30,7 +30,13 @@ from graphlift import (
     word_operator,
 )
 
-from helpers import dense_ck_residuals, perturb_edge, random_feasible_dims
+from helpers import (
+    dense_ck_residuals,
+    expand_class,
+    overflow_module,
+    perturb_edge,
+    random_feasible_dims,
+)
 
 Z8 = cmath.exp(2j * cmath.pi / 8)
 
@@ -163,7 +169,7 @@ class TestReduce:
         for m in range(1, 5):
             t = phase_lift("1", Z8, m)
             out = t.reduce_class("1", [1.0], m)
-            ref = t._index(m)[(("11",) * m, "1", 0)]
+            ref = t._index(m)[(("11",) * m, "1")]
             assert out.coeffs[ref] == pytest.approx(Z8**m)
             assert out.norm == pytest.approx(1.0, abs=1e-12)
 
@@ -182,7 +188,7 @@ class TestReduce:
         p = Path(g, ("21", "22"))
         xi = np.array([0.25, -1j])
         out = t.reduce_class(p, xi, 2)
-        at = t._index(2)[(p.edges, p.base, 0)]
+        at = t._index(2)[(p.edges, p.base)]
         assert np.array_equal(out.coeffs[at : at + 2], xi)
         assert out.norm == pytest.approx(np.linalg.norm(xi))
 
@@ -550,3 +556,33 @@ class TestAdditivity:
         assert np.allclose(emb[np.ix_(rows_a, cols_a)], ta.embed_matrix(1))
         assert np.allclose(emb[np.ix_(rows_b, cols_b)], tb.embed_matrix(1))
         assert not emb[np.ix_(rows_a, cols_b)].any()
+
+
+class TestReduceThroughEmbeddings:
+    @pytest.mark.parametrize("name", sorted(PARITY_GRAPHS))
+    def test_equals_iterated_embeddings(self, name):
+        modules = _parity_modules(name)
+        rng = np.random.default_rng(7)
+        for kind in ("valid", "zero fiber"):
+            t = lift(modules[kind], 4)
+            for length in range(5):
+                for p, b in t.basis_at(length):
+                    if b or p.length != length:
+                        continue
+                    d = t.module.dims[p.source]
+                    xi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                    x = t.reduce_class(p, xi, length)
+                    for m in range(length, 5):
+                        got = t.reduce_class(p, xi, m).coeffs
+                        assert np.array_equal(got, x.coeffs), (kind, p.display, m)
+                        assert np.allclose(got, expand_class(t, p, xi, m),
+                                           rtol=0, atol=1e-12)
+                        if m < 4:
+                            x = embed_vector(x)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_nan_is_not_dropped(self):
+        report = ck_residuals(lift(overflow_module(), 2, validate=False))
+        assert report.edge_isometry["11"] == 0.0  # a clean residual comes first
+        assert np.isnan(report.max_residual)
+        assert not report.passed()

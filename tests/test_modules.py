@@ -30,6 +30,7 @@ from graphlift import (
 from helpers import (
     dense_commutant_dim,
     orbit_span_dim,
+    overflow_module,
     perturb_edge,
     random_feasible_dims,
 )
@@ -81,6 +82,13 @@ class TestConstruction:
         with pytest.raises(ModuleError, match="negative"):
             PythagoreanModule(g, {"1": -1}, {"11": np.zeros((0, 0))})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_operator_names_edge(self, bad):
+        g = sphere_odd_graph(2)
+        ops = {"11": np.eye(1), "21": np.array([[bad]]), "22": np.eye(1)}
+        with pytest.raises(ModuleError, match="'21': operator has non-finite"):
+            PythagoreanModule(g, {"1": 1, "2": 1}, ops)
+
     def test_empty_operators_normalized(self):
         g = sphere_odd_graph(2)
         m = one_dim_module(g, "1", 1j)
@@ -119,6 +127,14 @@ class TestValidation:
         m = random_module(g, {"1": 1, "2": 1, "3": 1, "4": 1}, 3)
         report = validate_module(m)
         assert "3" in report.exempt and "4" in report.exempt
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_nan_is_not_dropped(self):
+        report = validate_module(overflow_module())
+        assert list(report.residuals) == ["1", "2"]
+        assert report.residuals["1"] == 0.0 and np.isnan(report.residuals["2"])
+        assert np.isnan(report.max_residual)
+        assert not report.passed
 
     def test_tolerance_must_be_positive(self):
         g = loop_only_graph()
