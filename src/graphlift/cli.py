@@ -9,6 +9,7 @@ given their flags; randomness always flows through an explicit seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from .families import (
     validate_quantum_graph,
 )
 from .graphs import GraphError
-from .lifting import LiftError, ck_residuals, lift, word_operator
+from .lifting import LiftError, ck_residuals, lift
 from .modules import (
     ModuleError,
     are_equivalent,
@@ -36,6 +37,7 @@ from .modules import (
     random_module,
     validate_module,
     EQUIVALENT,
+    _require_tolerance,
 )
 from .spectrum import SpectrumError, check_hypotheses, classify, representative_module
 
@@ -253,14 +255,18 @@ def _cmd_lift_eigen(args) -> int:
     trunc = lift(module, args.level, validate=False)
     xi = np.zeros(module.dims[args.vertex])
     xi[0] = 1.0
-    below = trunc.reduce_class(args.vertex, xi, args.level - 1)
-    image = word_operator(trunc, [loops[0].id], args.level - 1).matrix @ below.coeffs
-    top = trunc.reduce_class(args.vertex, xi, args.level)
-    weight = complex(np.vdot(top.coeffs, top.coeffs))
+    below = trunc.reduce_class(args.vertex, xi, args.level - 1).coeffs
+    # the loop generator scatters each entry of W_{level-1} to its image
+    targets = trunc.edge_targets(loops[0].id, args.level - 1)
+    hit = targets >= 0
+    image = np.zeros(trunc.dimension_at(args.level), dtype=np.complex128)
+    image[targets[hit]] = below[hit]
+    top = trunc.embed_map(args.level - 1).apply(below)
+    weight = complex(np.vdot(top, top))
     if abs(weight) < 1e-30:
         raise LiftError(f"the class at {args.vertex!r} reduces to zero")
-    value = complex(np.vdot(top.coeffs, image)) / weight
-    residual = float(np.linalg.norm(image - value * top.coeffs))
+    value = complex(np.vdot(top, image)) / weight
+    residual = float(np.linalg.norm(image - value * top))
     print(f"eigenvalue: {io.format_complex(value)}")
     print(f"residual: {residual:.3e}")
     return EXIT_OK if residual <= args.tol else EXIT_CHECK_FAILED
@@ -270,7 +276,24 @@ def _add_format(parser, default="text"):
     parser.add_argument("--format", choices=("text", "json"), default=default)
 
 
+def _tolerance(text: str) -> float:
+    """Type of every --tol flag: a positive finite number, else exit 2."""
+    try:
+        return _require_tolerance(float(text))
+    except ModuleError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The shared, process-wide parser, built on first use.
+
+    A parse leaves the parser unchanged (set-up defaults only, no `append`
+    actions, subparser results copied into a fresh Namespace), so every
+    `run` call reuses it.
+    """
     parser = argparse.ArgumentParser(
         prog="graphlift",
         description="Graph families, Pythagorean modules, truncated lifts, "
@@ -327,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     mrand.set_defaults(handler=_cmd_module_random)
     mcheck = module_sub.add_parser("check", help="defining-relation residuals")
     mcheck.add_argument("file")
-    mcheck.add_argument("--tol", type=float, default=1e-9)
+    mcheck.add_argument("--tol", type=_tolerance, default=1e-9)
     _add_format(mcheck)
     mcheck.set_defaults(handler=_cmd_module_check)
     mirr = module_sub.add_parser("irreducible", help="Burnside irreducibility test")
@@ -352,13 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     lcheck = lift_sub.add_parser("check", help="generator relation residuals")
     lcheck.add_argument("--module", required=True)
     lcheck.add_argument("--level", type=int, required=True)
-    lcheck.add_argument("--tol", type=float, default=1e-9)
+    lcheck.add_argument("--tol", type=_tolerance, default=1e-9)
     lcheck.set_defaults(handler=_cmd_lift_check)
     leigen = lift_sub.add_parser("eigen", help="loop eigenvalue at a vertex class")
     leigen.add_argument("--module", required=True)
     leigen.add_argument("--vertex", required=True)
     leigen.add_argument("--level", type=int, required=True)
-    leigen.add_argument("--tol", type=float, default=1e-9)
+    leigen.add_argument("--tol", type=_tolerance, default=1e-9)
     leigen.set_defaults(handler=_cmd_lift_eigen)
 
     return parser

@@ -101,11 +101,17 @@ class ModuleReport:
         return self.max_residual <= self.tol
 
 
+def _require_tolerance(tol: float) -> float:
+    """The one tolerance rule: a positive finite number, else ModuleError."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ModuleError(f"tolerance must be a positive finite number, got {tol!r}")
+    return float(tol)
+
+
 def validate_module(module: PythagoreanModule, tol: float = 1e-9) -> ModuleReport:
     """Check sum of A_g* A_g over incoming edges against the identity at every
     vertex; vertices with no incoming edges or a zero fiber are exempt."""
-    if tol <= 0:
-        raise ModuleError("tolerance must be positive")
+    tol = _require_tolerance(tol)
     residuals = {}
     exempt = []
     for w in module.graph.vertices:
@@ -116,7 +122,7 @@ def validate_module(module: PythagoreanModule, tol: float = 1e-9) -> ModuleRepor
         stacked = np.vstack([module.ops[e.id] for e in incoming])
         gram = stacked.conj().T @ stacked
         residuals[w] = float(np.linalg.norm(gram - np.eye(module.dims[w]), "fro"))
-    return ModuleReport(residuals, tuple(exempt), float(tol))
+    return ModuleReport(residuals, tuple(exempt), tol)
 
 
 def one_dim_module(graph: Graph, v: str, z: complex) -> PythagoreanModule:

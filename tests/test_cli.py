@@ -1,11 +1,29 @@
 """End-to-end command-line flows through cli.run."""
 
+import argparse
 import json
 
+import numpy as np
 import pytest
 
-from graphlift import cli, lens_edge_provenance, sphere_odd_graph
-from graphlift.io import graph_from_dict, module_from_dict, module_to_dict, read_json
+import graphlift
+from graphlift import (
+    cli,
+    lens_edge_provenance,
+    lift,
+    one_dim_module,
+    random_module,
+    sphere_odd_graph,
+    word_operator,
+)
+from graphlift.io import (
+    format_complex,
+    graph_from_dict,
+    module_from_dict,
+    module_to_dict,
+    read_json,
+    write_json,
+)
 
 from helpers import overflow_module
 
@@ -283,6 +301,113 @@ class TestLiftCommands:
                            phase_module_file, "--vertex", "2", "--level", "1")
         assert code == 2
         assert "zero-dimensional" in err
+
+
+def eigen_reference(module, v, level):
+    """`lift eigen` stdout computed through the full `word_operator` matrix."""
+    trunc = lift(module, level, validate=False)
+    loop = next(e.id for e in module.graph.out_edges(v) if e.range == v)
+    xi = np.zeros(module.dims[v])
+    xi[0] = 1.0
+    below = trunc.reduce_class(v, xi, level - 1)
+    image = word_operator(trunc, [loop], level - 1).matrix @ below.coeffs
+    top = trunc.reduce_class(v, xi, level).coeffs
+    value = complex(np.vdot(top, image)) / complex(np.vdot(top, top))
+    residual = float(np.linalg.norm(image - value * top))
+    return f"eigenvalue: {format_complex(value)}\nresidual: {residual:.3e}\n"
+
+
+class TestLiftEigenThroughMaps:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_word_operator(self, tmp_path, capsys, n):
+        g = sphere_odd_graph(n)
+        modules = [one_dim_module(g, v, np.exp(2j * np.pi * (i + 1) / 7))
+                   for i, v in enumerate(g.vertices)]
+        modules.append(random_module(g, {v: 2 for v in g.vertices}, seed=n))
+        path = str(tmp_path / "m.json")
+        for module in modules:
+            write_json(path, module_to_dict(module))
+            for v in g.vertices:
+                if module.dims[v] == 0:
+                    continue
+                for level in range(1, 7):
+                    code, out, err = run(capsys, "lift", "eigen", "--module", path,
+                                         "--vertex", v, "--level", str(level))
+                    assert code in (0, 1) and err == ""
+                    assert out == eigen_reference(module, v, level)
+
+    def test_forms_no_identity(self, capsys, monkeypatch, phase_module_file):
+        def boom(*args, **kwargs):
+            raise AssertionError("dense identity formed")
+
+        monkeypatch.setattr(graphlift.lifting, "word_operator", boom)
+        monkeypatch.setattr(cli, "word_operator", boom, raising=False)
+        monkeypatch.setattr(np, "eye", boom)
+        code, out, err = run(capsys, "lift", "eigen", "--module",
+                             phase_module_file, "--vertex", "1", "--level", "4")
+        assert code == 0 and err == ""
+        assert out.startswith("eigenvalue: 0.707107-0.707107i")
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ("module", "check", "{}"),
+        ("lift", "check", "--module", "{}", "--level", "2"),
+        ("lift", "eigen", "--module", "{}", "--vertex", "1", "--level", "2"),
+    ])
+    def test_refused_with_usage_error(self, capsys, phase_module_file, argv, tol):
+        code, out, err = run(capsys, *(a.format(phase_module_file) for a in argv),
+                             "--tol", tol)
+        assert code == 2 and out == ""
+        assert "error: argument --tol: tolerance must be a positive finite number" in err
+
+    def test_not_a_number(self, capsys, phase_module_file):
+        code, _, err = run(capsys, "module", "check", phase_module_file,
+                           "--tol", "tiny")
+        assert code == 2
+        assert "error: argument --tol: invalid float value: 'tiny'" in err
+
+
+class TestParserReuse:
+    def test_format_does_not_stick(self, capsys, odd_graph_file):
+        argv = ("graph", "check", odd_graph_file, "--family", "sphere-odd")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["passed"] is True
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("one-loop-per-vertex: pass")
+
+    def test_tolerance_does_not_stick(self, capsys, phase_module_file):
+        argv = ("lift", "check", "--module", phase_module_file, "--level", "2")
+        code, out, _ = run(capsys, *argv, "--tol", "1e-3")
+        assert code == 0 and "against 1.0e-03: pass" in out
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "against 1.0e-09: pass" in out
+
+    def test_usage_error_then_valid_command(self, capsys, odd_graph_file):
+        assert run(capsys, "graph", "make", "sphere-odd")[0] == 2
+        code, out, err = run(capsys, "classify", odd_graph_file)
+        assert code == 0 and err == ""
+        assert json.loads(out)["class"] == "loop-graph"
+
+    def test_parsers_built_on_first_call_only(self, monkeypatch, capsys,
+                                              odd_graph_file):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        per_call = []
+        for _ in range(5):
+            before = len(built)
+            run(capsys, "graph", "check", odd_graph_file, "--family", "sphere-odd")
+            per_call.append(len(built) - before)
+        assert per_call[0] > 0
+        assert per_call[1:] == [0, 0, 0, 0]
 
 
 class TestBadNumbers:

@@ -141,6 +141,12 @@ class TestValidation:
         with pytest.raises(ModuleError, match="positive"):
             validate_module(one_dim_module(g, "1", 1.0), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        g = loop_only_graph()
+        with pytest.raises(ModuleError, match="positive finite"):
+            validate_module(one_dim_module(g, "1", 1.0), tol=tol)
+
 
 class TestOneDimModules:
     def test_phase_module_layout(self):

@@ -31,6 +31,21 @@ def test_readme_commands_run_in_order(tmp_path, monkeypatch, capsys):
         assert code == want, f"graphlift {argv}: exit {code}, documented {want}"
 
 
+def test_readme_tour_repeats_identically(tmp_path, monkeypatch, capsys):
+    """The CLI parser is shared across calls, so a second pass of the tour
+    in the same process prints exactly what the first one did."""
+    outputs = []
+    for rep in ("first", "second"):
+        work = tmp_path / rep
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for argv, _ in readme_commands():
+            cli.run(shlex.split(argv))
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out
+
+
 def test_readme_quoted_outputs_match(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cli.run(shlex.split("graph make sphere-odd --n 3 --out sphere.json"))
