@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from .graphs import Edge, Graph, GraphError, Path
+from .graphs import Edge, Graph, GraphError
 from .lifting import TruncatedLift, lift
 from .modules import ModuleError, PythagoreanModule
 from .spectrum import SpectrumDescription
@@ -151,14 +151,30 @@ def spectrum_from_dict(doc) -> SpectrumDescription:
     return SpectrumDescription(tag, out["circles"], out["points"])
 
 
-def _basis_entry(path: Path, fiber: int) -> dict:
-    return {
-        "path": path.display,
-        "source": path.source,
-        "range": path.range,
-        "length": path.length,
-        "fiber": fiber,
-    }
+def _basis_records(trunc: TruncatedLift) -> dict:
+    """One record per basis entry of levels 0..m+1, read off the path trie;
+    each display extends its parent's by one edge id on the left."""
+    g = trunc.module.graph
+    names = [e.id for e in g.edges]
+    dims = [trunc.module.dims[v] for v in g.vertices]
+    shown: list[str] = []
+    out = {}
+    for k in range(trunc.level + 2):
+        level = trunc.paths_at(k)
+        parent, edge, rng, source, length = (
+            a.tolist() for a in (level.parent, level.edge, level.range,
+                                 level.source, level.length))
+        shown = [
+            g.vertices[v] if p < 0 else names[e] if n == 1 else f"{names[e]}.{shown[p]}"
+            for p, e, v, n in zip(parent, edge, rng, length)
+        ]
+        out[str(k)] = [
+            {"path": shown[i], "source": g.vertices[source[i]],
+             "range": g.vertices[rng[i]], "length": length[i], "fiber": b}
+            for i in level.order.tolist()
+            for b in range(dims[source[i]])
+        ]
+    return out
 
 
 LIFT_FORMAT = "partial-maps"
@@ -174,10 +190,7 @@ def lift_to_dict(trunc: TruncatedLift) -> dict:
         "format": LIFT_FORMAT,
         "module": module_to_dict(trunc.module),
         "level": m,
-        "bases": {
-            str(k): [_basis_entry(p, b) for p, b in trunc.basis_at(k)]
-            for k in range(m + 2)
-        },
+        "bases": _basis_records(trunc),
         "edges": {
             str(k): {e.id: trunc.edge_targets(e.id, k).tolist() for e in g.edges}
             for k in range(m + 1)

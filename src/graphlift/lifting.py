@@ -20,24 +20,32 @@ class of a pair (lambda, xi) with lambda of length L is xi at lambda's own
 block of W_L, carried to any higher level by these embeddings alone.
 
 Storage follows that description, so lift work scales with nonzeros rather
-than with dimension squared. Each E_e out of W_k is a partial injection
-stored as an int array `edge_targets(e, k)`, the index in W_{k+1} of each
-entry's image or -1 where range(mu) != source(e); each P_v is the boolean
-mask `projection_mask(v, k)`, read off the per-entry range index; each
-embedding is an `EmbedMap`, the nonzeros of its blocks A_nu[:, b] (one per
-column and incoming edge) plus one identity entry per unextendable column.
-`edge_matrix`, `projection_matrix` and `embed_matrix` materialize dense
-matrices from these maps for callers that want them.
+than with dimension squared. The maximal paths of level k+1 at v are e.mu
+for each edge e into v and each level-k path mu at source(e), plus the
+length-0 path at v when v receives no edge, so each level is a path trie
+over the one below: a `PathLevel` of int arrays, a parent path and an edge
+per path, built from the level below in one vectorized step and put in
+basis order by one lexsort. `basis_at` builds `(Path, fiber)` tuples from
+the trie only when asked. Each E_e out of W_k is a partial injection stored
+as an int array `edge_targets(e, k)`, the index in W_{k+1} of each entry's
+image or -1 where range(mu) != source(e); each P_v is the boolean mask
+`projection_mask(v, k)`, read off the per-entry range index; each embedding
+is an `EmbedMap`, the nonzeros of its blocks A_nu[:, b] (one per column and
+incoming edge) plus one identity entry per unextendable column. All three
+are read off the trie arrays. `edge_matrix`, `projection_matrix` and
+`embed_matrix` materialize dense matrices from these maps for callers that
+want them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Path, maximal_paths
-from .modules import PythagoreanModule, validate_module
+from .graphs import Path
+from .modules import PythagoreanModule, _require_tolerance, validate_module
 
 BasisEntry = tuple[Path, int]
 
@@ -101,6 +109,38 @@ class EmbedMap:
         return float(np.sqrt(np.sum(gram_re**2) + np.sum(gram_im**2) + unseen))
 
 
+class PathLevel(NamedTuple):
+    """The basis paths of one lift level, stored as a trie over the level below.
+
+    Path i is edge[i] appended at the range end of path parent[i] of the
+    level below, or the length-0 path at vertex range[i] when parent[i] is
+    -1 (edge[i] is -1 then too). Only paths with a nonzero source fiber are
+    stored, in build order: above level 0, the children of each path of the
+    level below in turn, then the length-0 paths. The children of path i
+    sit at build indices first[i], first[i] + 1, ... of the level above, one
+    per out-edge of range[i] in id order. `order` lists the paths in basis
+    order (range vertex, then traversed edge ids, a path before its
+    extensions), and the fiber entries of path i in W_k start at offset[i].
+    For the level embedding, head[i] is the first traversed edge (-1 at
+    length 0), and down[i] the build index of the path of the level below
+    that embeds onto path i: at full length k its tail without head[i],
+    else the same path; -1 where that path has a zero fiber.
+    Vertices and edges are numbered by their position in the graph.
+    """
+
+    parent: np.ndarray
+    edge: np.ndarray
+    range: np.ndarray
+    source: np.ndarray
+    length: np.ndarray
+    offset: np.ndarray
+    first: np.ndarray
+    head: np.ndarray
+    down: np.ndarray
+    order: np.ndarray
+    dimension: int
+
+
 class TruncatedLift:
     """Levels 0..level+1 of the lifted representation of one module."""
 
@@ -116,11 +156,40 @@ class TruncatedLift:
                 )
         self.module = module
         self.level = int(level)
-        self._bases: dict[int, tuple[BasisEntry, ...]] = {}
-        self._indexes: dict[int, dict[tuple, int]] = {}
+        g = module.graph
+        vid = g.vertex_index
+        self._edge_index = {e.id: i for i, e in enumerate(g.edges)}
+        # out-edges grouped by source vertex, each group in id order
+        out, start, degree, out_rank = [], [], [], [0] * len(g.edges)
+        for v in g.vertices:
+            start.append(len(out))
+            edges = g.out_edges(v)
+            degree.append(len(edges))
+            for j, e in enumerate(edges):
+                out_rank[self._edge_index[e.id]] = j
+                out.append(self._edge_index[e.id])
+        rank = [0] * len(g.edges)
+        for r, i in enumerate(sorted(range(len(g.edges)), key=lambda i: g.edges[i].id)):
+            rank[i] = r
+        self._out_edges = np.array(out, dtype=np.intp)
+        self._out_start = np.array(start, dtype=np.intp)
+        self._out_degree = np.array(degree, dtype=np.intp)
+        self._out_rank = np.array(out_rank, dtype=np.intp)
+        self._edge_rank = np.array(rank, dtype=np.int32)
+        self._edge_range = np.array([vid[e.range] for e in g.edges], dtype=np.intp)
+        self._fiber = np.array([module.dims[v] for v in g.vertices], dtype=np.intp)
+        # length-0 paths above level 0, as (parent, edge, range, source,
+        # length) columns: one per live vertex that receives no edge
+        roots = [vid[v] for v in g.vertices if module.dims[v] and not g.in_edges(v)]
+        self._root_rows = np.array([[-1] * len(roots), [-1] * len(roots), roots,
+                                    roots, [0] * len(roots)], dtype=np.intp)
+        self._levels: list[PathLevel] = []
+        self._keys = np.zeros((1, 0), dtype=np.int32)  # sort keys of the last level
+        self._paths: dict[int, list[Path]] = {}
         self._ranges: dict[int, np.ndarray] = {}
         self._edge_maps: dict[int, dict[str, np.ndarray]] = {}
         self._embeds: dict[int, EmbedMap] = {}
+        self._block_table: tuple[np.ndarray, np.ndarray] | None = None
 
     def _check_level(self, k: int, top: int) -> int:
         k = int(k)
@@ -128,41 +197,129 @@ class TruncatedLift:
             raise LiftError(f"level {k} outside 0..{top}")
         return k
 
-    def basis_at(self, k: int) -> tuple[BasisEntry, ...]:
-        """Ordered basis of W_k: vertex order, then path order, then fiber."""
+    def paths_at(self, k: int) -> PathLevel:
+        """The basis paths of W_k as per-path arrays; see `PathLevel`."""
         k = self._check_level(k, self.level + 1)
-        if k not in self._bases:
+        while len(self._levels) <= k:
+            self._levels.append(self._grow())
+        return self._levels[k]
+
+    def _grow(self) -> PathLevel:
+        """Build the next level from the last one. Each path of level k+1 is
+        an edge e appended to a level-k path mu at source(e), or the
+        length-0 path at a vertex that receives no edge; one lexsort over
+        the traversal-order edge ranks, padded low, gives the basis order.
+        The path that embeds onto e.mu is e appended to the one that embeds
+        onto mu, one level lower."""
+        k = len(self._levels) - 1
+        if k < 0:
+            live = self._fiber.nonzero()[0]
+            table = np.empty((9, live.size), dtype=np.intp)
+            table[[0, 1, 7, 8]] = -1
+            table[2] = table[3] = live
+            table[4] = 0
+            self._keys = live[None, :].astype(np.int32)
+            return self._level_from(table, np.arange(live.size))
+        low = self._levels[k]
+        count = self._out_degree[low.range]
+        parent = np.arange(count.size).repeat(count)
+        built = parent.size
+        step = np.arange(built)
+        table = np.empty((9, built + self._root_rows.shape[1]), dtype=np.intp)
+        table[:5, built:] = self._root_rows
+        table[7, built:] = -1
+        table[0, :built] = parent
+        table[1, :built] = edge = self._out_edges[
+            (self._out_start[low.range] - low.first).repeat(count) + step]
+        table[2, :built] = self._edge_range[edge]
+        table[3, :built] = low.source[parent]
+        np.add(low.length[parent], 1, out=table[4, :built])
+        table[7, :built] = np.where(low.length[parent] == 0, edge, low.head[parent])
+        if k == 0:  # paths of length <= 1 embed from their range vertex
+            index = np.empty(self._fiber.size, dtype=np.intp)
+            index.fill(-1)
+            index[low.range] = np.arange(low.range.size)
+            table[8] = index[table[2]]
+        else:  # length-0 paths embed from their own, the last of each level
+            tail = low.down[parent]
+            table[8, :built] = np.where(
+                tail >= 0, self._levels[k - 1].first[tail] + self._out_rank[edge], -1)
+            table[8, built:] = np.arange(low.range.size - self._root_rows.shape[1],
+                                         low.range.size)
+        # row 0 the range, row 1 + j the rank of the j-th traversed edge
+        keys = np.empty((k + 2, table.shape[1]), dtype=np.int32)
+        keys.fill(-1)
+        keys[0] = table[2]
+        keys[1 : k + 1, :built] = self._keys[1:, parent]
+        keys[table[4, :built], step] = self._edge_rank[edge]
+        self._keys = keys
+        return self._level_from(table, np.lexsort(keys[::-1]))
+
+    def _level_from(self, table: np.ndarray, order: np.ndarray) -> PathLevel:
+        """Fill in the entry offsets (row 5) and the first-child build
+        indices (row 6) of a level whose other rows are set."""
+        fibers = self._fiber[table[3, order]]
+        ends = fibers.cumsum()
+        table[5, order] = ends - fibers
+        count = self._out_degree[table[2]]
+        count.cumsum(out=table[6])
+        table[6] -= count
+        table.flags.writeable = False
+        return PathLevel(*table, _frozen(order), int(ends[-1]) if ends.size else 0)
+
+    def basis_at(self, k: int) -> tuple[BasisEntry, ...]:
+        """Ordered basis of W_k: vertex order, then path order, then fiber.
+        The `Path` objects are built on first request, from the trie."""
+        paths = self._paths_of(k)
+        order = self.paths_at(k).order.tolist()
+        return tuple((paths[i], b) for i in order
+                     for b in range(self.module.dims[paths[i].source]))
+
+    def _paths_of(self, k: int) -> list[Path]:
+        """The `Path` of each path of level k, in build order."""
+        level = self.paths_at(k)
+        if k not in self._paths:
             g = self.module.graph
-            entries = []
-            counts = []
-            index = {}  # one key per path: the index of its first fiber entry
-            for v in g.vertices:
-                before = len(entries)
-                for p in maximal_paths(g, v, k):
-                    d = self.module.dims[p.source]
-                    if d:
-                        index[(p.edges, p.base)] = len(entries)
-                    entries.extend((p, b) for b in range(d))
-                counts.append(len(entries) - before)
-            self._bases[k] = tuple(entries)
-            self._indexes[k] = index
-            self._ranges[k] = _frozen(np.repeat(np.arange(len(counts)), counts))
-        return self._bases[k]
+            below = self._paths_of(k - 1) if k else []
+            self._paths[k] = [
+                Path(g, (), base=g.vertices[v]) if p < 0
+                else Path(g, below[p].edges + (g.edges[e].id,), base=below[p].base)
+                for p, e, v in zip(level.parent.tolist(), level.edge.tolist(),
+                                   level.range.tolist())
+            ]
+        return self._paths[k]
 
     @property
     def basis(self) -> tuple[BasisEntry, ...]:
         return self.basis_at(self.level)
 
     def dimension_at(self, k: int) -> int:
-        return len(self.basis_at(k))
+        return self.paths_at(k).dimension
 
     @property
     def dimension(self) -> int:
         return self.dimension_at(self.level)
 
-    def _index(self, k: int) -> dict[tuple, int]:
-        self.basis_at(k)
-        return self._indexes[k]
+    def _offset(self, k: int, path: Path) -> int:
+        """Index of the first fiber entry of `path` in W_k, found by walking
+        the trie up from the path's length-0 start."""
+        g = self.module.graph
+        start = k - path.length
+        if (start < 0 or not self.module.dims[path.source]
+                or (start and g.in_edges(path.source))):
+            raise LiftError(f"{path.display} is not a basis path of level {k}")
+        level = self.paths_at(start)
+        at = int(np.flatnonzero((level.parent < 0)
+                                & (level.range == g.vertex_index[path.source]))[0])
+        for eid in path.edges:
+            at = int(level.first[at] + self._out_rank[self._edge_index[eid]])
+            start += 1
+            level = self.paths_at(start)
+        return int(level.offset[at])
+
+    def _entry_paths(self, level: PathLevel) -> np.ndarray:
+        """The path (build index) of each entry of a level, in entry order."""
+        return np.repeat(level.order, self._fiber[level.source[level.order]])
 
     def edge_targets(self, edge_id: str, k: int) -> np.ndarray:
         """Partial injection of the edge generator W_k -> W_{k+1}: the index
@@ -171,78 +328,72 @@ class TruncatedLift:
         if edge_id not in self.module.graph.edge_by_id:
             raise LiftError(f"unknown edge {edge_id!r}")
         if k not in self._edge_maps:
-            g = self.module.graph
-            upper = self._index(k + 1)
-            dim = self.dimension_at(k)
-            maps = {e.id: np.full(dim, -1, dtype=np.intp) for e in g.edges}
-            for col, (p, b) in enumerate(self.basis_at(k)):
-                if b:
-                    continue
-                d = self.module.dims[p.source]
-                for e in g.out_edges(p.range):
-                    row0 = upper[(p.edges + (e.id,), p.base)]
-                    maps[e.id][col : col + d] = np.arange(row0, row0 + d)
-            self._edge_maps[k] = {eid: _frozen(t) for eid, t in maps.items()}
+            low, high = self.paths_at(k), self.paths_at(k + 1)
+            path = self._entry_paths(high)
+            rows = np.flatnonzero(high.parent[path] >= 0)
+            path = path[rows]
+            fiber = rows - high.offset[path]
+            table = np.empty((len(self._edge_index), low.dimension), dtype=np.intp)
+            table.fill(-1)
+            # an entry (e.mu, b) of W_{k+1} is the image of (mu, b)
+            table[high.edge[path], low.offset[high.parent[path]] + fiber] = rows
+            table.flags.writeable = False
+            self._edge_maps[k] = dict(zip(self._edge_index, table))
         return self._edge_maps[k][edge_id]
 
     def projection_mask(self, v: str, k: int) -> np.ndarray:
         """Entries of W_k whose path has range v."""
         k = self._check_level(k, self.level + 1)
         self.module.graph.require_vertex(v)
-        self.basis_at(k)
+        if k not in self._ranges:
+            level = self.paths_at(k)
+            self._ranges[k] = _frozen(level.range[self._entry_paths(level)])
         return self._ranges[k] == self.module.graph.vertex_index[v]
 
     def embed_map(self, k: int) -> EmbedMap:
         """The class-preserving embedding W_k -> W_{k+1}, block by block.
 
-        Extendable entries expand at the source end through the module
-        operators; entries whose source receives no edges map to themselves.
+        A path of full length k+1 receives A_nu from its tail, nu being its
+        first edge; a shorter one starts at a vertex that receives no edge
+        and receives the identity from the same path one level down.
         """
         k = self._check_level(k, self.level)
         if k not in self._embeds:
-            g = self.module.graph
-            upper = self._index(k + 1)
-            # columns and row0s per block: ("edge", nu) carries A_nu, and
-            # ("fixed", v) the identity on unextendable entries with source v
-            groups: dict[tuple[str, str], tuple[list, list]] = {}
-            for col, (p, b) in enumerate(self.basis_at(k)):
-                if b:
-                    continue
-                incoming = g.in_edges(p.source)
-                if not incoming:
-                    cols, rows = groups.setdefault(("fixed", p.source), ([], []))
-                    cols.append(col)
-                    rows.append(upper[(p.edges, p.base)])
-                for nu in incoming:
-                    if self.module.dims[nu.source] == 0:
-                        continue
-                    cols, rows = groups.setdefault(("edge", nu.id), ([], []))
-                    cols.append(col)
-                    rows.append(upper[((nu.id,) + p.edges, nu.source)])
-            parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp),
-                      np.zeros(0, np.complex128))]
-            for (kind, name), (cols, rows) in groups.items():
-                if kind == "edge":
-                    block = self.module.ops[name]
-                else:
-                    block = np.eye(self.module.dims[name], dtype=np.complex128)
-                h, w = block.shape
-                shape = (len(cols), h, w)
-                parts.append((
-                    np.broadcast_to(np.add.outer(rows, np.arange(h))[:, :, None],
-                                    shape).ravel(),
-                    np.broadcast_to(np.add.outer(cols, np.arange(w))[:, None, :],
-                                    shape).ravel(),
-                    np.broadcast_to(block, shape).ravel(),
-                ))
-            rows, cols, vals = (np.concatenate(arrs) for arrs in zip(*parts))
-            order = np.argsort(rows, kind="stable")
+            low, high = self.paths_at(k), self.paths_at(k + 1)
+            down = high.down
+            blocks, starts = self._blocks()
+            block = np.where(high.length == k + 1, high.head,
+                             len(self._edge_index) + high.source)
+            # the block of path i is fiber(source i) x fiber(source down(i))
+            width = self._fiber[low.source[down]] * (down >= 0)
+            size = (self._fiber[high.source] * width)[high.order]
+            path = high.order.repeat(size)  # row order: paths in basis order
+            j = np.arange(path.size) - (size.cumsum() - size).repeat(size)
+            width = width[path]
             self._embeds[k] = EmbedMap(
-                _frozen(rows[order]), _frozen(cols[order]),
-                _frozen(vals[order]),
-                (self.dimension_at(k + 1), self.dimension_at(k)),
+                _frozen(high.offset[path] + j // width),
+                _frozen(low.offset[down[path]] + j % width),
+                _frozen(blocks[starts[block[path]] + j]),
+                (high.dimension, low.dimension),
             )
         return self._embeds[k]
+
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The embedding blocks, row-major in one array: A_e per edge, then
+        the identity on the fiber of each vertex that receives no edge; and
+        where the block of each edge and of each vertex starts."""
+        if self._block_table is None:
+            parts = [self.module.ops[e.id].ravel() for e in self.module.graph.edges]
+            sizes = [a.size for a in parts] + [0] * self._fiber.size
+            for v in self._root_rows[2].tolist():  # the only fibers fixed
+                d = int(self._fiber[v])
+                # entry j of the d x d identity is 1 exactly when d + 1 divides j
+                parts.append(np.arange(d * d) % (d + 1) == 0)
+                sizes[len(self._edge_index) + v] = d * d
+            sizes = np.array(sizes, dtype=np.intp)
+            self._block_table = (np.concatenate(parts).astype(np.complex128),
+                                 sizes.cumsum() - sizes)
+        return self._block_table
 
     def edge_matrix(self, edge_id: str, k: int) -> np.ndarray:
         """Matrix of the edge generator from W_k to W_{k+1}; entries 0 or 1."""
@@ -279,7 +430,7 @@ class TruncatedLift:
         if d == 0:
             raise LiftError(f"fiber at {path.source!r} is zero-dimensional")
         xi = np.asarray(xi, dtype=np.complex128).reshape(d)
-        at = self._index(path.length)[(path.edges, path.base)]
+        at = self._offset(path.length, path)
         coeffs = np.zeros(self.dimension_at(path.length), dtype=np.complex128)
         coeffs[at : at + d] = xi
         for k in range(path.length, m):
@@ -368,7 +519,9 @@ class CkReport:
         ]))
 
     def passed(self, tol: float = 1e-9) -> bool:
-        return self.max_residual <= tol
+        """Whether the worst residual is at most tol, a positive finite
+        number (else ModuleError)."""
+        return self.max_residual <= _require_tolerance(tol)
 
 
 def ck_residuals(trunc: TruncatedLift) -> CkReport:
@@ -390,22 +543,24 @@ def ck_residuals(trunc: TruncatedLift) -> CkReport:
     cover = sum(mask.astype(int) for mask in masks.values())
     completeness = float(np.sqrt(np.sum((cover - 1) ** 2)))
     upper = trunc.dimension_at(m + 1)
-    hits = {}
+    received = {}  # per receiving vertex w, the hit counts of all E_e into w
     edge_isometry = {}
     for e in g.edges:
         targets = trunc.edge_targets(e.id, m)
         hit = targets >= 0
-        hits[e.id] = np.bincount(targets[hit], minlength=upper)
+        hits = np.bincount(targets[hit], minlength=upper)
         wrong = np.count_nonzero(hit != masks[e.source])
-        collisions = int(np.sum(hits[e.id] * (hits[e.id] - 1)))
+        collisions = int(np.sum(hits * (hits - 1)))
         edge_isometry[e.id] = float(np.sqrt(wrong + collisions))
+        if e.range in received:
+            received[e.range] += hits
+        else:
+            received[e.range] = hits
     vertex_sum = {}
     for w in g.vertices:
-        incoming = g.in_edges(w)
-        if not incoming:
-            continue
-        diag = sum(hits[e.id] for e in incoming) - trunc.projection_mask(w, m + 1)
-        vertex_sum[w] = float(np.sqrt(np.sum(diag**2)))
+        if w in received:
+            diag = received[w] - trunc.projection_mask(w, m + 1)
+            vertex_sum[w] = float(np.sqrt(np.sum(diag**2)))
     embed_isometry = {k: trunc.embed_map(k).gram_residual() for k in range(m + 1)}
     return CkReport(m, ortho, completeness, edge_isometry, vertex_sum, embed_isometry)
 
@@ -486,13 +641,20 @@ def lift_intertwiner(theta: dict[str, np.ndarray], source: TruncatedLift,
         if gap > INTERTWINER_TOL:
             raise LiftError(f"not an intertwiner: edge {e.id!r} residual {gap:.3e}")
     m = source.level if level is None else source._check_level(level, source.level + 1)
-    index = target._index(m)
-    mat = np.zeros((target.dimension_at(m), source.dimension_at(m)),
-                   dtype=np.complex128)
-    for col, (p, b) in enumerate(source.basis_at(m)):
-        block = blocks[p.source]
-        if block.shape[0] == 0:
+    cols, rows = source.paths_at(m), target.paths_at(m)
+    mat = np.zeros((rows.dimension, cols.dimension), dtype=np.complex128)
+    # in basis order, the paths with a fiber on both sides come in the same
+    # order in each trie
+    col_paths = cols.order[target._fiber[cols.source[cols.order]] > 0]
+    row_paths = rows.order[source._fiber[rows.source[rows.order]] > 0]
+    row0, col0 = rows.offset[row_paths], cols.offset[col_paths]
+    at = cols.source[col_paths]
+    for i, v in enumerate(g.vertices):
+        block = blocks[v]
+        if not block.size:
             continue
-        row0 = index[(p.edges, p.base)]
-        mat[row0 : row0 + block.shape[0], col] = block[:, b]
+        pick = at == i
+        h, w = block.shape
+        mat[(row0[pick][:, None, None] + np.arange(h)[:, None]),
+            (col0[pick][:, None, None] + np.arange(w))] = block
     return mat

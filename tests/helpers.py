@@ -10,6 +10,7 @@ from graphlift import (
     Graph,
     PythagoreanModule,
     TruncatedLift,
+    maximal_paths,
     sphere_odd_graph,
 )
 
@@ -123,6 +124,83 @@ def dense_ck_residuals(trunc: TruncatedLift) -> CkReport:
                     embed_isometry)
 
 
+def reference_basis(module: PythagoreanModule, k: int):
+    """Reference only: the basis of W_k from one backward DFS per vertex
+    (`maximal_paths`), as (entries, index). Entries are (Path, fiber) pairs
+    in vertex order, then path order, then fiber; index maps the key
+    (edges, base) of each path with a nonzero fiber to its first entry."""
+    entries, index = [], {}
+    for v in module.graph.vertices:
+        for p in maximal_paths(module.graph, v, k):
+            d = module.dims[p.source]
+            if d:
+                index[(p.edges, p.base)] = len(entries)
+            entries.extend((p, b) for b in range(d))
+    return entries, index
+
+
+def reference_edge_targets(module: PythagoreanModule, k: int) -> dict:
+    """Reference only: per edge id, the index in W_{k+1} of the image of each
+    entry of W_k, or -1, looked up entry by entry in `reference_basis`."""
+    g = module.graph
+    entries, _ = reference_basis(module, k)
+    _, upper = reference_basis(module, k + 1)
+    maps = {e.id: np.full(len(entries), -1, dtype=np.intp) for e in g.edges}
+    for col, (p, b) in enumerate(entries):
+        if b:
+            continue
+        d = module.dims[p.source]
+        for e in g.out_edges(p.range):
+            row0 = upper[(p.edges + (e.id,), p.base)]
+            maps[e.id][col : col + d] = np.arange(row0, row0 + d)
+    return maps
+
+
+def reference_embed_map(module: PythagoreanModule, k: int):
+    """Reference only: the nonzeros (rows, cols, vals) of the embedding
+    W_k -> W_{k+1}, rows ascending, grouped block by block from
+    `reference_basis` lookups."""
+    g = module.graph
+    entries, _ = reference_basis(module, k)
+    _, upper = reference_basis(module, k + 1)
+    # columns and row0s per block: ("edge", nu) carries A_nu, and
+    # ("fixed", v) the identity on unextendable entries with source v
+    groups: dict[tuple[str, str], tuple[list, list]] = {}
+    for col, (p, b) in enumerate(entries):
+        if b:
+            continue
+        incoming = g.in_edges(p.source)
+        if not incoming:
+            cols, rows = groups.setdefault(("fixed", p.source), ([], []))
+            cols.append(col)
+            rows.append(upper[(p.edges, p.base)])
+        for nu in incoming:
+            if module.dims[nu.source] == 0:
+                continue
+            cols, rows = groups.setdefault(("edge", nu.id), ([], []))
+            cols.append(col)
+            rows.append(upper[((nu.id,) + p.edges, nu.source)])
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp),
+              np.zeros(0, np.complex128))]
+    for (kind, name), (cols, rows) in groups.items():
+        if kind == "edge":
+            block = module.ops[name]
+        else:
+            block = np.eye(module.dims[name], dtype=np.complex128)
+        h, w = block.shape
+        shape = (len(cols), h, w)
+        parts.append((
+            np.broadcast_to(np.add.outer(rows, np.arange(h))[:, :, None],
+                            shape).ravel(),
+            np.broadcast_to(np.add.outer(cols, np.arange(w))[:, None, :],
+                            shape).ravel(),
+            np.broadcast_to(block, shape).ravel(),
+        ))
+    rows, cols, vals = (np.concatenate(arrs) for arrs in zip(*parts))
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order], vals[order]
+
+
 def perturb_edge(module: PythagoreanModule, edge_id: str,
                  eps: float) -> PythagoreanModule:
     """Copy the module with one operator shifted by eps in every entry."""
@@ -179,7 +257,7 @@ def expand_class(trunc: TruncatedLift, path, xi: np.ndarray, level: int) -> np.n
     g = trunc.module.graph
     pending = [(path.edges, path.base, np.asarray(xi, dtype=np.complex128))]
     coeffs = np.zeros(trunc.dimension_at(level), dtype=np.complex128)
-    index = trunc._index(level)
+    _, index = reference_basis(trunc.module, level)
     while pending:
         edges, base, vec = pending.pop()
         src = g.edge_by_id[edges[0]].source if edges else base

@@ -1,0 +1,106 @@
+"""Pinned SHA-256 digests of `lift build` files and `lift check` stdout.
+
+The digests were taken from the DFS-based basis builder that the path trie
+replaced, so any change to basis order, file layout or residual arithmetic
+fails here loudly. Update them only for a deliberate, documented change of
+output.
+"""
+
+import contextlib
+import hashlib
+import io as stdio
+
+import pytest
+
+from graphlift import cli, io, random_module, sphere_even_graph, sphere_odd_graph
+
+
+def _modules():
+    odd = sphere_odd_graph(4)
+    return {
+        "odd4": random_module(odd, {v: 2 for v in odd.vertices}, 1),
+        "even2-zero": random_module(sphere_even_graph(2),
+                                    {"1": 1, "2": 1, "3": 0, "4": 2}, 3),
+    }
+
+
+BUILD_LEVELS = range(1, 5)
+CHECK_LEVELS = range(1, 7)
+
+DIGESTS = {
+    ("even2-zero", "build", 1):
+        "cb71163690e1b9f10069419959a2e0c5ade5c0a3f4f6a1b62a0552a4c172dd13",
+    ("even2-zero", "build", 2):
+        "5f0b24a5849a8b395cfb6b9c74ec80f2fdf3ff6d23cf51a8eb8c627832050249",
+    ("even2-zero", "build", 3):
+        "1d118cc51cbc5c80cbb626928ec358e2c08ab4de6f6e4bb36fb499fd67e732dc",
+    ("even2-zero", "build", 4):
+        "7df42d0257b61db7eb3f5500a8b4da37d9250f03df589b93f01ced259bd999f5",
+    ("even2-zero", "check", 1):
+        "9e288ff2e292d4ddcae3e2ee0a74ce466acc7d5565cf1842f503788174cb1667",
+    ("even2-zero", "check", 2):
+        "717d119ece6aaab50e6b71d9c2bdc6d826a5b3f65e2e717f267824bb9ee75389",
+    ("even2-zero", "check", 3):
+        "c722a19ea5b029d4c46b32a5ec8f616a02763cd0c44dc13cbf857e1e262d576c",
+    ("even2-zero", "check", 4):
+        "457cf4330e0be049ab924d3eb475a374677cdbc74a235923b65d8948795feb9e",
+    ("even2-zero", "check", 5):
+        "72b8f11815e873775a0f1cd52b0eb825253724bec301d50a07b2e45377f5fa23",
+    ("even2-zero", "check", 6):
+        "24c8347aef5003283cfadde34ed21778b0ab52a273bf53070452298c8980191f",
+    ("odd4", "build", 1):
+        "59dfb742d6d9b8bd9967b06238516140263c6c1b1276c1d6a973b286ba083e7c",
+    ("odd4", "build", 2):
+        "79c48dfc81b9962fae50e6baef08a7a4645cb85aa287abed62b177494b847fcf",
+    ("odd4", "build", 3):
+        "0f319935628935c0f95121be5242bbdfafe71413b7469191e50fd031556ea4de",
+    ("odd4", "build", 4):
+        "d65b13dafae5371ac2ea7e008944803efd6751e08a0415eefa58492ef395a675",
+    ("odd4", "check", 1):
+        "8417ce08c581f80387bc5f426a2342d172d09fb91fa0d8f532d4b38152e58b7d",
+    ("odd4", "check", 2):
+        "2a935a44e6390f3ccffed817bc3bee9e5cf040dab9d2bfa67261383a60f6d274",
+    ("odd4", "check", 3):
+        "c23fec6d70afef5b64cac8e256384ce3c8601e2bb1c5c76c56a7c42c96d8fe1c",
+    ("odd4", "check", 4):
+        "8ea4950bb80cda62c6137b0efc830f7ce05e1cdb3a6244c4f7a5d498d689c493",
+    ("odd4", "check", 5):
+        "db1f4fee5342b037faf54eaedd57dee2b8582b56d3f77ff024666514bdbff917",
+    ("odd4", "check", 6):
+        "bb2a9c69c18b8a67db678476dbad1a4b127d720bff617f79e42445993406ab51",
+}
+
+
+def _digests(work) -> dict:
+    out = {}
+    for name, module in _modules().items():
+        src = str(work / f"{name}.json")
+        io.write_json(src, io.module_to_dict(module))
+        for k in BUILD_LEVELS:
+            dst = work / f"{name}-lift{k}.json"
+            with contextlib.redirect_stdout(stdio.StringIO()):
+                assert cli.run(["lift", "build", "--module", src, "--level", str(k),
+                                "--out", str(dst)]) == 0
+            out[(name, "build", k)] = hashlib.sha256(dst.read_bytes()).hexdigest()
+        for k in CHECK_LEVELS:
+            text = stdio.StringIO()
+            with contextlib.redirect_stdout(text):
+                assert cli.run(["lift", "check", "--module", src,
+                                "--level", str(k)]) == 0
+            out[(name, "check", k)] = hashlib.sha256(
+                text.getvalue().encode()).hexdigest()
+    return out
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return _digests(tmp_path_factory.mktemp("digests"))
+
+
+@pytest.mark.parametrize("key", sorted(DIGESTS))
+def test_output_matches_pinned_digest(digests, key):
+    assert digests[key] == DIGESTS[key]
+
+
+def test_every_output_is_pinned(digests):
+    assert set(digests) == set(DIGESTS)

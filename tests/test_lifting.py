@@ -4,11 +4,16 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlift import (
     CkReport,
+    Edge,
+    Graph,
     LensParams,
     LiftError,
+    ModuleError,
     LiftVector,
     Path,
     TruncatedLift,
@@ -23,6 +28,7 @@ from graphlift import (
     lift_intertwiner,
     one_dim_module,
     path_operator,
+    projective_graph,
     random_module,
     sphere_even_graph,
     sphere_odd_graph,
@@ -36,6 +42,9 @@ from helpers import (
     overflow_module,
     perturb_edge,
     random_feasible_dims,
+    reference_basis,
+    reference_edge_targets,
+    reference_embed_map,
 )
 
 Z8 = cmath.exp(2j * cmath.pi / 8)
@@ -169,7 +178,7 @@ class TestReduce:
         for m in range(1, 5):
             t = phase_lift("1", Z8, m)
             out = t.reduce_class("1", [1.0], m)
-            ref = t._index(m)[(("11",) * m, "1")]
+            ref = t._offset(m, Path(t.module.graph, ("11",) * m, base="1"))
             assert out.coeffs[ref] == pytest.approx(Z8**m)
             assert out.norm == pytest.approx(1.0, abs=1e-12)
 
@@ -188,7 +197,7 @@ class TestReduce:
         p = Path(g, ("21", "22"))
         xi = np.array([0.25, -1j])
         out = t.reduce_class(p, xi, 2)
-        at = t._index(2)[(p.edges, p.base)]
+        at = t._offset(2, p)
         assert np.array_equal(out.coeffs[at : at + 2], xi)
         assert out.norm == pytest.approx(np.linalg.norm(xi))
 
@@ -288,6 +297,13 @@ class TestRelationReport:
         report = ck_residuals(lift(bad, 2, validate=False))
         assert report.max_residual >= 1e-3
         assert not report.passed()
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_passed_refuses_a_bad_tolerance(self, tol):
+        report = ck_residuals(phase_lift("1", Z8, 2, n=3))
+        assert report.passed(1e-9)
+        with pytest.raises(ModuleError, match="positive finite"):
+            report.passed(tol)
 
     def test_invalid_module_blocked_unless_opted_out(self):
         g = sphere_odd_graph(2)
@@ -508,6 +524,30 @@ class TestFunctoriality:
         with pytest.raises(LiftError, match="not an intertwiner"):
             lift_intertwiner(theta, lift(a, 2), lift(b, 2))
 
+    @pytest.mark.parametrize("graph", [sphere_odd_graph(3), sphere_even_graph(2)])
+    def test_summand_maps_across_zero_fibers(self, graph):
+        """Inclusion of a summand with zero fibers into the sum, and the
+        projection back: the two lifts keep different paths."""
+        dims_a = {v: int(i % 2 == 0) for i, v in enumerate(graph.vertices)}
+        a = random_module(graph, dims_a, 3)
+        s = direct_sum(a, random_module(graph, {v: 1 for v in graph.vertices}, 4))
+        into = {v: np.eye(s.dims[v], a.dims[v]) for v in graph.vertices}
+        back = {v: np.eye(a.dims[v], s.dims[v]) for v in graph.vertices}
+        for m in range(4):
+            ta, ts = lift(a, m), lift(s, m)
+            for theta, source, target in ((into, ta, ts), (back, ts, ta)):
+                got = lift_intertwiner(theta, source, target)
+                rows = {}
+                for i, (p, _) in enumerate(target.basis_at(m)):
+                    rows.setdefault((p.edges, p.base), i)
+                want = np.zeros_like(got)
+                for col, (p, b) in enumerate(source.basis_at(m)):
+                    row0 = rows.get((p.edges, p.base))
+                    if row0 is not None:
+                        block = theta[p.source][:, b]
+                        want[row0 : row0 + block.size, col] = block
+                assert np.array_equal(got, want), m
+
     def test_level_mismatch_rejected(self):
         g = sphere_odd_graph(2)
         a = random_module(g, {"1": 1, "2": 1}, 1)
@@ -586,3 +626,62 @@ class TestReduceThroughEmbeddings:
         assert report.edge_isometry["11"] == 0.0  # a clean residual comes first
         assert np.isnan(report.max_residual)
         assert not report.passed()
+
+
+TRIE_FAMILIES = (
+    lambda: sphere_odd_graph(1),
+    lambda: sphere_odd_graph(3),
+    lambda: sphere_odd_graph(4),
+    lambda: sphere_even_graph(1),
+    lambda: sphere_even_graph(3),
+    lambda: projective_graph(3),
+    lambda: lens_graph_coprime(LensParams(2, 3, (1, 1))),
+    lambda: lens_graph_coprime(LensParams(3, 4, (1, 3, 1))),
+)
+
+
+@st.composite
+def supported_graphs(draw):
+    """A graph in the supported class: at most one loop per vertex and an
+    acyclic rest, possibly with parallel edges. Vertices are listed in a
+    drawn order, and edge ids are drawn labels of different lengths, so
+    that neither the vertex order nor the id order follows the edges."""
+    n = draw(st.integers(1, 4))
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    pairs = [(i, i) for i in range(n) if draw(st.booleans())]
+    for j in range(n):
+        for i in range(j):
+            pairs += [(i, j)] * draw(st.integers(0, 2))
+    ids = draw(st.lists(st.integers(0, 200), min_size=len(pairs),
+                        max_size=len(pairs), unique=True))
+    edges = [Edge(str(label), names[i], names[j])
+             for label, (i, j) in zip(ids, pairs)]
+    return Graph(tuple(names), tuple(draw(st.permutations(edges))))
+
+
+class TestTrieAgainstOracle:
+    """The path trie against the DFS-based builders in `helpers`."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(graph=st.one_of(st.sampled_from(TRIE_FAMILIES).map(lambda make: make()),
+                           supported_graphs()),
+           seed=st.integers(0, 2**16), level=st.integers(0, 5))
+    def test_matches_reference_builders(self, graph, seed, level):
+        dims = random_feasible_dims(graph, np.random.default_rng(seed), hi=2)
+        module = random_module(graph, dims, seed)
+        t = lift(module, level, validate=False)
+        for k in range(level + 2):
+            entries, index = reference_basis(module, k)
+            assert t.basis_at(k) == tuple(entries)
+            assert t.dimension_at(k) == len(entries)
+            for (edges, base), at in index.items():
+                assert t._offset(k, Path(graph, edges, base=base)) == at
+            if k > level:
+                continue
+            for eid, want in reference_edge_targets(module, k).items():
+                assert np.array_equal(t.edge_targets(eid, k), want), (k, eid)
+            emb = t.embed_map(k)
+            rows, cols, vals = reference_embed_map(module, k)
+            assert np.array_equal(emb.rows, rows)
+            assert np.array_equal(emb.cols, cols)
+            assert np.array_equal(emb.vals, vals)
