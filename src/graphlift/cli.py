@@ -236,9 +236,10 @@ def _cmd_lift_check(args) -> int:
     print(f"receiving vertex sums (worst): {worst_vertex:.3e}")
     for k, r in report.embed_isometry.items():
         print(f"embedding level {k}: {r:.3e}")
-    verdict = "pass" if report.passed(args.tol) else "FAIL"
+    passed = report.passed(args.tol)
+    verdict = "pass" if passed else "FAIL"
     print(f"max residual {report.max_residual:.3e} against {args.tol:.1e}: {verdict}")
-    return EXIT_OK if report.passed(args.tol) else EXIT_CHECK_FAILED
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _cmd_lift_eigen(args) -> int:

@@ -219,12 +219,18 @@ def lift_from_dict(doc) -> TruncatedLift:
     return lift(module, level, validate=False)
 
 
+def _dot_quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def graph_to_dot(graph: Graph) -> str:
+    """The graph in DOT, every id a quoted string with `"` and `\\` escaped."""
+    q = _dot_quote
     lines = ["digraph {"]
     for v in graph.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {q(v)};")
     for e in graph.edges:
-        lines.append(f'  "{e.source}" -> "{e.range}" [label="{e.id}"];')
+        lines.append(f"  {q(e.source)} -> {q(e.range)} [label={q(e.id)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -258,12 +264,99 @@ def read_json(path: str):
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise CodecError(f"/: invalid JSON in {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"/: {path} is not UTF-8 text: {exc}") from exc
+
+
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+# JSON text of the leaf types, by exact type; subclasses (np.float64 and the
+# like) take the isinstance path of _encode
+_LEAF = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _encode(obj, pad: str, parts: list) -> None:
+    """Append the JSON text of obj to parts; pad is the newline and indent of
+    the line obj starts on, and the contents go one level (2 spaces) deeper."""
+    leaf = _LEAF.get(type(obj))
+    if leaf is not None:
+        parts.append(leaf(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = pad + "  "
+        if set(map(type, obj)) == {int}:
+            parts += ("[", inner, ("," + inner).join(map(int.__repr__, obj)), pad, "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            leaf = _LEAF.get(type(value))
+            if leaf is not None:
+                parts.append(sep + leaf(value))
+            else:
+                parts.append(sep)
+                _encode(value, inner, parts)
+            sep = "," + inner
+        parts += (pad, "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            leaf = _LEAF.get(type(value))
+            if leaf is not None:
+                parts.append(f"{sep}{_ESCAPE(key)}: {leaf(value)}")
+            else:
+                parts.append(f"{sep}{_ESCAPE(key)}: ")
+                _encode(value, inner, parts)
+            sep = "," + inner
+        parts += (pad, "}")
+    elif isinstance(obj, str):
+        parts.append(_ESCAPE(obj))
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        parts.append(_float_text(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dumps_json(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """doc as 2-space-indented, ASCII-escaped JSON plus a newline: the same
+    text as json.dumps(doc, indent=2) + "\n". Unlike json, a dict key that is
+    not a str raises TypeError instead of being coerced; no graphlift
+    document has one."""
+    parts: list[str] = []
+    _encode(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def write_json(path: str, doc):
+    """Encode doc first, so a document that cannot be encoded leaves no file."""
+    text = dumps_json(doc)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_json(doc))
+        handle.write(text)

@@ -474,3 +474,17 @@ class TestUsageErrors:
 
     def test_no_arguments(self, capsys):
         assert run(capsys)[0] == 2
+
+
+class TestUndecodableFiles:
+    @pytest.mark.parametrize("argv", [
+        ("module", "check", "{}"),
+        ("graph", "check", "{}", "--family", "sphere-odd"),
+        ("lift", "check", "--module", "{}", "--level", "1"),
+    ])
+    def test_non_utf8_file_is_a_data_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, *(a.format(path) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: /: {path} is not UTF-8 text")

@@ -1,6 +1,7 @@
 """JSON codecs, complex scalar syntax, and dot output."""
 
 import cmath
+import collections
 import json
 
 import numpy as np
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 
 from graphlift import (
     CodecError,
+    Edge,
+    Graph,
+    cli,
     LensParams,
     classify,
     lens_graph_coprime,
@@ -336,7 +340,108 @@ class TestDotAndFiles:
         with pytest.raises(CodecError, match="invalid JSON"):
             read_json(str(path))
 
+    def test_dot_escapes_quotes_and_backslashes(self):
+        g = Graph(('a"b', "c\\d"), (Edge('e"', 'a"b', "c\\d"),))
+        assert graph_to_dot(g).splitlines() == [
+            "digraph {",
+            '  "a\\"b";',
+            '  "c\\\\d";',
+            '  "a\\"b" -> "c\\\\d" [label="e\\""];',
+            "}",
+        ]
+
+    def test_non_utf8_file_reported(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(CodecError, match=r"^/: .* is not UTF-8 text"):
+            read_json(str(path))
+
+    def test_unencodable_document_writes_no_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            write_json(str(path), {"level": np.int64(1)})
+        assert not path.exists()
+
     def test_dumps_is_deterministic(self):
         doc = module_to_dict(random_module(sphere_odd_graph(2),
                                            {"1": 1, "2": 1}, 5))
         assert dumps_json(doc) == dumps_json(json.loads(dumps_json(doc)))
+
+
+_STRINGS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", "\x00\x1f\x7f", "tab\tnl\n\"q\"\\", "\u00e9\u2028",
+                     "\U0001f600", "\ud800"]),
+)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300]),
+)
+_LEAVES = st.one_of(
+    _STRINGS,
+    st.integers(min_value=-(2 ** 200), max_value=2 ** 200),
+    st.booleans(),
+    st.none(),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+)
+_INT_LISTS = st.lists(st.one_of(st.integers(), _LEAVES), max_size=6)
+_DOCS = st.recursive(
+    st.one_of(_LEAVES, _INT_LISTS, st.lists(st.integers(), max_size=6)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_STRINGS, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+class TestEncoder:
+    """dumps_json against the stdlib encoder as the oracle."""
+
+    @given(_DOCS)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_matches_stdlib(self, doc):
+        assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_subclasses_encode_as_their_base(self):
+        class Text(str):
+            pass
+
+        class Count(int):
+            def __repr__(self):
+                return "Count()"
+
+        doc = {"s": Text("x\u00e9"), "n": [Count(3), Count(-4)], "i": Count(5),
+               "f": np.float64(0.1), "t": collections.namedtuple("P", "a b")(1, "z"),
+               "d": collections.OrderedDict(k=[Text("y")])}
+        assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [np.int64(1), {1, 2}, b"x"])
+    def test_unencodable_value_raises(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        for doc in (value, [1, value], {"a": [value]}):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                dumps_json(doc)
+
+    @pytest.mark.parametrize("key", [1, 1.5, True, None])
+    def test_non_str_key_raises(self, key):
+        """json would coerce such a key to a string; no graphlift document
+        has one, so the encoder refuses it."""
+        with pytest.raises(TypeError, match="keys must be str"):
+            dumps_json({"a": {key: 0}})
+
+    @pytest.mark.parametrize("level", [5, 6, 7])
+    def test_lift_file_matches_stdlib(self, tmp_path, capsys, level):
+        g = sphere_odd_graph(4)
+        mod_path, out = tmp_path / "mod.json", tmp_path / "lift.json"
+        write_json(str(mod_path),
+                   module_to_dict(random_module(g, {v: 2 for v in g.vertices}, 1)))
+        assert cli.run(["lift", "build", "--module", str(mod_path),
+                        "--level", str(level), "--out", str(out)]) == 0
+        capsys.readouterr()
+        module = module_from_dict(read_json(str(mod_path)))
+        oracle = json.dumps(lift_to_dict(lift(module, level)), indent=2) + "\n"
+        assert out.read_bytes() == oracle.encode("ascii")
