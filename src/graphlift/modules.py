@@ -224,20 +224,24 @@ def path_operator(module: PythagoreanModule, path: Path) -> np.ndarray:
     return mat
 
 
+def _rank(s: np.ndarray, scale: float) -> int:
+    """The one rank rule: the count of singular values `s` above RANK_TOL
+    times `scale`, or times 1 if that is smaller, so pure roundoff has rank 0."""
+    return int(np.sum(s > RANK_TOL * max(1.0, scale)))
+
+
 def _nullspace(system: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as columns) of the right nullspace; singular values
-    up to RANK_TOL times the largest, or times 1 if that is smaller, count as
-    zero, so a system of pure roundoff has full nullity. Only a wide system
-    needs the full right factor; a tall one never forms a rows x rows U."""
+    """Orthonormal basis (as columns) of the right nullspace; the rank is
+    `_rank` scaled by the largest singular value, so a system of pure
+    roundoff has full nullity. Only a wide system needs the full right
+    factor; a tall one never forms a rows x rows U."""
     rows, cols = system.shape
     if cols == 0:
         return np.zeros((0, 0), dtype=np.complex128)
     if rows == 0:
         return np.eye(cols, dtype=np.complex128)
     _, s, vh = np.linalg.svd(system, full_matrices=rows < cols)
-    cutoff = RANK_TOL * max(1.0, s[0])
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj().T
+    return vh[_rank(s, s[0]):].conj().T
 
 
 def _graded_nullspace(graph: Graph, dims_s: dict[str, int], dims_t: dict[str, int],
@@ -296,64 +300,86 @@ def intertwiner_space(source: PythagoreanModule, target: PythagoreanModule) -> I
     return IntertwinerSpace(source, target, basis)
 
 
-def _global_generators(module: PythagoreanModule) -> list[np.ndarray]:
-    """Vertex projections and edge operators as matrices on the total fiber."""
-    d = module.total_dim
-    off = module.offsets
-    gens = []
-    for v in module.graph.vertices:
-        dv = module.dims[v]
-        if dv == 0:
-            continue
-        p = np.zeros((d, d), dtype=np.complex128)
-        p[off[v] : off[v] + dv, off[v] : off[v] + dv] = np.eye(dv)
-        gens.append(p)
-    for e in module.graph.edges:
-        a = module.ops[e.id]
-        if a.size == 0:
-            continue
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[
-            off[e.source] : off[e.source] + a.shape[0],
-            off[e.range] : off[e.range] + a.shape[1],
-        ] = a
-        gens.append(m)
-    return gens
+def _support_reaches(module: PythagoreanModule) -> bool:
+    """Whether every support vertex (nonzero fiber) reaches every other one
+    through edges whose two ends are both in the support. When u cannot reach
+    v, no path with source u and range v exists, so P_u alg P_v = 0: an exact
+    certificate of reducibility that needs no numerics."""
+    support = [v for v in module.graph.vertices if module.dims[v]]
+    for v in support:
+        seen = {v}
+        todo = [v]
+        while todo:
+            for e in module.graph.out_edges(todo.pop()):
+                if module.dims[e.range] and e.range not in seen:
+                    seen.add(e.range)
+                    todo.append(e.range)
+        if len(seen) < len(support):
+            return False
+    return True
 
 
-def _algebra_dimension(gens: list[np.ndarray], d: int) -> int:
-    """Dimension of the unital algebra spanned by words in `gens`, computed by
-    span closure under right multiplication, one frontier round at a time.
+def _column_blocks(module: PythagoreanModule, v: str) -> dict[str, int]:
+    """Dimensions of the blocks B(u, v) = P_u alg P_v of the unital algebra
+    generated by the vertex projections and edge operators, for every vertex
+    u with a nonzero fiber, by span closure over the paths with range v.
 
-    Each round stacks the products m @ g of the last round's new elements,
-    projects the basis out twice (the second pass keeps it orthonormal in
-    float) and keeps the left singular vectors whose singular value exceeds
-    RANK_TOL times the largest candidate norm (at least 1)."""
-    stack = np.asarray(gens)
-    cap = d * d
-    basis = np.eye(d, dtype=np.complex128).reshape(cap, 1) / np.sqrt(d)
-    frontier = basis
-    while frontier.shape[1] and basis.shape[1] < cap:
-        mats = frontier.T.reshape(-1, 1, d, d)
-        cand = (mats @ stack).reshape(-1, cap).T
-        scale = max(1.0, float(np.linalg.norm(cand, axis=0).max()))
-        for _ in range(2):
-            cand = cand - basis @ (basis.conj().T @ cand)
-        u, s, _ = np.linalg.svd(cand, full_matrices=False)
-        frontier = u[:, s > RANK_TOL * scale][:, : cap - basis.shape[1]]
-        basis = np.hstack([basis, frontier])
-    return basis.shape[1]
+    B(v, v) starts from I_v; each round adds A_e B(range(e), v) to B(u, v) for
+    the edges e with source u, applied to the last round's new elements only.
+    A block is a set of orthonormal rows of length d_u d_v (row-major
+    flattening). The candidates of one edge at a time are projected off the
+    block twice (the second pass keeps it orthonormal in float) and kept by
+    `_rank` on their singular values, scaled by the largest candidate norm;
+    so the working set is the blocks plus one edge's products."""
+    dims = module.dims
+    dv = dims[v]
+    edges_from = {
+        u: [(module.ops[e.id], e.range) for e in module.graph.out_edges(u)
+            if dims[e.range]]
+        for u in module.graph.vertices if dims[u]
+    }
+    basis = {u: np.zeros((0, dims[u] * dv), dtype=np.complex128) for u in edges_from}
+    basis[v] = np.eye(dv, dtype=np.complex128).reshape(1, dv * dv) / np.sqrt(dv)
+    frontier = {v: basis[v]}
+    while frontier:
+        fresh = {}
+        for u, edges in edges_from.items():
+            cap = dims[u] * dv
+            for a, w in edges:
+                room = cap - basis[u].shape[0]
+                if not room or w not in frontier:
+                    continue
+                cand = (a @ frontier[w].reshape(-1, dims[w], dv)).reshape(-1, cap)
+                scale = float(np.linalg.norm(cand, axis=1).max())
+                for _ in range(2):
+                    cand = cand - (cand @ basis[u].conj().T) @ basis[u]
+                _, s, vh = np.linalg.svd(cand, full_matrices=False)
+                new = vh[: min(_rank(s, scale), room)]
+                if new.shape[0]:
+                    basis[u] = np.vstack([basis[u], new])
+                    fresh.setdefault(u, []).append(new)
+        frontier = {u: np.vstack(parts) for u, parts in fresh.items()}
+    return {u: b.shape[0] for u, b in basis.items()}
 
 
 def is_irreducible(module: PythagoreanModule) -> bool:
-    """Burnside test: the module has no proper graded invariant subspace iff
-    the unital algebra generated by the vertex projections and edge operators
-    is the full matrix algebra on the total fiber."""
-    d = module.total_dim
-    if d == 0:
+    """Graded Burnside test: the module has no proper graded invariant
+    subspace iff the unital algebra generated by the vertex projections and
+    edge operators is the full matrix algebra on the total fiber. The
+    projections split that algebra into blocks P_u alg P_v, so this holds iff
+    every block is all of M_{d_u x d_v}. A support that is not strongly
+    connected settles the verdict exactly; otherwise each block column is
+    closed by `_column_blocks`, and no matrix on the total fiber is formed."""
+    if module.total_dim == 0:
         raise ModuleError("the zero module has no irreducibility verdict")
-    gens = _global_generators(module)
-    return _algebra_dimension(gens, d) == d * d
+    if not _support_reaches(module):
+        return False
+    dims = module.dims
+    return all(
+        rank == dims[u] * dims[v]
+        for v in module.graph.vertices if dims[v]
+        for u, rank in _column_blocks(module, v).items()
+    )
 
 
 def is_indecomposable(module: PythagoreanModule) -> bool:
@@ -395,7 +421,7 @@ def _graded_invertible(theta: dict[str, np.ndarray], dims: dict[str, int]) -> bo
         if d == 0:
             continue
         s = np.linalg.svd(theta[v], compute_uv=False)
-        if s[-1] <= RANK_TOL * max(1.0, s[0]):
+        if _rank(s, s[0]) < d:
             return False
     return True
 

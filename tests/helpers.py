@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from graphlift import (
     CkReport,
@@ -51,16 +52,40 @@ def _span_append(basis: list[np.ndarray], candidate: np.ndarray) -> np.ndarray |
     return v
 
 
+def dense_generators(module: PythagoreanModule) -> list[np.ndarray]:
+    """Reference only: vertex projections and edge operators as d x d matrices
+    on the total fiber (the zero ones left out)."""
+    d = module.total_dim
+    off = module.offsets
+    gens = []
+    for v in module.graph.vertices:
+        dv = module.dims[v]
+        if dv == 0:
+            continue
+        p = np.zeros((d, d), dtype=np.complex128)
+        p[off[v] : off[v] + dv, off[v] : off[v] + dv] = np.eye(dv)
+        gens.append(p)
+    for e in module.graph.edges:
+        a = module.ops[e.id]
+        if a.size == 0:
+            continue
+        m = np.zeros((d, d), dtype=np.complex128)
+        m[
+            off[e.source] : off[e.source] + a.shape[0],
+            off[e.range] : off[e.range] + a.shape[1],
+        ] = a
+        gens.append(m)
+    return gens
+
+
 def orbit_span_dim(module: PythagoreanModule, vec: np.ndarray) -> int:
     """Dimension of the orbit of vec under the generated unital algebra. The
     seed may also be a d x d matrix: the orbit of the identity is the algebra."""
-    from graphlift.modules import _global_generators
-
     basis: list[np.ndarray] = []
     seed = np.asarray(vec, dtype=np.complex128)
     if _span_append(basis, seed) is None:
         return 0
-    gens = _global_generators(module)
+    gens = dense_generators(module)
     frontier = [seed / np.linalg.norm(seed)]
     while frontier:
         fresh = []
@@ -77,13 +102,11 @@ def dense_commutant_dim(module: PythagoreanModule) -> int:
     """Reference only: dimension of the maps on the whole total fiber (no
     grading assumed) commuting with every generator and its adjoint, from the
     full d^2 x d^2 Kronecker system. Memory grows as d^4; keep d small."""
-    from graphlift.modules import _global_generators
-
     d = module.total_dim
     eye = np.eye(d, dtype=np.complex128)
     blocks = [
         np.kron(eye, mat.T) - np.kron(mat, eye)
-        for g in _global_generators(module)
+        for g in dense_generators(module)
         for mat in (g, g.conj().T)
     ]
     s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
@@ -270,3 +293,22 @@ def expand_class(trunc: TruncatedLift, path, xi: np.ndarray, level: int) -> np.n
                 pending.append(((nu.id,) + edges, nu.source,
                                 trunc.module.ops[nu.id] @ vec))
     return coeffs
+
+
+@st.composite
+def supported_graphs(draw):
+    """A graph in the supported class: at most one loop per vertex and an
+    acyclic rest, possibly with parallel edges. Vertices are listed in a
+    drawn order, and edge ids are drawn labels of different lengths, so
+    that neither the vertex order nor the id order follows the edges."""
+    n = draw(st.integers(1, 4))
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    pairs = [(i, i) for i in range(n) if draw(st.booleans())]
+    for j in range(n):
+        for i in range(j):
+            pairs += [(i, j)] * draw(st.integers(0, 2))
+    ids = draw(st.lists(st.integers(0, 200), min_size=len(pairs),
+                        max_size=len(pairs), unique=True))
+    edges = [Edge(str(label), names[i], names[j])
+             for label, (i, j) in zip(ids, pairs)]
+    return Graph(tuple(names), tuple(draw(st.permutations(edges))))

@@ -45,6 +45,7 @@ from helpers import (
     reference_basis,
     reference_edge_targets,
     reference_embed_map,
+    supported_graphs,
 )
 
 Z8 = cmath.exp(2j * cmath.pi / 8)
@@ -638,25 +639,6 @@ TRIE_FAMILIES = (
     lambda: lens_graph_coprime(LensParams(2, 3, (1, 1))),
     lambda: lens_graph_coprime(LensParams(3, 4, (1, 3, 1))),
 )
-
-
-@st.composite
-def supported_graphs(draw):
-    """A graph in the supported class: at most one loop per vertex and an
-    acyclic rest, possibly with parallel edges. Vertices are listed in a
-    drawn order, and edge ids are drawn labels of different lengths, so
-    that neither the vertex order nor the id order follows the edges."""
-    n = draw(st.integers(1, 4))
-    names = draw(st.permutations([f"v{i}" for i in range(n)]))
-    pairs = [(i, i) for i in range(n) if draw(st.booleans())]
-    for j in range(n):
-        for i in range(j):
-            pairs += [(i, j)] * draw(st.integers(0, 2))
-    ids = draw(st.lists(st.integers(0, 200), min_size=len(pairs),
-                        max_size=len(pairs), unique=True))
-    edges = [Edge(str(label), names[i], names[j])
-             for label, (i, j) in zip(ids, pairs)]
-    return Graph(tuple(names), tuple(draw(st.permutations(edges))))
 
 
 class TestTrieAgainstOracle:

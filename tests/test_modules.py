@@ -1,13 +1,17 @@
 """Module construction, validation, and structure analysis."""
 
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlift import (
     EQUIVALENT,
     INEQUIVALENT,
+    UNDETERMINED,
     Edge,
     Graph,
     ModuleError,
@@ -27,17 +31,43 @@ from graphlift import (
     validate_module,
 )
 
+from graphlift import modules
 from helpers import (
     dense_commutant_dim,
     orbit_span_dim,
     overflow_module,
     perturb_edge,
     random_feasible_dims,
+    supported_graphs,
 )
 
 
 def loop_only_graph() -> Graph:
     return Graph(("1",), (Edge("11", "1", "1"),))
+
+
+def two_loop_graph() -> Graph:
+    return Graph(("1",), (Edge("a", "1", "1"), Edge("b", "1", "1")))
+
+
+def two_vertex_graph() -> Graph:
+    """Strongly connected: a loop at each vertex plus an edge each way."""
+    return Graph(("a", "b"), (Edge("aa", "a", "a"), Edge("ab", "a", "b"),
+                              Edge("ba", "b", "a"), Edge("bb", "b", "b")))
+
+
+def three_cycle_graph() -> Graph:
+    """Strongly connected: the cycle a -> b -> c -> a plus a loop at each."""
+    return Graph(("a", "b", "c"), (
+        Edge("aa", "a", "a"), Edge("ab", "a", "b"), Edge("bb", "b", "b"),
+        Edge("bc", "b", "c"), Edge("cc", "c", "c"), Edge("ca", "c", "a"),
+    ))
+
+
+def dense_irreducible(module: PythagoreanModule) -> bool:
+    """Reference verdict: the orbit of the identity is all of M_d."""
+    d = module.total_dim
+    return orbit_span_dim(module, np.eye(d)) == d * d
 
 
 def unitary_conjugate(module: PythagoreanModule, seed: int) -> PythagoreanModule:
@@ -355,7 +385,7 @@ class TestStructure:
         assert not is_irreducible(m)
 
     def test_two_loops_make_generic_fiber_irreducible(self):
-        g = Graph(("1",), (Edge("a", "1", "1"), Edge("b", "1", "1")))
+        g = two_loop_graph()
         m = random_module(g, {"1": 2}, 11)
         assert is_irreducible(m)
         assert is_indecomposable(m)
@@ -374,7 +404,7 @@ def _oracle_cases() -> list[tuple[str, PythagoreanModule]]:
     phase-module sums, sums of randoms, and unitary conjugates of both."""
     graphs = {
         "loop": loop_only_graph(),
-        "two-loop": Graph(("1",), (Edge("a", "1", "1"), Edge("b", "1", "1"))),
+        "two-loop": two_loop_graph(),
         "odd2": sphere_odd_graph(2),
         "odd3": sphere_odd_graph(3),
         "even2": sphere_even_graph(2),
@@ -418,11 +448,15 @@ class TestStructureOracles:
     @pytest.mark.parametrize("module", [m for _, m in ORACLE_CASES],
                              ids=[name for name, _ in ORACLE_CASES])
     def test_algebra_dimension_matches_gram_schmidt(self, module):
-        from graphlift.modules import _algebra_dimension, _global_generators
-
+        # The block dimensions add up to the dimension of the whole algebra,
+        # and the verdict is irreducible exactly when that is all of M_d.
         d = module.total_dim
-        got = _algebra_dimension(_global_generators(module), d)
+        got = sum(
+            sum(modules._column_blocks(module, v).values())
+            for v in module.graph.vertices if module.dims[v]
+        )
         assert got == orbit_span_dim(module, np.eye(d))
+        assert is_irreducible(module) == (got == d * d)
 
     def test_conjugated_scalar_sum_still_splits(self):
         # Conjugating a (+) a leaves only roundoff in the commutation system;
@@ -445,6 +479,99 @@ class TestStructureOracles:
         threes = {v: 3 for v in g.vertices}
         pair = direct_sum(random_module(g, threes, 42), random_module(g, threes, 43))
         assert not is_indecomposable(pair)
+
+
+def _strongly_connected_cases() -> list[tuple[str, PythagoreanModule]]:
+    """Seeded randoms at total dim <= 6 on the two strongly connected graphs,
+    with sums and unitary conjugates, and supports on a single vertex."""
+    cases = []
+    for name, g, fibers in [
+        ("two-vertex", two_vertex_graph(),
+         [(1, 1), (2, 1), (1, 2), (2, 2), (3, 3), (4, 2), (2, 0), (0, 1)]),
+        ("three-cycle", three_cycle_graph(),
+         [(1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 2), (3, 0, 0), (1, 0, 1)]),
+    ]:
+        for k, fiber in enumerate(fibers):
+            m = random_module(g, dict(zip(g.vertices, fiber)), 300 + k)
+            cases.append((f"{name}-{''.join(map(str, fiber))}", m))
+        ones = {v: 1 for v in g.vertices}
+        pair = direct_sum(random_module(g, ones, 1), random_module(g, ones, 2))
+        cases.append((f"{name}-random-sum", pair))
+        cases.append((f"{name}-random-sum-conjugate", unitary_conjugate(pair, 3)))
+        m = random_module(g, {v: 2 for v in g.vertices}, 4)
+        cases.append((f"{name}-conjugate", unitary_conjugate(m, 5)))
+    return cases
+
+
+STRONGLY_CONNECTED_CASES = _strongly_connected_cases()
+
+
+class TestStronglyConnected:
+    """Graphs whose support is strongly connected, where only the block
+    closure, not the structural certificate, can decide the verdict."""
+
+    @pytest.mark.parametrize("module", [m for _, m in STRONGLY_CONNECTED_CASES],
+                             ids=[name for name, _ in STRONGLY_CONNECTED_CASES])
+    def test_matches_dense_oracle(self, module):
+        assert module.total_dim <= 6
+        assert is_irreducible(module) == dense_irreducible(module)
+        assert is_indecomposable(module) == (dense_commutant_dim(module) == 1)
+
+    def test_cases_meet_both_verdicts(self):
+        verdicts = {is_irreducible(m) for _, m in STRONGLY_CONNECTED_CASES}
+        assert verdicts == {True, False}
+
+    def test_zero_edge_breaks_the_closure(self):
+        # ab is the only edge with source a and range b; zeroed, it leaves
+        # the graph strongly connected but the block B(a, b) empty.
+        g = two_vertex_graph()
+        m = random_module(g, {"a": 2, "b": 2}, 6)
+        assert is_irreducible(m)
+        ops = dict(m.ops)
+        ops["ab"] = np.zeros((2, 2))
+        cut = PythagoreanModule(g, m.dims, ops)
+        assert modules._column_blocks(cut, "b")["a"] == 0
+        assert not is_irreducible(cut)
+        assert not dense_irreducible(cut)
+
+    def test_total_dim_32(self):
+        # A span closure on the whole d x d algebra took about 11 s and
+        # 184 MB here; the per-block closure works in vectors of length 256.
+        g = two_vertex_graph()
+        m = random_module(g, {"a": 16, "b": 16}, 7)
+        tracemalloc.start()
+        try:
+            assert is_irreducible(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize("graph, dims", [
+        (sphere_odd_graph(4), {v: 8 for v in "1234"}),
+        (sphere_even_graph(2), {"1": 1, "2": 0, "3": 1, "4": 1}),
+        # c reaches a, but a reaches c only through b, whose fiber is zero
+        (three_cycle_graph(), {"a": 1, "b": 0, "c": 1}),
+    ], ids=["odd4-total32", "even2-dag", "three-cycle-cut"])
+    def test_structure_settles_without_closure(self, graph, dims, monkeypatch):
+        def closure(*_):
+            raise AssertionError("the structural certificate should decide")
+
+        monkeypatch.setattr(modules, "_column_blocks", closure)
+        assert not is_irreducible(random_module(graph, dims, 8))
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(graph=supported_graphs(), seed=st.integers(0, 2**16))
+    def test_loop_plus_dag_support_on_two_vertices_is_reducible(self, graph, seed):
+        rng = np.random.default_rng(seed)
+        dims = random_feasible_dims(graph, rng, hi=2)
+        while sum(dims.values()) > 6:
+            dims = random_feasible_dims(graph, rng, hi=2)
+        module = random_module(graph, dims, seed)
+        verdict = is_irreducible(module)
+        if sum(1 for d in dims.values() if d) >= 2:
+            assert not verdict
+        assert verdict == dense_irreducible(module)
 
 
 class TestEquivalence:
@@ -493,3 +620,26 @@ class TestEquivalence:
         bad = perturb_edge(m, "21", 1e-2)
         assert validate_module(m).passed
         assert not validate_module(bad).passed
+
+    def test_irreducible_fallback_certifies(self, monkeypatch):
+        # With no random draws, irreducibility of both sides settles it.
+        monkeypatch.setattr(modules, "EQUIVALENCE_DRAWS", 0)
+        g = two_loop_graph()
+        m = random_module(g, {"1": 3}, 11)
+        other = unitary_conjugate(m, 12)
+        result = are_equivalent(m, other)
+        assert result.verdict == EQUIVALENT
+        theta = result.certificate
+        for e in g.edges:
+            lhs = theta[e.source] @ m.ops[e.id]
+            rhs = other.ops[e.id] @ theta[e.range]
+            assert np.allclose(lhs, rhs, atol=1e-8)
+        assert np.linalg.matrix_rank(theta["1"]) == 3
+
+    def test_reducible_without_draws_is_undetermined(self, monkeypatch):
+        monkeypatch.setattr(modules, "EQUIVALENCE_DRAWS", 0)
+        g = sphere_odd_graph(2)
+        s = direct_sum(*[one_dim_module(g, "1", cmath.exp(0.7j))] * 2)
+        result = are_equivalent(s, unitary_conjugate(s, 5))
+        assert result.verdict == UNDETERMINED
+        assert result.certificate is None
