@@ -26,15 +26,16 @@ length-0 path at v when v receives no edge, so each level is a path trie
 over the one below: a `PathLevel` of int arrays, a parent path and an edge
 per path, built from the level below in one vectorized step and put in
 basis order by one lexsort. `basis_at` builds `(Path, fiber)` tuples from
-the trie only when asked. Each E_e out of W_k is a partial injection stored
-as an int array `edge_targets(e, k)`, the index in W_{k+1} of each entry's
-image or -1 where range(mu) != source(e); each P_v is the boolean mask
-`projection_mask(v, k)`, read off the per-entry range index; each embedding
-is an `EmbedMap`, the nonzeros of its blocks A_nu[:, b] (one per column and
-incoming edge) plus one identity entry per unextendable column. All three
-are read off the trie arrays. `edge_matrix`, `projection_matrix` and
-`embed_matrix` materialize dense matrices from these maps for callers that
-want them.
+the trie only when asked. Basis order is range-major, so the entries with
+range v form one block of W_k, and P_v is its mask `projection_mask(v, k)`.
+E_e maps the whole block of source(e) and nothing else, since each path has
+a child per out-edge of its range: a level stores just those images, edge by
+edge, and `edge_targets(e, k)` spreads one edge's into the index in W_{k+1}
+of each entry's image, -1 off the block. Each embedding is an `EmbedMap`,
+the nonzeros of its blocks A_nu[:, b] (one per column and incoming edge)
+plus one identity entry per unextendable column. `edge_matrix`,
+`projection_matrix` and `embed_matrix` materialize dense matrices from these
+maps for callers that want them.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ class PathLevel(NamedTuple):
     sit at build indices first[i], first[i] + 1, ... of the level above, one
     per out-edge of range[i] in id order. `order` lists the paths in basis
     order (range vertex, then traversed edge ids, a path before its
-    extensions), and the fiber entries of path i in W_k start at offset[i].
+    extensions); the fiber entries of path i in W_k start at offset[i], and
+    those of the paths with range v fill the block bounds[v]:bounds[v + 1].
     For the level embedding, head[i] is the first traversed edge (-1 at
     length 0), and down[i] the build index of the path of the level below
     that embeds onto path i: at full length k its tail without head[i],
@@ -138,6 +140,7 @@ class PathLevel(NamedTuple):
     head: np.ndarray
     down: np.ndarray
     order: np.ndarray
+    bounds: np.ndarray
     dimension: int
 
 
@@ -159,24 +162,17 @@ class TruncatedLift:
         g = module.graph
         vid = g.vertex_index
         self._edge_index = {e.id: i for i, e in enumerate(g.edges)}
-        # out-edges grouped by source vertex, each group in id order
-        out, start, degree, out_rank = [], [], [], [0] * len(g.edges)
-        for v in g.vertices:
-            start.append(len(out))
-            edges = g.out_edges(v)
-            degree.append(len(edges))
-            for j, e in enumerate(edges):
-                out_rank[self._edge_index[e.id]] = j
-                out.append(self._edge_index[e.id])
-        rank = [0] * len(g.edges)
-        for r, i in enumerate(sorted(range(len(g.edges)), key=lambda i: g.edges[i].id)):
-            rank[i] = r
-        self._out_edges = np.array(out, dtype=np.intp)
-        self._out_start = np.array(start, dtype=np.intp)
-        self._out_degree = np.array(degree, dtype=np.intp)
-        self._out_rank = np.array(out_rank, dtype=np.intp)
-        self._edge_rank = np.array(rank, dtype=np.int32)
         self._edge_range = np.array([vid[e.range] for e in g.edges], dtype=np.intp)
+        self._edge_source = np.array([vid[e.source] for e in g.edges], dtype=np.intp)
+        by_id = sorted(range(len(g.edges)), key=lambda i: g.edges[i].id)
+        self._edge_rank = np.argsort(by_id).astype(np.int32)
+        # out-edges grouped by source vertex, each group in id order
+        self._out_edges = np.lexsort((self._edge_rank, self._edge_source))
+        self._out_degree = np.bincount(self._edge_source, minlength=len(g.vertices))
+        self._out_start = self._out_degree.cumsum() - self._out_degree
+        self._out_rank = np.empty_like(self._out_edges)  # position in its group
+        self._out_rank[self._out_edges] = (
+            np.arange(len(g.edges)) - self._out_start[self._edge_source[self._out_edges]])
         self._fiber = np.array([module.dims[v] for v in g.vertices], dtype=np.intp)
         # length-0 paths above level 0, as (parent, edge, range, source,
         # length) columns: one per live vertex that receives no edge
@@ -186,8 +182,7 @@ class TruncatedLift:
         self._levels: list[PathLevel] = []
         self._keys = np.zeros((1, 0), dtype=np.int32)  # sort keys of the last level
         self._paths: dict[int, list[Path]] = {}
-        self._ranges: dict[int, np.ndarray] = {}
-        self._edge_maps: dict[int, dict[str, np.ndarray]] = {}
+        self._images: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._embeds: dict[int, EmbedMap] = {}
         self._block_table: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -256,16 +251,17 @@ class TruncatedLift:
         return self._level_from(table, np.lexsort(keys[::-1]))
 
     def _level_from(self, table: np.ndarray, order: np.ndarray) -> PathLevel:
-        """Fill in the entry offsets (row 5) and the first-child build
-        indices (row 6) of a level whose other rows are set."""
+        """Fill in the entry offsets (row 5), the first-child build indices
+        (row 6) and the vertex blocks of a level whose other rows are set."""
         fibers = self._fiber[table[3, order]]
-        ends = fibers.cumsum()
-        table[5, order] = ends - fibers
+        starts = np.append(0, fibers.cumsum())
+        table[5, order] = starts[:-1]
         count = self._out_degree[table[2]]
         count.cumsum(out=table[6])
         table[6] -= count
         table.flags.writeable = False
-        return PathLevel(*table, _frozen(order), int(ends[-1]) if ends.size else 0)
+        bounds = starts[np.searchsorted(table[2, order], np.arange(self._fiber.size + 1))]
+        return PathLevel(*table, _frozen(order), _frozen(bounds), int(starts[-1]))
 
     def basis_at(self, k: int) -> tuple[BasisEntry, ...]:
         """Ordered basis of W_k: vertex order, then path order, then fiber.
@@ -317,38 +313,41 @@ class TruncatedLift:
             level = self.paths_at(start)
         return int(level.offset[at])
 
-    def _entry_paths(self, level: PathLevel) -> np.ndarray:
-        """The path (build index) of each entry of a level, in entry order."""
-        return np.repeat(level.order, self._fiber[level.source[level.order]])
-
     def edge_targets(self, edge_id: str, k: int) -> np.ndarray:
         """Partial injection of the edge generator W_k -> W_{k+1}: the index
         of the image of each entry of W_k, or -1 where the edge cannot act."""
         k = self._check_level(k, self.level)
         if edge_id not in self.module.graph.edge_by_id:
             raise LiftError(f"unknown edge {edge_id!r}")
-        if k not in self._edge_maps:
-            low, high = self.paths_at(k), self.paths_at(k + 1)
-            path = self._entry_paths(high)
-            rows = np.flatnonzero(high.parent[path] >= 0)
-            path = path[rows]
-            fiber = rows - high.offset[path]
-            table = np.empty((len(self._edge_index), low.dimension), dtype=np.intp)
-            table.fill(-1)
-            # an entry (e.mu, b) of W_{k+1} is the image of (mu, b)
-            table[high.edge[path], low.offset[high.parent[path]] + fiber] = rows
-            table.flags.writeable = False
-            self._edge_maps[k] = dict(zip(self._edge_index, table))
-        return self._edge_maps[k][edge_id]
+        low = self.paths_at(k)
+        if k not in self._images:
+            high = self.paths_at(k + 1)
+            start = low.bounds[self._edge_source]  # each edge acts on this block
+            size = low.bounds[self._edge_source + 1] - start
+            ends = np.append(0, size.cumsum())
+            col = np.arange(ends[-1]) + (start - ends[:-1]).repeat(size)
+            # (mu, b) maps to (e.mu, b), the child of mu at the out-rank of e
+            path = np.repeat(low.order, self._fiber[low.source[low.order]])[col]
+            child = low.first[path] + self._out_rank.repeat(size)
+            self._images[k] = (_frozen(high.offset[child] + col - low.offset[path]),
+                               _frozen(ends))
+        images, ends = self._images[k]
+        i = self._edge_index[edge_id]
+        u = self._edge_source[i]
+        targets = np.empty(low.dimension, dtype=np.intp)
+        targets.fill(-1)
+        targets[low.bounds[u] : low.bounds[u + 1]] = images[ends[i] : ends[i + 1]]
+        return targets
 
     def projection_mask(self, v: str, k: int) -> np.ndarray:
-        """Entries of W_k whose path has range v."""
+        """Entries of W_k whose path has range v: one block of the basis."""
         k = self._check_level(k, self.level + 1)
         self.module.graph.require_vertex(v)
-        if k not in self._ranges:
-            level = self.paths_at(k)
-            self._ranges[k] = _frozen(level.range[self._entry_paths(level)])
-        return self._ranges[k] == self.module.graph.vertex_index[v]
+        bounds = self.paths_at(k).bounds
+        u = self.module.graph.vertex_index[v]
+        mask = np.zeros(bounds[-1], dtype=bool)
+        mask[bounds[u] : bounds[u + 1]] = True
+        return mask
 
     def embed_map(self, k: int) -> EmbedMap:
         """The class-preserving embedding W_k -> W_{k+1}, block by block.

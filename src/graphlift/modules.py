@@ -28,6 +28,14 @@ class ModuleError(ValueError):
     """Raised for malformed modules or unsatisfiable module operations."""
 
 
+def _require_count(value, what: str) -> int:
+    """A nonnegative integer, numpy's included; bools, floats and anything
+    else raise a ModuleError that names `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ModuleError(f"{what} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def _as_operator(value, shape: tuple[int, int], edge_id: str) -> np.ndarray:
     a = np.asarray(value, dtype=np.complex128)
     if a.size == 0 and 0 in shape:
@@ -51,12 +59,8 @@ class PythagoreanModule:
         unknown = set(self.dims) - set(self.graph.vertices)
         if unknown:
             raise ModuleError(f"dims name unknown vertices {sorted(unknown)}")
-        dims = {}
-        for v in self.graph.vertices:
-            d = int(self.dims.get(v, 0))
-            if d < 0:
-                raise ModuleError(f"negative dimension at vertex {v!r}")
-            dims[v] = d
+        dims = {v: _require_count(self.dims.get(v, 0), f"dimension at vertex {v!r}")
+                for v in self.graph.vertices}
         unknown = set(self.ops) - set(self.graph.edge_by_id)
         if unknown:
             raise ModuleError(f"ops name unknown edges {sorted(unknown)}")
@@ -182,10 +186,9 @@ def random_module(graph: Graph, dims: dict[str, int], seed: int) -> PythagoreanM
     unknown = set(dims) - set(graph.vertices)
     if unknown:
         raise ModuleError(f"dims name unknown vertices {sorted(unknown)}")
-    full = {v: int(dims.get(v, 0)) for v in graph.vertices}
-    if any(d < 0 for d in full.values()):
-        raise ModuleError("dimensions must be nonnegative")
-    rng = np.random.default_rng(seed)
+    full = {v: _require_count(dims.get(v, 0), f"dimension at vertex {v!r}")
+            for v in graph.vertices}
+    rng = np.random.default_rng(_require_count(seed, "seed"))
     ops: dict[str, np.ndarray] = {}
     for w in graph.vertices:
         incoming = graph.in_edges(w)

@@ -194,6 +194,14 @@ class TestModuleCommands:
         assert code == 1
         assert "FAIL" in out
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, odd_graph_file):
+        path = tmp_path / "rand.json"
+        code, out, err = run(capsys, "module", "random", "--graph", odd_graph_file,
+                             "--dims", "1,1,1", "--seed", "-1", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: seed must be a nonnegative integer, got -1\n"
+        assert not path.exists()
+
     def test_random_module_round_trip(self, tmp_path, capsys, odd_graph_file):
         path = tmp_path / "rand.json"
         code, _, _ = run(capsys, "module", "random", "--graph", odd_graph_file,

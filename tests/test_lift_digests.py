@@ -1,9 +1,10 @@
 """Pinned SHA-256 digests of `lift build` files and `lift check` stdout.
 
 The digests were taken from the DFS-based basis builder that the path trie
-replaced, so any change to basis order, file layout or residual arithmetic
-fails here loudly. Update them only for a deliberate, documented change of
-output.
+replaced, and those of the wide lens module from the one-row-per-edge target
+table that the per-block edge images replaced, so any change to basis order,
+file layout or residual arithmetic fails here loudly. Update them only for a
+deliberate, documented change of output.
 """
 
 import contextlib
@@ -12,19 +13,31 @@ import io as stdio
 
 import pytest
 
-from graphlift import cli, io, random_module, sphere_even_graph, sphere_odd_graph
+from graphlift import (
+    LensParams,
+    cli,
+    io,
+    lens_graph_coprime,
+    random_module,
+    sphere_even_graph,
+    sphere_odd_graph,
+)
 
 
 def _modules():
     odd = sphere_odd_graph(4)
+    # 24 edges, up to 11 of them parallel between one pair of vertices
+    lens = lens_graph_coprime(LensParams(3, 4, (1, 3, 1)))
     return {
         "odd4": random_module(odd, {v: 2 for v in odd.vertices}, 1),
         "even2-zero": random_module(sphere_even_graph(2),
                                     {"1": 1, "2": 1, "3": 0, "4": 2}, 3),
+        "lens3-wide": random_module(lens, {v: 2 for v in lens.vertices}, 1),
     }
 
 
-BUILD_LEVELS = range(1, 5)
+BUILD_LEVELS = {"odd4": range(1, 5), "even2-zero": range(1, 5),
+                "lens3-wide": range(1, 4)}
 CHECK_LEVELS = range(1, 7)
 
 DIGESTS = {
@@ -48,6 +61,24 @@ DIGESTS = {
         "72b8f11815e873775a0f1cd52b0eb825253724bec301d50a07b2e45377f5fa23",
     ("even2-zero", "check", 6):
         "24c8347aef5003283cfadde34ed21778b0ab52a273bf53070452298c8980191f",
+    ("lens3-wide", "build", 1):
+        "0dda2f66882905559b3901d25fe30e223a7d6771c4773419bc428c71e648d69a",
+    ("lens3-wide", "build", 2):
+        "4879dc1ef4f1d6c7056f017f5c987dcb454e06575b3afd56b32ef36cc6b10e96",
+    ("lens3-wide", "build", 3):
+        "f82a045bff9d36047241c4b8499c85e74cf18a97d7fdce244161c29b80093311",
+    ("lens3-wide", "check", 1):
+        "9d37fa889e2977ba28c7e77799512acb7786f533a4d7ab419dcfa8242947d250",
+    ("lens3-wide", "check", 2):
+        "d88ad9862b1eb4e09962eb78351e65edad1bff56c1c63cfaf93805428175e4e1",
+    ("lens3-wide", "check", 3):
+        "9ad9ea803298cbaa7c099be6829f5c0c3b3d32aa99b92bf782d3a899af519718",
+    ("lens3-wide", "check", 4):
+        "961329886fd9ebfbbe727bc73f5b78ccbfc46f4294e8db6a53a75846cd4423c4",
+    ("lens3-wide", "check", 5):
+        "e095fe9c5c9ca6b5f12a8b66e1daac44d192fe8bf2ca227fb536b7b6c2827bfd",
+    ("lens3-wide", "check", 6):
+        "4ec8252025bdf66c08ac8c7b47a7dfc72ced7aed6770a96666018df5b102ab50",
     ("odd4", "build", 1):
         "59dfb742d6d9b8bd9967b06238516140263c6c1b1276c1d6a973b286ba083e7c",
     ("odd4", "build", 2):
@@ -76,7 +107,7 @@ def _digests(work) -> dict:
     for name, module in _modules().items():
         src = str(work / f"{name}.json")
         io.write_json(src, io.module_to_dict(module))
-        for k in BUILD_LEVELS:
+        for k in BUILD_LEVELS[name]:
             dst = work / f"{name}-lift{k}.json"
             with contextlib.redirect_stdout(stdio.StringIO()):
                 assert cli.run(["lift", "build", "--module", src, "--level", str(k),

@@ -112,6 +112,16 @@ class TestConstruction:
         with pytest.raises(ModuleError, match="negative"):
             PythagoreanModule(g, {"1": -1}, {"11": np.zeros((0, 0))})
 
+    @pytest.mark.parametrize("bad", [1.9, 1.0, False, np.float32(1.0)])
+    def test_non_integer_dim_names_vertex(self, bad):
+        with pytest.raises(ModuleError, match="dimension at vertex '1' must be a "
+                                              "nonnegative integer"):
+            PythagoreanModule(loop_only_graph(), {"1": bad}, {"11": np.eye(1)})
+
+    def test_numpy_integer_dim_accepted(self):
+        m = PythagoreanModule(loop_only_graph(), {"1": np.int64(1)}, {"11": np.eye(1)})
+        assert m.dims == {"1": 1} and type(m.dims["1"]) is int
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_non_finite_operator_names_edge(self, bad):
         g = sphere_odd_graph(2)
@@ -283,6 +293,25 @@ class TestRandomModule:
         g = sphere_odd_graph(2)
         m = random_module(g, {"1": 2, "2": 0}, 1)
         assert m.ops["21"].shape == (2, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, None, "3"])
+    def test_bad_seed_refused(self, seed):
+        with pytest.raises(ModuleError, match="seed must be a nonnegative integer"):
+            random_module(sphere_odd_graph(2), {"1": 1, "2": 1}, seed)
+
+    def test_numpy_integers_accepted(self):
+        g = sphere_odd_graph(2)
+        m = random_module(g, {"1": np.int64(2), "2": np.int32(1)}, np.uint8(7))
+        assert m.dims == {"1": 2, "2": 1}
+        assert all(type(d) is int for d in m.dims.values())
+        ref = random_module(g, {"1": 2, "2": 1}, 7)
+        assert all(np.array_equal(m.ops[k], ref.ops[k]) for k in m.ops)
+
+    @pytest.mark.parametrize("bad", [1.7, 2.0, True, np.float64(1.0), "1"])
+    def test_non_integer_dim_names_vertex(self, bad):
+        with pytest.raises(ModuleError, match="dimension at vertex '1' must be a "
+                                              "nonnegative integer"):
+            random_module(sphere_odd_graph(2), {"1": bad, "2": 1}, 0)
 
 
 class TestPathOperator:
