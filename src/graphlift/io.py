@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import json
 import re
+from operator import itemgetter
 
 import numpy as np
 
@@ -156,7 +157,8 @@ def _basis_records(trunc: TruncatedLift) -> dict:
     each display extends its parent's by one edge id on the left."""
     g = trunc.module.graph
     names = [e.id for e in g.edges]
-    dims = [trunc.module.dims[v] for v in g.vertices]
+    vertices = g.vertices
+    fibers = [range(trunc.module.dims[v]) for v in vertices]
     shown: list[str] = []
     out = {}
     for k in range(trunc.level + 2):
@@ -165,14 +167,14 @@ def _basis_records(trunc: TruncatedLift) -> dict:
             a.tolist() for a in (level.parent, level.edge, level.range,
                                  level.source, level.length))
         shown = [
-            g.vertices[v] if p < 0 else names[e] if n == 1 else f"{names[e]}.{shown[p]}"
+            vertices[v] if p < 0 else names[e] if n == 1 else f"{names[e]}.{shown[p]}"
             for p, e, v, n in zip(parent, edge, rng, length)
         ]
         out[str(k)] = [
-            {"path": shown[i], "source": g.vertices[source[i]],
-             "range": g.vertices[rng[i]], "length": length[i], "fiber": b}
+            {"path": shown[i], "source": vertices[source[i]],
+             "range": vertices[rng[i]], "length": length[i], "fiber": b}
             for i in level.order.tolist()
-            for b in range(dims[source[i]])
+            for b in fibers[source[i]]
         ]
     return out
 
@@ -186,6 +188,8 @@ def lift_to_dict(trunc: TruncatedLift) -> dict:
     cannot act); per vertex, the indices of the entries it projects onto."""
     m = trunc.level
     g = trunc.module.graph
+    # the basis is range-major: vertex u projects onto the block b[u]:b[u + 1]
+    bounds = [trunc.paths_at(k).bounds.tolist() for k in range(m + 1)]
     return {
         "format": LIFT_FORMAT,
         "module": module_to_dict(trunc.module),
@@ -196,11 +200,8 @@ def lift_to_dict(trunc: TruncatedLift) -> dict:
             for k in range(m + 1)
         },
         "projections": {
-            str(k): {
-                v: np.flatnonzero(trunc.projection_mask(v, k)).tolist()
-                for v in g.vertices
-            }
-            for k in range(m + 1)
+            str(k): {v: list(range(b[u], b[u + 1])) for u, v in enumerate(g.vertices)}
+            for k, b in enumerate(bounds)
         },
     }
 
@@ -293,6 +294,32 @@ _LEAF = {
 }
 
 
+def _records(obj, pad: str) -> str | None:
+    """The JSON text of obj, a list of exact dicts, written column by column,
+    when they all have the same str keys in the same order and each key's
+    values are of one exact leaf type; None otherwise."""
+    shapes = set(map(tuple, obj))
+    if len(shapes) != 1:
+        return None
+    (keys,) = shapes
+    if not keys or not all(isinstance(key, str) for key in keys):
+        return None
+    columns = []
+    for key in keys:
+        column = list(map(itemgetter(key), obj))
+        kinds = set(map(type, column))
+        leaf = _LEAF.get(kinds.pop()) if len(kinds) == 1 else None
+        if leaf is None:
+            return None
+        columns.append(map(leaf, column))
+    inner = pad + "  "
+    field = "," + inner + "  "
+    # pad is a newline and spaces, so only the keys can hold a %
+    names = [_ESCAPE(key).replace("%", "%%") + ": %s" for key in keys]
+    record = "{" + field[1:] + field.join(names) + inner + "}"
+    return "[" + inner + ("," + inner).join(map(record.__mod__, zip(*columns))) + pad + "]"
+
+
 def _encode(obj, pad: str, parts: list) -> None:
     """Append the JSON text of obj to parts; pad is the newline and indent of
     the line obj starts on, and the contents go one level (2 spaces) deeper."""
@@ -304,9 +331,15 @@ def _encode(obj, pad: str, parts: list) -> None:
             parts.append("[]")
             return
         inner = pad + "  "
-        if set(map(type, obj)) == {int}:
+        kinds = set(map(type, obj))
+        if kinds == {int}:
             parts += ("[", inner, ("," + inner).join(map(int.__repr__, obj)), pad, "]")
             return
+        if kinds == {dict}:
+            text = _records(obj, pad)
+            if text is not None:
+                parts.append(text)
+                return
         sep = "[" + inner
         for value in obj:
             leaf = _LEAF.get(type(value))
@@ -348,7 +381,12 @@ def dumps_json(doc) -> str:
     """doc as 2-space-indented, ASCII-escaped JSON plus a newline: the same
     text as json.dumps(doc, indent=2) + "\n". Unlike json, a dict key that is
     not a str raises TypeError instead of being coerced; no graphlift
-    document has one."""
+    document has one.
+
+    A list of flat records (exact dicts with the same str keys in the same
+    order, each key's values of one exact leaf type, as in lift bases and
+    graph edges) is written column by column through one per-record
+    template; the bytes are the same as on the general path."""
     parts: list[str] = []
     _encode(doc, "\n", parts)
     parts.append("\n")

@@ -102,10 +102,13 @@ def representative_module(graph: Graph, vertex: str,
     """Module representing one spectrum component: a circle vertex with its
     phase, or a point vertex with no phase."""
     description = classify(graph)
+    graph.require_vertex(vertex)
     if z is None:
         if vertex not in description.points:
-            raise SpectrumError(f"vertex {vertex!r} is not an isolated point")
+            raise SpectrumError(f"vertex {vertex!r} is not an isolated point: "
+                                "it carries a circle and needs a phase")
         return isolated_module(graph, vertex)
     if vertex not in description.circles:
-        raise SpectrumError(f"vertex {vertex!r} does not carry a circle")
+        raise SpectrumError(f"vertex {vertex!r} does not carry a circle: "
+                            "it is an isolated point and takes no phase")
     return one_dim_module(graph, vertex, z)

@@ -261,6 +261,13 @@ class TestSpectrumCommand:
         assert code == 2
         assert "not an isolated point" in err
 
+    @pytest.mark.parametrize("phase", [(), ("--z", "1+0i")])
+    def test_unknown_vertex_named(self, capsys, even_graph_file, phase):
+        code, _, err = run(capsys, "spectrum", "module", even_graph_file,
+                           "--vertex", "9", *phase)
+        assert code == 2
+        assert err == "error: unknown vertex '9'\n"
+
 
 class TestLiftCommands:
     def test_build_writes_document(self, tmp_path, capsys, phase_module_file):

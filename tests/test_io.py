@@ -16,13 +16,16 @@ from graphlift import (
     cli,
     LensParams,
     classify,
+    lens_edge_provenance,
     lens_graph_coprime,
     lift,
     one_dim_module,
     random_module,
     sphere_even_graph,
     sphere_odd_graph,
+    validate_quantum_graph,
 )
+from graphlift import io
 from graphlift.io import (
     dumps_json,
     format_complex,
@@ -397,6 +400,55 @@ _DOCS = st.recursive(
 )
 
 
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    def __repr__(self):
+        return "Count()"
+
+
+# keys that a %-template or the escaper could get wrong
+_KEYS = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(["%", "%s", "%%d", "%(a)s", '"', "\\", "\u00e9", "\ud800",
+                     "\U0001f600", "a b"]),
+)
+_COLUMNS = (
+    _STRINGS,
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+    st.booleans(),
+    st.none(),
+    _FLOATS,
+    st.one_of(st.integers(), st.booleans(), _FLOATS, st.none()),
+    _FLOATS.map(np.float64),
+    _STRINGS.map(_Text),
+    st.integers().map(_Count),
+    _INT_LISTS,
+    st.just({}),
+)
+
+
+@st.composite
+def _record_lists(draw):
+    """0-6 dicts sharing one key tuple, each key's column drawn from one of
+    _COLUMNS, then perhaps one item made an OrderedDict or reordered."""
+    keys = draw(st.lists(_KEYS, max_size=4, unique=True))
+    n = draw(st.integers(min_value=0, max_value=6))
+    columns = [draw(st.lists(draw(st.sampled_from(_COLUMNS)), min_size=n, max_size=n))
+               for _ in keys]
+    records = [dict(zip(keys, row)) for row in zip(*columns)] if keys else [{}] * n
+    change = draw(st.sampled_from(["none", "ordered", "reversed"]))
+    if records and change != "none":
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        if change == "ordered":
+            records[i] = collections.OrderedDict(records[i])
+        else:
+            records[i] = dict(reversed(records[i].items()))
+    return records
+
+
 class TestEncoder:
     """dumps_json against the stdlib encoder as the oracle."""
 
@@ -445,3 +497,83 @@ class TestEncoder:
         module = module_from_dict(read_json(str(mod_path)))
         oracle = json.dumps(lift_to_dict(lift(module, level)), indent=2) + "\n"
         assert out.read_bytes() == oracle.encode("ascii")
+
+    @given(_record_lists())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_record_lists_match_stdlib(self, records):
+        for doc in (records, {"k": records}, [records, records]):
+            assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_flat_records_are_written_by_column(self):
+        records = [{"a%": "x\u00e9", "b": 1, "c": True, "d": None, "e": 0.5},
+                   {"a%": "", "b": -2, "c": False, "d": None, "e": float("nan")}]
+        text = io._records(records, "\n")
+        assert text == json.dumps(records, indent=2)
+
+    @pytest.mark.parametrize("records", [
+        [{"a": 1}, {"a": True}],
+        [{"a": 1}, {"a": 1.0}],
+        [{"a": "x"}, {"a": None}],
+        [{"a": [1]}, {"a": [2]}],
+        [{"a": {}}, {"a": {"b": 1}}],
+        [{"a": np.float64(0.5)}, {"a": np.float64(1.5)}],
+        [{"a": _Text("x")}, {"a": _Text("y")}],
+        [{"a": _Count(1)}, {"a": _Count(2)}],
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+        [{"a": 1}, {"b": 1}],
+        [{"a": 1}, {"a": 1, "b": 2}],
+        [{}, {}],
+    ], ids=["int-bool", "int-float", "str-none", "nested-list", "nested-dict",
+            "np-float64", "str-subclass", "int-subclass", "key-order", "key-names",
+            "key-count", "empty-dicts"])
+    def test_record_fallbacks(self, records):
+        assert io._records(records, "\n") is None
+        assert dumps_json(records) == json.dumps(records, indent=2) + "\n"
+
+    def test_dict_subclass_records_fall_back(self):
+        class Shadow(dict):
+            """json reads items(), never __getitem__."""
+
+            def __getitem__(self, key):
+                return "shadow"
+
+        for records in ([collections.OrderedDict(a=1), {"a": 2}],
+                        [Shadow(a=1), Shadow(a=2)]):
+            assert dumps_json(records) == json.dumps(records, indent=2) + "\n"
+
+    def test_non_str_key_in_records_raises(self):
+        assert io._records([{1: "x"}, {1: "y"}], "\n") is None
+        with pytest.raises(TypeError, match="keys must be str"):
+            dumps_json({"a": [{1: "x"}, {1: "y"}]})
+
+
+class TestCliOutputMatchesStdlib:
+    """Whole CLI documents on stdout against json.dumps(doc, indent=2)."""
+
+    def test_lens_graph_with_provenance(self, capsys):
+        assert cli.run(["graph", "make", "lens", "--n", "2", "--p", "3",
+                        "--weights", "1,1", "--format", "json"]) == 0
+        doc = graph_to_dict(lens_graph_coprime(LensParams(2, 3, (1, 1))))
+        for entry in doc["edges"]:
+            entry["provenance"] = list(lens_edge_provenance(entry["id"]))
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+    def test_graph_check_records(self, tmp_path, capsys):
+        path = tmp_path / "odd3.json"
+        write_json(str(path), graph_to_dict(sphere_odd_graph(3)))
+        assert cli.run(["graph", "check", str(path), "--family", "sphere-odd",
+                        "--format", "json"]) == 0
+        report = validate_quantum_graph(sphere_odd_graph(3), "sphere-odd")
+        doc = {"family": report.family, "passed": report.passed,
+               "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                          for c in report.checks]}
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+    def test_lift_build_to_stdout(self, tmp_path, capsys):
+        lens = lens_graph_coprime(LensParams(3, 4, (1, 3, 1)))
+        module = random_module(lens, {v: 2 for v in lens.vertices}, 1)
+        path = tmp_path / "lens3-wide.json"
+        write_json(str(path), module_to_dict(module))
+        assert cli.run(["lift", "build", "--module", str(path), "--level", "2"]) == 0
+        doc = lift_to_dict(lift(module, 2))
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"

@@ -10,6 +10,7 @@ from graphlift import (
     UNSUPPORTED,
     Edge,
     Graph,
+    GraphError,
     LensParams,
     SpectrumError,
     check_hypotheses,
@@ -235,3 +236,15 @@ class TestRepresentatives:
     def test_unsupported_graph_refused(self):
         with pytest.raises(SpectrumError):
             representative_module(two_loop_graph(), "1", 1j)
+
+    @pytest.mark.parametrize("z", [None, 1j])
+    def test_unknown_vertex_named(self, z):
+        with pytest.raises(GraphError, match="unknown vertex '9'"):
+            representative_module(sphere_even_graph(2), "9", z)
+
+    def test_messages_say_what_the_vertex_is(self):
+        g = sphere_even_graph(2)
+        with pytest.raises(SpectrumError, match="carries a circle and needs a phase"):
+            representative_module(g, "1")
+        with pytest.raises(SpectrumError, match="is an isolated point and takes no phase"):
+            representative_module(g, "4", 1j)
