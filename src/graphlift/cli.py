@@ -257,11 +257,13 @@ def _cmd_lift_eigen(args) -> int:
     xi = np.zeros(module.dims[args.vertex])
     xi[0] = 1.0
     below = trunc.reduce_class(args.vertex, xi, args.level - 1).coeffs
-    # the loop generator scatters each entry of W_{level-1} to its image
-    targets = trunc.edge_targets(loops[0].id, args.level - 1)
-    hit = targets >= 0
+    # the loop generator scatters each entry of the vertex's block of
+    # W_{level-1} to its image
+    images = trunc.edge_images(loops[0].id, args.level - 1)
+    bounds = trunc.paths_at(args.level - 1).bounds
+    u = graph.vertex_index[args.vertex]
     image = np.zeros(trunc.dimension_at(args.level), dtype=np.complex128)
-    image[targets[hit]] = below[hit]
+    image[images] = below[bounds[u] : bounds[u + 1]]
     top = trunc.embed_map(args.level - 1).apply(below)
     weight = complex(np.vdot(top, top))
     if abs(weight) < 1e-30:

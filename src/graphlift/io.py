@@ -179,16 +179,21 @@ def _basis_records(trunc: TruncatedLift) -> dict:
     return out
 
 
-LIFT_FORMAT = "partial-maps"
+LIFT_FORMAT = "edge-images"
+# the earlier layout, which spread each edge over a -1-padded list as long as
+# its level and listed each projection's indices; it decodes the same
+LIFT_FORMATS = (LIFT_FORMAT, "partial-maps")
 
 
 def lift_to_dict(trunc: TruncatedLift) -> dict:
     """Bases for levels 0..m+1 and the generators out of levels 0..m as index
-    lists: per edge, the target index of each basis entry (-1 where the edge
-    cannot act); per vertex, the indices of the entries it projects onto."""
+    lists. The basis is range-major, so vertex v projects onto one block of
+    each level, written as its [start, stop]; an edge maps the block of its
+    source and nothing else, and is written as the index in level k+1 of the
+    image of each entry of that block (`TruncatedLift.edge_images`). Apart
+    from the bases, a file holds O(vertices + nonzeros) numbers per level."""
     m = trunc.level
     g = trunc.module.graph
-    # the basis is range-major: vertex u projects onto the block b[u]:b[u + 1]
     bounds = [trunc.paths_at(k).bounds.tolist() for k in range(m + 1)]
     return {
         "format": LIFT_FORMAT,
@@ -196,11 +201,11 @@ def lift_to_dict(trunc: TruncatedLift) -> dict:
         "level": m,
         "bases": _basis_records(trunc),
         "edges": {
-            str(k): {e.id: trunc.edge_targets(e.id, k).tolist() for e in g.edges}
+            str(k): {e.id: trunc.edge_images(e.id, k).tolist() for e in g.edges}
             for k in range(m + 1)
         },
         "projections": {
-            str(k): {v: list(range(b[u], b[u + 1])) for u, v in enumerate(g.vertices)}
+            str(k): {v: b[u : u + 2] for u, v in enumerate(g.vertices)}
             for k, b in enumerate(bounds)
         },
     }
@@ -208,11 +213,12 @@ def lift_to_dict(trunc: TruncatedLift) -> dict:
 
 def lift_from_dict(doc) -> TruncatedLift:
     """Rebuild the lift from its module and level; the maps are recomputed.
-    Documents without a "format" key (dense 0/1 matrices) decode the same."""
+    "partial-maps" documents and those without a "format" key (dense 0/1
+    matrices) decode the same."""
     _need(doc, "/", dict, "object")
-    if "format" in doc and doc["format"] != LIFT_FORMAT:
-        _fail("/format", f"unknown lift format {doc['format']!r}, "
-                         f"expected {LIFT_FORMAT!r}")
+    if "format" in doc and doc["format"] not in LIFT_FORMATS:
+        _fail("/format", f"unknown lift format {doc['format']!r}, expected "
+                         + " or ".join(map(repr, LIFT_FORMATS)))
     module = module_from_dict(_need_key(doc, "/", "module"))
     level = _need_key(doc, "/", "level")
     if not _is_int(level) or level < 0:

@@ -30,8 +30,11 @@ the trie only when asked. Basis order is range-major, so the entries with
 range v form one block of W_k, and P_v is its mask `projection_mask(v, k)`.
 E_e maps the whole block of source(e) and nothing else, since each path has
 a child per out-edge of its range: a level stores just those images, edge by
-edge, and `edge_targets(e, k)` spreads one edge's into the index in W_{k+1}
-of each entry's image, -1 off the block. Each embedding is an `EmbedMap`,
+edge. `edge_images(e, k)` reads one edge's as they are stored (the index in
+W_{k+1} of the image of each entry of the source block), which is all that
+callers acting on vectors and the "edge-images" lift file need;
+`edge_targets(e, k)` spreads them over all of W_k, -1 off the block, for
+callers that want one index per entry. Each embedding is an `EmbedMap`,
 the nonzeros of its blocks A_nu[:, b] (one per column and incoming edge)
 plus one identity entry per unextendable column. `edge_matrix`,
 `projection_matrix` and `embed_matrix` materialize dense matrices from these
@@ -313,15 +316,16 @@ class TruncatedLift:
             level = self.paths_at(start)
         return int(level.offset[at])
 
-    def edge_targets(self, edge_id: str, k: int) -> np.ndarray:
-        """Partial injection of the edge generator W_k -> W_{k+1}: the index
-        of the image of each entry of W_k, or -1 where the edge cannot act."""
+    def edge_images(self, edge_id: str, k: int) -> np.ndarray:
+        """The edge generator W_k -> W_{k+1} on the block it maps, a
+        read-only view: entry j is the index in W_{k+1} of the image of entry
+        start + j of W_k, where start:stop = `paths_at(k).bounds` at the
+        edge's source vertex. Every other entry of W_k maps to zero."""
         k = self._check_level(k, self.level)
         if edge_id not in self.module.graph.edge_by_id:
             raise LiftError(f"unknown edge {edge_id!r}")
-        low = self.paths_at(k)
         if k not in self._images:
-            high = self.paths_at(k + 1)
+            low, high = self.paths_at(k), self.paths_at(k + 1)
             start = low.bounds[self._edge_source]  # each edge acts on this block
             size = low.bounds[self._edge_source + 1] - start
             ends = np.append(0, size.cumsum())
@@ -333,11 +337,23 @@ class TruncatedLift:
                                _frozen(ends))
         images, ends = self._images[k]
         i = self._edge_index[edge_id]
-        u = self._edge_source[i]
-        targets = np.empty(low.dimension, dtype=np.intp)
+        return images[ends[i] : ends[i + 1]]
+
+    def edge_targets(self, edge_id: str, k: int) -> np.ndarray:
+        """Partial injection of the edge generator W_k -> W_{k+1}: the index
+        of the image of each entry of W_k, or -1 where the edge cannot act;
+        `edge_images` spread over all of W_k."""
+        images = self.edge_images(edge_id, k)
+        targets = np.empty(self.dimension_at(k), dtype=np.intp)
         targets.fill(-1)
-        targets[low.bounds[u] : low.bounds[u + 1]] = images[ends[i] : ends[i + 1]]
+        targets[self._source_block(edge_id, k)] = images
         return targets
+
+    def _source_block(self, edge_id: str, k: int) -> slice:
+        """The entries of W_k that the edge generator maps."""
+        bounds = self.paths_at(k).bounds
+        u = self._edge_source[self._edge_index[edge_id]]
+        return slice(bounds[u], bounds[u + 1])
 
     def projection_mask(self, v: str, k: int) -> np.ndarray:
         """Entries of W_k whose path has range v: one block of the basis."""
@@ -587,20 +603,21 @@ def word_operator(trunc: TruncatedLift, word: list[str], start_level: int) -> Wo
         if token.endswith("*") and token[:-1] in g.edge_by_id:
             if k == 0:
                 raise LiftError(f"level underflow applying {token!r}")
-            targets = trunc.edge_targets(token[:-1], k - 1)
-            hit = targets >= 0
-            out = np.zeros((targets.size, mat.shape[1]), dtype=np.complex128)
-            out[hit] = mat[targets[hit]]  # E* gathers: row c reads row t_c
+            images = trunc.edge_images(token[:-1], k - 1)
+            out = np.zeros((trunc.dimension_at(k - 1), mat.shape[1]),
+                           dtype=np.complex128)
+            # E* gathers: row j of the source block reads row t_j
+            out[trunc._source_block(token[:-1], k - 1)] = mat[images]
             mat = out
             k -= 1
         elif token in g.edge_by_id:
             if k == trunc.level:
                 raise LiftError(f"level overflow applying {token!r} at level {k}")
-            targets = trunc.edge_targets(token, k)
-            hit = targets >= 0
+            images = trunc.edge_images(token, k)
             out = np.zeros((trunc.dimension_at(k + 1), mat.shape[1]),
                            dtype=np.complex128)
-            np.add.at(out, targets[hit], mat[hit])  # E scatters row c to t_c
+            # E scatters row j of the source block to row t_j
+            np.add.at(out, images, mat[trunc._source_block(token, k)])
             mat = out
             k += 1
         elif token in g.vertex_index:

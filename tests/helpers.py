@@ -14,6 +14,7 @@ from graphlift import (
     maximal_paths,
     sphere_odd_graph,
 )
+from graphlift.io import lift_to_dict
 
 
 def one_dim_components(graph: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -177,6 +178,47 @@ def reference_edge_targets(module: PythagoreanModule, k: int) -> dict:
             row0 = upper[(p.edges + (e.id,), p.base)]
             maps[e.id][col : col + d] = np.arange(row0, row0 + d)
     return maps
+
+
+def expand_edge_images(doc: dict) -> dict:
+    """Reference only: an "edge-images" lift document in the earlier
+    "partial-maps" layout, keys in the same order. Each edge's images of its
+    source block become a -1-padded target per basis entry of its level, and
+    each projection's [start, stop] the list of indices it keeps."""
+    source = {e["id"]: e["source"] for e in doc["module"]["graph"]["edges"]}
+    edges = {}
+    for k, images in doc["edges"].items():
+        blocks = doc["projections"][k]
+        edges[k] = {}
+        for eid, block in images.items():
+            start, stop = blocks[source[eid]]
+            assert len(block) == stop - start, (k, eid)
+            targets = [-1] * len(doc["bases"][k])
+            targets[start:stop] = block
+            edges[k][eid] = targets
+    projections = {
+        k: {v: list(range(start, stop)) for v, (start, stop) in blocks.items()}
+        for k, blocks in doc["projections"].items()
+    }
+    return dict(doc, format="partial-maps", edges=edges, projections=projections)
+
+
+def partial_maps_dict(trunc: TruncatedLift) -> dict:
+    """Reference only: the "partial-maps" lift document, one -1-padded
+    `edge_targets` list per edge and level and the listed indices of each
+    projection block, from the same module, level and bases as `lift_to_dict`."""
+    doc = lift_to_dict(trunc)
+    g = trunc.module.graph
+    levels = range(trunc.level + 1)
+    return dict(
+        doc,
+        format="partial-maps",
+        edges={str(k): {e.id: trunc.edge_targets(e.id, k).tolist() for e in g.edges}
+               for k in levels},
+        projections={str(k): {v: np.flatnonzero(trunc.projection_mask(v, k)).tolist()
+                              for v in g.vertices}
+                     for k in levels},
+    )
 
 
 def reference_embed_map(module: PythagoreanModule, k: int):

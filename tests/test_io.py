@@ -43,7 +43,7 @@ from graphlift.io import (
     write_json,
 )
 
-from helpers import random_feasible_dims
+from helpers import expand_edge_images, partial_maps_dict, random_feasible_dims
 
 
 class TestGraphCodec:
@@ -202,13 +202,16 @@ class TestLiftCodec:
         doc = lift_to_dict(t)
         assert set(doc) == {"format", "module", "level", "bases", "edges",
                             "projections"}
-        assert doc["format"] == "partial-maps"
+        assert doc["format"] == "edge-images"
         assert doc["level"] == 1
         assert set(doc["bases"]) == {"0", "1", "2"}
         assert [e["path"] for e in doc["bases"]["1"]] == ["11", "21"]
         assert set(doc["edges"]) == set(doc["projections"]) == {"0", "1"}
-        assert doc["edges"]["0"] == {"11": [0], "21": [1], "22": [-1]}
-        assert doc["projections"]["1"] == {"1": [0], "2": [1]}
+        # "22" leaves the zero fiber at "2", an empty block
+        assert doc["edges"]["0"] == {"11": [0], "21": [1], "22": []}
+        assert doc["edges"]["1"] == {"11": [0], "21": [1], "22": [2]}
+        assert doc["projections"]["0"] == {"1": [0, 1], "2": [1, 1]}
+        assert doc["projections"]["1"] == {"1": [0, 1], "2": [1, 2]}
         entry = doc["bases"]["2"][0]
         assert entry == {"path": "11.11", "source": "1", "range": "1",
                          "length": 2, "fiber": 0}
@@ -217,8 +220,33 @@ class TestLiftCodec:
         g = sphere_odd_graph(1)
         doc = lift_to_dict(lift(one_dim_module(g, "1", 1j), 1))
         doc["format"] = "dense"
-        with pytest.raises(CodecError, match="/format: unknown lift format 'dense'"):
+        with pytest.raises(CodecError, match="/format: unknown lift format 'dense', "
+                                             "expected 'edge-images' or 'partial-maps'"):
             lift_from_dict(doc)
+
+    def test_edge_images_document_decodes(self):
+        g = sphere_odd_graph(2)
+        t = lift(random_module(g, {"1": 2, "2": 1}, 3), 2)
+        doc = json.loads(json.dumps(lift_to_dict(t)))
+        assert doc["format"] == "edge-images"
+        back = lift_from_dict(doc)
+        assert back.level == 2
+        for k in range(3):
+            for e in g.edges:
+                assert np.array_equal(back.edge_images(e.id, k), t.edge_images(e.id, k))
+
+    def test_partial_maps_document_decodes(self):
+        g = sphere_odd_graph(2)
+        t = lift(random_module(g, {"1": 2, "2": 1}, 3), 2)
+        doc = json.loads(json.dumps(partial_maps_dict(t)))
+        assert doc["format"] == "partial-maps"
+        back = lift_from_dict(doc)
+        assert back.level == 2
+        for k in range(3):
+            assert np.array_equal(back.embed_matrix(k), t.embed_matrix(k))
+            for e in g.edges:
+                assert np.array_equal(back.edge_targets(e.id, k),
+                                      t.edge_targets(e.id, k))
 
     def test_legacy_dense_document_decodes(self):
         g = sphere_odd_graph(2)
@@ -279,16 +307,31 @@ class TestLiftRoundTripProperty:
         for k in range(level + 1):
             rows = len(doc["bases"][str(k + 1)])
             cols = len(doc["bases"][str(k)])
+            blocks = doc["projections"][str(k)]
             for e in g.edges:
+                start, stop = blocks[e.source]
+                images = doc["edges"][str(k)][e.id]
+                assert len(images) == stop - start
                 mat = np.zeros((rows, cols))
-                for col, row in enumerate(doc["edges"][str(k)][e.id]):
-                    if row >= 0:
-                        mat[row, col] = 1.0
+                mat[images, range(start, stop)] = 1.0
                 assert np.array_equal(mat, t.edge_matrix(e.id, k))
+            assert [blocks[v] for v in g.vertices] == sorted(blocks.values())
             for v in g.vertices:
+                start, stop = blocks[v]
                 diag = np.zeros(cols)
-                diag[doc["projections"][str(k)][v]] = 1.0
+                diag[start:stop] = 1.0
                 assert np.array_equal(np.diag(diag), t.projection_matrix(v, k))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(graph=st.sampled_from(ROUND_TRIP_GRAPHS),
+           seed=st.integers(0, 2**16), level=st.integers(0, 4))
+    def test_expands_to_the_partial_maps_document(self, graph, seed, level):
+        g = graph()
+        dims = random_feasible_dims(g, np.random.default_rng(seed), hi=3)
+        t = lift(random_module(g, dims, seed), level)
+        expanded = expand_edge_images(json.loads(json.dumps(lift_to_dict(t))))
+        # the same text, so the same keys in the same order
+        assert json.dumps(expanded) == json.dumps(partial_maps_dict(t))
 
 
 class TestComplexSyntax:

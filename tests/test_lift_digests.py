@@ -1,15 +1,19 @@
 """Pinned SHA-256 digests of `lift build` files and `lift check` stdout.
 
-The digests were taken from the DFS-based basis builder that the path trie
-replaced, and those of the wide lens module from the one-row-per-edge target
-table that the per-block edge images replaced, so any change to basis order,
-file layout or residual arithmetic fails here loudly. Update them only for a
-deliberate, documented change of output.
+The "build" and "check" digests were taken from the DFS-based basis builder
+that the path trie replaced, and those of the wide lens module from the
+one-row-per-edge target table that the per-block edge images replaced, so any
+change to basis order, file layout or residual arithmetic fails here loudly.
+The "build" digests are of the earlier "partial-maps" layout: each file is
+expanded back to it (`expand_edge_images`) and re-encoded with
+`json.dumps(doc, indent=2)`. The "edge-images" digests are of the file bytes
+as written. Update them only for a deliberate, documented change of output.
 """
 
 import contextlib
 import hashlib
 import io as stdio
+import json
 
 import pytest
 
@@ -22,6 +26,8 @@ from graphlift import (
     sphere_even_graph,
     sphere_odd_graph,
 )
+
+from helpers import expand_edge_images
 
 
 def _modules():
@@ -101,6 +107,31 @@ DIGESTS = {
         "bb2a9c69c18b8a67db678476dbad1a4b127d720bff617f79e42445993406ab51",
 }
 
+FILE_DIGESTS = {
+    ("even2-zero", "edge-images", 1):
+        "aaa3b5dce57d9201ee65eea67a6c6ee87a8bfc33628945ab5bc187f0ffee40b4",
+    ("even2-zero", "edge-images", 2):
+        "e0289bc02d073c9721f5f70d5d488ba9916b1fab0f11bf862d58585e7880cbec",
+    ("even2-zero", "edge-images", 3):
+        "c7037f4fa27cc7e83db2ac6d6a97c9abdb61b77f92853926fc3a5f0427ef3de0",
+    ("even2-zero", "edge-images", 4):
+        "6e366583107539b332efc53c4d2c7a68fe739c2a68e1a87f71bafe97522fccad",
+    ("lens3-wide", "edge-images", 1):
+        "54441c10a9da1b0e1b7b92e3851502bf6532b5e57cdae1254df0ec066db59b36",
+    ("lens3-wide", "edge-images", 2):
+        "afbc1a659fcb1bab26daeb5bec56f02686fdf180a10594f5d3332d84760da536",
+    ("lens3-wide", "edge-images", 3):
+        "3d394002b1fa521e62906e6772b44b4be32c2b1f847c8efa413032539d695eb6",
+    ("odd4", "edge-images", 1):
+        "e6fc1e5911e85fffefd76556809e40bac08ed9ac9044722999cafa6145603856",
+    ("odd4", "edge-images", 2):
+        "ce1de3b032a184da8129a716f1f6b16dbf142c9182d3027a86fdd89d2e6e232d",
+    ("odd4", "edge-images", 3):
+        "031f9746cf8a4966cade260a0636cfb8c9e5518b419590a4f8d4ca97df36a666",
+    ("odd4", "edge-images", 4):
+        "d39e5177f5ef6780a87f42bf77eeecfee3cbed5b88bedbe0e7f4dc0f83f9e114",
+}
+
 
 def _digests(work) -> dict:
     out = {}
@@ -112,7 +143,10 @@ def _digests(work) -> dict:
             with contextlib.redirect_stdout(stdio.StringIO()):
                 assert cli.run(["lift", "build", "--module", src, "--level", str(k),
                                 "--out", str(dst)]) == 0
-            out[(name, "build", k)] = hashlib.sha256(dst.read_bytes()).hexdigest()
+            raw = dst.read_bytes()
+            out[(name, "edge-images", k)] = hashlib.sha256(raw).hexdigest()
+            expanded = json.dumps(expand_edge_images(json.loads(raw)), indent=2) + "\n"
+            out[(name, "build", k)] = hashlib.sha256(expanded.encode()).hexdigest()
         for k in CHECK_LEVELS:
             text = stdio.StringIO()
             with contextlib.redirect_stdout(text):
@@ -133,5 +167,10 @@ def test_output_matches_pinned_digest(digests, key):
     assert digests[key] == DIGESTS[key]
 
 
+@pytest.mark.parametrize("key", sorted(FILE_DIGESTS))
+def test_file_matches_pinned_digest(digests, key):
+    assert digests[key] == FILE_DIGESTS[key]
+
+
 def test_every_output_is_pinned(digests):
-    assert set(digests) == set(DIGESTS)
+    assert set(digests) == set(DIGESTS) | set(FILE_DIGESTS)

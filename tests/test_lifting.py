@@ -263,6 +263,15 @@ class TestGenerators:
         assert np.array_equal(gens.edges["22"], [[1.0]])
         assert not gens.projections["1"].any()
 
+    @pytest.mark.parametrize("method", ["edge_images", "edge_targets"])
+    def test_edge_maps_refuse_unknown_edges_and_levels(self, method):
+        t = phase_lift("1", Z8, 2)
+        read = getattr(t, method)
+        with pytest.raises(LiftError, match="unknown edge 'zz'"):
+            read("zz", 0)
+        with pytest.raises(LiftError, match="level 3 outside 0..2"):
+            read("11", 3)
+
     def test_vertex_sums_close_on_receiving_vertices(self):
         g = sphere_even_graph(2)
         m = random_module(g, {"1": 1, "2": 2, "3": 1, "4": 2}, 3)
@@ -680,6 +689,9 @@ class TestTrieAgainstOracle:
                 continue
             for eid, want in reference_edge_targets(module, k).items():
                 assert np.array_equal(t.edge_targets(eid, k), want), (k, eid)
+                images = t.edge_images(eid, k)
+                assert not images.flags.writeable
+                assert np.array_equal(images, want[t._source_block(eid, k)]), (k, eid)
             emb = t.embed_map(k)
             rows, cols, vals = reference_embed_map(module, k)
             assert np.array_equal(emb.rows, rows)
