@@ -260,10 +260,8 @@ def _cmd_lift_eigen(args) -> int:
     # the loop generator scatters each entry of the vertex's block of
     # W_{level-1} to its image
     images = trunc.edge_images(loops[0].id, args.level - 1)
-    bounds = trunc.paths_at(args.level - 1).bounds
-    u = graph.vertex_index[args.vertex]
     image = np.zeros(trunc.dimension_at(args.level), dtype=np.complex128)
-    image[images] = below[bounds[u] : bounds[u + 1]]
+    image[images] = below[trunc.block(args.vertex, args.level - 1)]
     top = trunc.embed_map(args.level - 1).apply(below)
     weight = complex(np.vdot(top, top))
     if abs(weight) < 1e-30:

@@ -393,14 +393,20 @@ def dumps_json(doc) -> str:
     order, each key's values of one exact leaf type, as in lift bases and
     graph edges) is written column by column through one per-record
     template; the bytes are the same as on the general path."""
+    return "".join(_json_parts(doc))
+
+
+def _json_parts(doc) -> list[str]:
+    """The text of `dumps_json(doc)` as the pieces that join to it."""
     parts: list[str] = []
     _encode(doc, "\n", parts)
     parts.append("\n")
-    return "".join(parts)
+    return parts
 
 
 def write_json(path: str, doc):
-    """Encode doc first, so a document that cannot be encoded leaves no file."""
-    text = dumps_json(doc)
+    """Encode doc first, so a document that cannot be encoded leaves no file;
+    the pieces are written as they are, never joined into one string."""
+    parts = _json_parts(doc)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.writelines(parts)

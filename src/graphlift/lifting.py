@@ -27,18 +27,16 @@ over the one below: a `PathLevel` of int arrays, a parent path and an edge
 per path, built from the level below in one vectorized step and put in
 basis order by one lexsort. `basis_at` builds `(Path, fiber)` tuples from
 the trie only when asked. Basis order is range-major, so the entries with
-range v form one block of W_k, and P_v is its mask `projection_mask(v, k)`.
+range v form one block of W_k, the slice `block(v, k)`, and P_v keeps it.
 E_e maps the whole block of source(e) and nothing else, since each path has
 a child per out-edge of its range: a level stores just those images, edge by
 edge. `edge_images(e, k)` reads one edge's as they are stored (the index in
 W_{k+1} of the image of each entry of the source block), which is all that
-callers acting on vectors and the "edge-images" lift file need;
-`edge_targets(e, k)` spreads them over all of W_k, -1 off the block, for
-callers that want one index per entry. Each embedding is an `EmbedMap`,
-the nonzeros of its blocks A_nu[:, b] (one per column and incoming edge)
-plus one identity entry per unextendable column. `edge_matrix`,
-`projection_matrix` and `embed_matrix` materialize dense matrices from these
-maps for callers that want them.
+callers acting on vectors, the relation check and the "edge-images" lift file
+need. Each embedding is an `EmbedMap`, the nonzeros of its blocks A_nu[:, b]
+(one per column and incoming edge) plus one identity entry per unextendable
+column. `edge_matrix`, `projection_matrix` and `embed_matrix` materialize
+dense matrices from these maps for callers that want them.
 """
 
 from __future__ import annotations
@@ -339,31 +337,14 @@ class TruncatedLift:
         i = self._edge_index[edge_id]
         return images[ends[i] : ends[i + 1]]
 
-    def edge_targets(self, edge_id: str, k: int) -> np.ndarray:
-        """Partial injection of the edge generator W_k -> W_{k+1}: the index
-        of the image of each entry of W_k, or -1 where the edge cannot act;
-        `edge_images` spread over all of W_k."""
-        images = self.edge_images(edge_id, k)
-        targets = np.empty(self.dimension_at(k), dtype=np.intp)
-        targets.fill(-1)
-        targets[self._source_block(edge_id, k)] = images
-        return targets
-
-    def _source_block(self, edge_id: str, k: int) -> slice:
-        """The entries of W_k that the edge generator maps."""
-        bounds = self.paths_at(k).bounds
-        u = self._edge_source[self._edge_index[edge_id]]
-        return slice(bounds[u], bounds[u + 1])
-
-    def projection_mask(self, v: str, k: int) -> np.ndarray:
-        """Entries of W_k whose path has range v: one block of the basis."""
+    def block(self, v: str, k: int) -> slice:
+        """The entries of W_k whose path has range v, one block of the basis:
+        P_v keeps it, and each edge out of v maps it and nothing else."""
         k = self._check_level(k, self.level + 1)
         self.module.graph.require_vertex(v)
         bounds = self.paths_at(k).bounds
         u = self.module.graph.vertex_index[v]
-        mask = np.zeros(bounds[-1], dtype=bool)
-        mask[bounds[u] : bounds[u + 1]] = True
-        return mask
+        return slice(int(bounds[u]), int(bounds[u + 1]))
 
     def embed_map(self, k: int) -> EmbedMap:
         """The class-preserving embedding W_k -> W_{k+1}, block by block.
@@ -412,15 +393,18 @@ class TruncatedLift:
 
     def edge_matrix(self, edge_id: str, k: int) -> np.ndarray:
         """Matrix of the edge generator from W_k to W_{k+1}; entries 0 or 1."""
-        targets = self.edge_targets(edge_id, k)
+        images = self.edge_images(edge_id, k)
+        start = self.block(self.module.graph.edge_by_id[edge_id].source, k).start
         mat = np.zeros((self.dimension_at(k + 1), self.dimension_at(k)))
-        cols = np.flatnonzero(targets >= 0)
-        mat[targets[cols], cols] = 1.0
+        mat[images, np.arange(start, start + images.size)] = 1.0
         return mat
 
     def projection_matrix(self, v: str, k: int) -> np.ndarray:
         """Diagonal projection onto classes whose path has range v, on W_k."""
-        return np.diag(self.projection_mask(v, k).astype(float))
+        keep = self.block(v, k)
+        diagonal = np.zeros(self.dimension_at(k))
+        diagonal[keep] = 1.0
+        return np.diag(diagonal)
 
     def embed_matrix(self, k: int) -> np.ndarray:
         """Matrix of the class-preserving embedding W_k -> W_{k+1}."""
@@ -539,44 +523,67 @@ class CkReport:
         return self.max_residual <= _require_tolerance(tol)
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array, and how many times each occurs."""
+    cut = np.ones(keys.size + 1, dtype=bool)  # where a run starts, and the end
+    np.not_equal(keys[1:], keys[:-1], out=cut[1:-1])
+    ends = np.flatnonzero(cut)
+    return keys[ends[:-1]], np.diff(ends)
+
+
 def ck_residuals(trunc: TruncatedLift) -> CkReport:
     """Measure every defining relation of the lift at its level.
 
-    Every residual is read off the stored maps, in time linear in their
-    nonzeros (times the largest fiber for the embeddings); no dense matrix is
-    formed. For a partial map with targets t and hit counts h_r = #{c: t_c = r},
-    E*E has diagonal [t_c >= 0] and an entry per ordered pair of columns
-    sharing a row, and E E* is diagonal with entries h_r.
+    Every residual is read off the vertex blocks and the stored maps, with
+    work that follows their nonzeros: one sort of the level's edge images,
+    and the embedding entries times the largest fiber. No dense matrix and
+    no per-vertex or per-edge array as long as a level is formed.
+    P_v keeps the block of v, so the projector residuals follow from the
+    block intervals: an entry covered c times adds (c - 1)^2 to
+    completeness, and two blocks that share n entries give an orthogonality
+    residual sqrt(n). E_e maps the block of source(e) to images t; with hit
+    counts h_r = #{j: t_j = r}, E*E - P_source counts each negative image and
+    each ordered pair of entries sharing a row, and E E* is diagonal with
+    entries h_r. So the sum of E E* over the edges into w, minus P_w, counts
+    (h_r - 1)^2 on a row of w's block, h_r^2 on a row off it, and 1 on a row
+    of the block that no image hits.
     """
     g = trunc.module.graph
     m = trunc.level
-    masks = {v: trunc.projection_mask(v, m) for v in g.vertices}
-    ortho = 0.0
-    for i, u in enumerate(g.vertices):
-        for v in g.vertices[i + 1 :]:
-            ortho = max(ortho, float(np.sqrt(np.count_nonzero(masks[u] & masks[v]))))
-    cover = sum(mask.astype(int) for mask in masks.values())
-    completeness = float(np.sqrt(np.sum((cover - 1) ** 2)))
-    upper = trunc.dimension_at(m + 1)
-    received = {}  # per receiving vertex w, the hit counts of all E_e into w
-    edge_isometry = {}
-    for e in g.edges:
-        targets = trunc.edge_targets(e.id, m)
-        hit = targets >= 0
-        hits = np.bincount(targets[hit], minlength=upper)
-        wrong = np.count_nonzero(hit != masks[e.source])
-        collisions = int(np.sum(hits * (hits - 1)))
-        edge_isometry[e.id] = float(np.sqrt(wrong + collisions))
-        if e.range in received:
-            received[e.range] += hits
-        else:
-            received[e.range] = hits
-    vertex_sum = {}
-    for w in g.vertices:
-        if w in received:
-            diag = received[w] - trunc.projection_mask(w, m + 1)
-            vertex_sum[w] = float(np.sqrt(np.sum(diag**2)))
     embed_isometry = {k: trunc.embed_map(k).gram_residual() for k in range(m + 1)}
+    low, high = trunc.paths_at(m).bounds, trunc.paths_at(m + 1).bounds
+    order = np.argsort(low[:-1], kind="stable")
+    starts, stops = low[:-1][order], low[1:][order]
+    # a block shares the most with the one that starts no later and ends last
+    shared = np.minimum(stops[1:], np.maximum.accumulate(stops)[:-1]) - starts[1:]
+    ortho = float(np.sqrt(int(np.max(shared, initial=0))))
+    # the entries covered c times, between consecutive block ends
+    ends = np.sort(np.concatenate(([0, trunc.dimension_at(m)], starts, stops)))
+    cover = (np.searchsorted(starts, ends[:-1], "right")
+             - np.searchsorted(np.sort(stops), ends[:-1], "right"))
+    completeness = float(np.sqrt(int(np.sum(np.diff(ends) * (cover - 1) ** 2))))
+    # every image of the level, with its edge and the vertex that edge enters
+    n_edges, n_vertices = len(g.edges), len(g.vertices)
+    images = [trunc.edge_images(e.id, m) for e in g.edges]
+    edge = np.arange(n_edges).repeat([a.size for a in images])
+    images = np.concatenate([*images, np.zeros(0, dtype=np.intp)])
+    hit = images >= 0
+    into = np.array([g.vertex_index[e.range] for e in g.edges], dtype=np.intp)
+    upper = trunc.dimension_at(m + 1)
+    # one sort groups the hits by receiving vertex, then row, then edge
+    key = np.sort((into[edge[hit]] * upper + images[hit]) * n_edges + edge[hit])
+    cell, h = _runs(key)  # the hits on one row from one edge
+    slot, hits = _runs(key // n_edges)  # the hits on one row from all edges into w
+    wrong = (np.bincount(edge[~hit], minlength=n_edges)
+             + np.bincount(cell % n_edges, h * (h - 1), n_edges))
+    w, row = np.divmod(slot, upper)
+    inside = (row >= high[w]) & (row < high[w + 1])
+    off = (np.bincount(w, (hits - inside) ** 2, n_vertices)
+           + np.diff(high) - np.bincount(w, inside, n_vertices))
+    edge_isometry = {e.id: float(np.sqrt(wrong[i])) for i, e in enumerate(g.edges)}
+    receiving = set(into.tolist())
+    vertex_sum = {v: float(np.sqrt(off[i])) for i, v in enumerate(g.vertices)
+                  if i in receiving}
     return CkReport(m, ortho, completeness, edge_isometry, vertex_sum, embed_isometry)
 
 
@@ -607,7 +614,7 @@ def word_operator(trunc: TruncatedLift, word: list[str], start_level: int) -> Wo
             out = np.zeros((trunc.dimension_at(k - 1), mat.shape[1]),
                            dtype=np.complex128)
             # E* gathers: row j of the source block reads row t_j
-            out[trunc._source_block(token[:-1], k - 1)] = mat[images]
+            out[trunc.block(g.edge_by_id[token[:-1]].source, k - 1)] = mat[images]
             mat = out
             k -= 1
         elif token in g.edge_by_id:
@@ -617,11 +624,14 @@ def word_operator(trunc: TruncatedLift, word: list[str], start_level: int) -> Wo
             out = np.zeros((trunc.dimension_at(k + 1), mat.shape[1]),
                            dtype=np.complex128)
             # E scatters row j of the source block to row t_j
-            np.add.at(out, images, mat[trunc._source_block(token, k)])
+            np.add.at(out, images, mat[trunc.block(g.edge_by_id[token].source, k)])
             mat = out
             k += 1
         elif token in g.vertex_index:
-            mat = mat * trunc.projection_mask(token, k)[:, None]
+            keep = trunc.block(token, k)
+            out = np.zeros_like(mat)
+            out[keep] = mat[keep]
+            mat = out
         else:
             raise LiftError(f"unknown symbol {token!r}")
     return WordOperator(mat, int(start_level), k)

@@ -205,18 +205,21 @@ def expand_edge_images(doc: dict) -> dict:
 
 def partial_maps_dict(trunc: TruncatedLift) -> dict:
     """Reference only: the "partial-maps" lift document, one -1-padded
-    `edge_targets` list per edge and level and the listed indices of each
-    projection block, from the same module, level and bases as `lift_to_dict`."""
+    `reference_edge_targets` list per edge and level and the listed indices of
+    each projection block (from `paths_at(k).bounds`), with the same module,
+    level and bases as `lift_to_dict`."""
     doc = lift_to_dict(trunc)
     g = trunc.module.graph
     levels = range(trunc.level + 1)
+    bounds = {k: trunc.paths_at(k).bounds.tolist() for k in levels}
     return dict(
         doc,
         format="partial-maps",
-        edges={str(k): {e.id: trunc.edge_targets(e.id, k).tolist() for e in g.edges}
+        edges={str(k): {eid: targets.tolist() for eid, targets
+                        in reference_edge_targets(trunc.module, k).items()}
                for k in levels},
-        projections={str(k): {v: np.flatnonzero(trunc.projection_mask(v, k)).tolist()
-                              for v in g.vertices}
+        projections={str(k): {v: list(range(bounds[k][u], bounds[k][u + 1]))
+                              for u, v in enumerate(g.vertices)}
                      for k in levels},
     )
 

@@ -245,8 +245,8 @@ class TestLiftCodec:
         for k in range(3):
             assert np.array_equal(back.embed_matrix(k), t.embed_matrix(k))
             for e in g.edges:
-                assert np.array_equal(back.edge_targets(e.id, k),
-                                      t.edge_targets(e.id, k))
+                assert np.array_equal(back.edge_images(e.id, k),
+                                      t.edge_images(e.id, k))
 
     def test_legacy_dense_document_decodes(self):
         g = sphere_odd_graph(2)
@@ -268,8 +268,8 @@ class TestLiftCodec:
         for k in range(3):
             assert np.array_equal(back.embed_matrix(k), t.embed_matrix(k))
             for e in g.edges:
-                assert np.array_equal(back.edge_targets(e.id, k),
-                                      t.edge_targets(e.id, k))
+                assert np.array_equal(back.edge_images(e.id, k),
+                                      t.edge_images(e.id, k))
 
     def test_bad_level_located(self):
         g = sphere_odd_graph(1)

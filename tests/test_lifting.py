@@ -12,6 +12,7 @@ from graphlift import (
     CkReport,
     Edge,
     Graph,
+    GraphError,
     LensParams,
     LiftError,
     ModuleError,
@@ -263,14 +264,31 @@ class TestGenerators:
         assert np.array_equal(gens.edges["22"], [[1.0]])
         assert not gens.projections["1"].any()
 
-    @pytest.mark.parametrize("method", ["edge_images", "edge_targets"])
-    def test_edge_maps_refuse_unknown_edges_and_levels(self, method):
+    def test_edge_maps_refuse_unknown_edges_and_levels(self):
         t = phase_lift("1", Z8, 2)
-        read = getattr(t, method)
         with pytest.raises(LiftError, match="unknown edge 'zz'"):
-            read("zz", 0)
+            t.edge_images("zz", 0)
         with pytest.raises(LiftError, match="level 3 outside 0..2"):
-            read("11", 3)
+            t.edge_images("11", 3)
+
+    def test_blocks_tile_each_level_in_vertex_order(self):
+        g = sphere_odd_graph(3)
+        t = lift(random_module(g, {"1": 2, "2": 0, "3": 1}, 4), 2)
+        for k in range(4):
+            blocks = [t.block(v, k) for v in g.vertices]
+            assert blocks[0].start == 0 and blocks[-1].stop == t.dimension_at(k)
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            for v, b in zip(g.vertices, blocks):
+                ranges = {p.range for p, _ in t.basis_at(k)[b]}
+                assert ranges <= {v}, (k, v)
+        assert t.block("2", 0) == slice(2, 2)
+
+    def test_block_refuses_unknown_vertices_and_levels(self):
+        t = phase_lift("1", Z8, 2)
+        with pytest.raises(GraphError, match="unknown vertex '9'"):
+            t.block("9", 0)
+        with pytest.raises(LiftError, match="level 4 outside 0..3"):
+            t.block("1", 4)
 
     def test_vertex_sums_close_on_receiving_vertices(self):
         g = sphere_even_graph(2)
@@ -386,21 +404,48 @@ class TestSparseRelations:
         assert report.passed(1e-11)
         assert set(report.embed_isometry) == set(range(5))
 
+    @staticmethod
+    def _corrupt(monkeypatch, t, edge_id, k, change):
+        """Make `t.edge_images(edge_id, k)` read a changed copy of the stored
+        segment."""
+        images = t.edge_images(edge_id, k).copy()
+        change(images)
+        stored = t.edge_images
+        monkeypatch.setattr(t, "edge_images", lambda e, j: (
+            images if (e, j) == (edge_id, k) else stored(e, j)))
+
     def test_colliding_targets_are_seen(self, monkeypatch):
         g = sphere_odd_graph(2)
         t = lift(random_module(g, {"1": 2, "2": 1}, 2), 2)
-        targets = t.edge_targets("21", 2).copy()
-        cols = np.flatnonzero(targets >= 0)
-        targets[cols[1]] = targets[cols[0]]  # two columns onto one row
-        stored = t.edge_targets
-        monkeypatch.setattr(t, "edge_targets", lambda e, k: (
-            targets if (e, k) == ("21", 2) else stored(e, k)))
+
+        def collide(images):
+            images[1] = images[0]  # two columns onto one row
+
+        self._corrupt(monkeypatch, t, "21", 2, collide)
         report = ck_residuals(t)
         # E*E gains the pair (c0, c1) both ways; E E* counts the row twice
         # and leaves the row it no longer hits empty
         assert report.edge_isometry["21"] == pytest.approx(np.sqrt(2))
         assert report.vertex_sum["2"] == pytest.approx(np.sqrt(2))
         assert report.edge_isometry["11"] == 0.0
+        assert not report.passed()
+
+    def test_stray_image_is_charged_to_its_receiving_vertex(self, monkeypatch):
+        g = sphere_odd_graph(2)
+        t = lift(random_module(g, {"1": 2, "2": 1}, 2), 2)
+        clean = ck_residuals(t)
+        into_1 = t.block("1", 3)
+        assert into_1.stop > into_1.start
+
+        def stray(images):  # one image of 22, an edge into 2, lands in 1's block
+            images[0] = into_1.start
+
+        self._corrupt(monkeypatch, t, "22", 2, stray)
+        report = ck_residuals(t)
+        # the row outside 2's block counts 1^2, the row left empty inside it 1
+        assert report.vertex_sum["2"] == pytest.approx(np.sqrt(2))
+        assert report.vertex_sum["1"] == clean.vertex_sum["1"] == 0.0
+        assert report.edge_isometry["22"] == 0.0
         assert not report.passed()
 
     def test_wide_graph_memory(self):
@@ -688,10 +733,13 @@ class TestTrieAgainstOracle:
             if k > level:
                 continue
             for eid, want in reference_edge_targets(module, k).items():
-                assert np.array_equal(t.edge_targets(eid, k), want), (k, eid)
+                # the edge maps its source block and sends the rest to zero
+                block = t.block(graph.edge_by_id[eid].source, k)
+                assert (want[: block.start] == -1).all(), (k, eid)
+                assert (want[block.stop :] == -1).all(), (k, eid)
                 images = t.edge_images(eid, k)
                 assert not images.flags.writeable
-                assert np.array_equal(images, want[t._source_block(eid, k)]), (k, eid)
+                assert np.array_equal(images, want[block]), (k, eid)
             emb = t.embed_map(k)
             rows, cols, vals = reference_embed_map(module, k)
             assert np.array_equal(emb.rows, rows)
