@@ -39,7 +39,7 @@ from .modules import (
     EQUIVALENT,
     _require_tolerance,
 )
-from .spectrum import SpectrumError, check_hypotheses, classify, representative_module
+from .spectrum import SpectrumError, classify, representative_module
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -128,9 +128,6 @@ def _cmd_classify(args) -> int:
     graph = _load_graph(args.file)
     description = classify(graph)
     doc = io.spectrum_to_dict(description)
-    report = check_hypotheses(graph)
-    if report.by_analogy:
-        doc["by_analogy"] = True
     if args.format == "text":
         circles = ", ".join(description.circles) or "none"
         points = ", ".join(description.points) or "none"

@@ -12,6 +12,18 @@ from math import gcd
 
 from .graphs import Edge, Graph, GraphError, loop_structure, power_graph, skew_product
 
+# Largest edge count the sphere and projective builders accept. The count is
+# known from n before anything is built, so a size a user types ends in a
+# GraphError rather than an out-of-memory kill. The largest odd sphere under
+# the limit is sphere_odd_graph(1413), with 998,991 edges.
+MAX_EDGES = 1_000_000
+
+
+def _require_edges(family: str, n: int, count: int) -> None:
+    if count > MAX_EDGES:
+        raise GraphError(f"{family} graph with n={n} has {count} edges, "
+                         f"more than MAX_EDGES={MAX_EDGES}")
+
 
 def _pair_id(head: int, tail: int) -> str:
     # "ji" for an edge i -> j; underscore-separated once labels leave one digit
@@ -24,6 +36,7 @@ def sphere_odd_graph(n: int) -> Graph:
     """Vertices 1..n with a single edge i -> j (id "ji") for every i <= j."""
     if n < 1:
         raise GraphError("n must be >= 1")
+    _require_edges("sphere-odd", n, n * (n + 1) // 2)
     vertices = tuple(str(i) for i in range(1, n + 1))
     edges = tuple(
         Edge(_pair_id(j, i), str(i), str(j))
@@ -38,6 +51,7 @@ def sphere_even_graph(n: int) -> Graph:
     receive nothing and emit one edge onto each of 1..n."""
     if n < 1:
         raise GraphError("n must be >= 1")
+    _require_edges("sphere-even", n, n * (n + 1) // 2 + 2 * n)
     vertices = tuple(str(i) for i in range(1, n + 3))
     edges = [Edge(_pair_id(i, i), str(i), str(i)) for i in range(1, n + 1)]
     edges += [
@@ -51,7 +65,9 @@ def sphere_even_graph(n: int) -> Graph:
 
 
 def projective_graph(n: int) -> Graph:
-    """Power graph of the odd sphere: one edge per length-2 path."""
+    """Power graph of the odd sphere: one edge per length-2 path, C(n+2, 3)
+    of them."""
+    _require_edges("projective", n, n * (n + 1) * (n + 2) // 6)
     return power_graph(sphere_odd_graph(n), 2)
 
 

@@ -133,11 +133,14 @@ def module_from_dict(doc) -> PythagoreanModule:
 
 
 def spectrum_to_dict(description: SpectrumDescription) -> dict:
-    return {
+    doc = {
         "class": description.class_tag,
         "circles": list(description.circles),
         "points": list(description.points),
     }
+    if description.by_analogy:
+        doc["by_analogy"] = True
+    return doc
 
 
 def spectrum_from_dict(doc) -> SpectrumDescription:
@@ -149,7 +152,8 @@ def spectrum_from_dict(doc) -> SpectrumDescription:
         for i, v in enumerate(seq):
             _need(v, f"/{key}/{i}", str, "string")
         out[key] = tuple(seq)
-    return SpectrumDescription(tag, out["circles"], out["points"])
+    by_analogy = _need(doc.get("by_analogy", False), "/by_analogy", bool, "boolean")
+    return SpectrumDescription(tag, out["circles"], out["points"], by_analogy)
 
 
 def _basis_records(trunc: TruncatedLift) -> dict:

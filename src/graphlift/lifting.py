@@ -33,10 +33,10 @@ a child per out-edge of its range: a level stores just those images, edge by
 edge. `edge_images(e, k)` reads one edge's as they are stored (the index in
 W_{k+1} of the image of each entry of the source block), which is all that
 callers acting on vectors, the relation check and the "edge-images" lift file
-need. Each embedding is an `EmbedMap`, the nonzeros of its blocks A_nu[:, b]
+need. Each embedding is a `BlockMap`, the nonzeros of its blocks A_nu[:, b]
 (one per column and incoming edge) plus one identity entry per unextendable
-column. `edge_matrix`, `projection_matrix` and `embed_matrix` materialize
-dense matrices from these maps for callers that want them.
+column, and so is each lifted intertwiner. `edge_matrix`, `projection_matrix`
+and `embed_matrix` materialize dense matrices for callers that want them.
 """
 
 from __future__ import annotations
@@ -65,9 +65,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class EmbedMap:
-    """Nonzeros of the embedding W_k -> W_{k+1}: entry i puts vals[i] at
-    (rows[i], cols[i]); rows come in ascending order."""
+class BlockMap:
+    """Nonzeros of a level embedding or a lifted intertwiner: entry i puts
+    vals[i] at (rows[i], cols[i]); rows come in ascending order."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -109,6 +109,18 @@ class EmbedMap:
         gram_re[diagonal] -= 1.0
         unseen = n - int(diagonal.sum())  # zero columns: Gram diagonal 0
         return float(np.sqrt(np.sum(gram_re**2) + np.sum(gram_im**2) + unseen))
+
+
+def _block_map(row0, col0, height, width, start, values, shape) -> BlockMap:
+    """Block i, the height[i] x width[i] row-major array from values[start[i]],
+    sits at (row0[i], col0[i]); blocks come in row order and share no row."""
+    size = height * width
+    before = (size.cumsum() - size).repeat(size)  # entries ahead of the block
+    j = np.arange(before.size) - before
+    width = width.repeat(size)
+    return BlockMap(_frozen(row0.repeat(size) + j // width),
+                    _frozen(col0.repeat(size) + j % width),
+                    _frozen(values[start.repeat(size) + j]), shape)
 
 
 class PathLevel(NamedTuple):
@@ -184,7 +196,7 @@ class TruncatedLift:
         self._keys = np.zeros((1, 0), dtype=np.int32)  # sort keys of the last level
         self._paths: dict[int, list[Path]] = {}
         self._images: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._embeds: dict[int, EmbedMap] = {}
+        self._embeds: dict[int, BlockMap] = {}
         self._block_table: tuple[np.ndarray, np.ndarray] | None = None
 
     def _check_level(self, k: int, top: int) -> int:
@@ -346,7 +358,7 @@ class TruncatedLift:
         u = self.module.graph.vertex_index[v]
         return slice(int(bounds[u]), int(bounds[u + 1]))
 
-    def embed_map(self, k: int) -> EmbedMap:
+    def embed_map(self, k: int) -> BlockMap:
         """The class-preserving embedding W_k -> W_{k+1}, block by block.
 
         A path of full length k+1 receives A_nu from its tail, nu being its
@@ -356,22 +368,16 @@ class TruncatedLift:
         k = self._check_level(k, self.level)
         if k not in self._embeds:
             low, high = self.paths_at(k), self.paths_at(k + 1)
-            down = high.down
+            path = high.order  # row order: paths in basis order
+            down = high.down[path]
             blocks, starts = self._blocks()
             block = np.where(high.length == k + 1, high.head,
-                             len(self._edge_index) + high.source)
+                             len(self._edge_index) + high.source)[path]
             # the block of path i is fiber(source i) x fiber(source down(i))
-            width = self._fiber[low.source[down]] * (down >= 0)
-            size = (self._fiber[high.source] * width)[high.order]
-            path = high.order.repeat(size)  # row order: paths in basis order
-            j = np.arange(path.size) - (size.cumsum() - size).repeat(size)
-            width = width[path]
-            self._embeds[k] = EmbedMap(
-                _frozen(high.offset[path] + j // width),
-                _frozen(low.offset[down[path]] + j % width),
-                _frozen(blocks[starts[block[path]] + j]),
-                (high.dimension, low.dimension),
-            )
+            self._embeds[k] = _block_map(
+                high.offset[path], low.offset[down], self._fiber[high.source[path]],
+                self._fiber[low.source[down]] * (down >= 0), starts[block], blocks,
+                (high.dimension, low.dimension))
         return self._embeds[k]
 
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -638,12 +644,12 @@ def word_operator(trunc: TruncatedLift, word: list[str], start_level: int) -> Wo
 
 
 def lift_intertwiner(theta: dict[str, np.ndarray], source: TruncatedLift,
-                     target: TruncatedLift, level: int | None = None) -> np.ndarray:
-    """Lift a graded intertwiner to a matrix between two lifts of one level.
+                     target: TruncatedLift, level: int | None = None) -> BlockMap:
+    """Lift a graded intertwiner to a map between two lifts of one level.
 
     The map acts blockwise on each basis path's fiber, so it commutes with
-    every generator matrix and with the embeddings. By default the matrix is
-    produced at the lifts' own level; pass `level` for any materialized one.
+    every generator and with the embeddings. By default the map is produced
+    at the lifts' own level; pass `level` for any materialized one.
     """
     if source.module.graph != target.module.graph:
         raise LiftError("lifts live on different graphs")
@@ -668,19 +674,13 @@ def lift_intertwiner(theta: dict[str, np.ndarray], source: TruncatedLift,
             raise LiftError(f"not an intertwiner: edge {e.id!r} residual {gap:.3e}")
     m = source.level if level is None else source._check_level(level, source.level + 1)
     cols, rows = source.paths_at(m), target.paths_at(m)
-    mat = np.zeros((rows.dimension, cols.dimension), dtype=np.complex128)
     # in basis order, the paths with a fiber on both sides come in the same
     # order in each trie
     col_paths = cols.order[target._fiber[cols.source[cols.order]] > 0]
     row_paths = rows.order[source._fiber[rows.source[rows.order]] > 0]
-    row0, col0 = rows.offset[row_paths], cols.offset[col_paths]
     at = cols.source[col_paths]
-    for i, v in enumerate(g.vertices):
-        block = blocks[v]
-        if not block.size:
-            continue
-        pick = at == i
-        h, w = block.shape
-        mat[(row0[pick][:, None, None] + np.arange(h)[:, None]),
-            (col0[pick][:, None, None] + np.arange(w))] = block
-    return mat
+    sizes = np.array([blocks[v].size for v in g.vertices])
+    return _block_map(rows.offset[row_paths], cols.offset[col_paths],
+                      target._fiber[at], source._fiber[at], (sizes.cumsum() - sizes)[at],
+                      np.concatenate([blocks[v].ravel() for v in g.vertices]),
+                      (rows.dimension, cols.dimension))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import Graph, loop_structure
+from .graphs import Graph, LoopStructure, loop_structure
 from .modules import PythagoreanModule, isolated_module, one_dim_module
 
 LOOP_GRAPH = "loop-graph"
@@ -41,9 +41,12 @@ class HypothesisReport:
 
 @dataclass(frozen=True)
 class SpectrumDescription:
+    """The spectrum components, and by_analogy as in `HypothesisReport`."""
+
     class_tag: str
     circles: tuple[str, ...]
     points: tuple[str, ...]
+    by_analogy: bool = False
 
 
 def _even_sphere_shaped(graph: Graph, loopless: list[str]) -> bool:
@@ -65,7 +68,10 @@ def _even_sphere_shaped(graph: Graph, loopless: list[str]) -> bool:
 
 
 def check_hypotheses(graph: Graph) -> HypothesisReport:
-    structure = loop_structure(graph)
+    return _check_hypotheses(graph, loop_structure(graph))
+
+
+def _check_hypotheses(graph: Graph, structure: LoopStructure) -> HypothesisReport:
     diagnostics = []
     multi = sorted(v for v, k in structure.loops_per_vertex.items() if k > 1)
     if multi:
@@ -88,13 +94,13 @@ def check_hypotheses(graph: Graph) -> HypothesisReport:
 
 def classify(graph: Graph) -> SpectrumDescription:
     """List the spectrum components, or refuse with the failed hypotheses."""
-    report = check_hypotheses(graph)
+    structure = loop_structure(graph)
+    report = _check_hypotheses(graph, structure)
     if report.verdict == UNSUPPORTED:
         raise SpectrumError("; ".join(report.diagnostics))
-    structure = loop_structure(graph)
     circles = tuple(v for v in graph.vertices if structure.loops_per_vertex[v] == 1)
     points = tuple(v for v in graph.vertices if structure.loops_per_vertex[v] == 0)
-    return SpectrumDescription(report.verdict, circles, points)
+    return SpectrumDescription(report.verdict, circles, points, report.by_analogy)
 
 
 def representative_module(graph: Graph, vertex: str,

@@ -1,5 +1,7 @@
 """Family constructors and their structural validators."""
 
+import time
+
 import pytest
 
 from graphlift import (
@@ -17,6 +19,8 @@ from graphlift import (
     sphere_odd_graph,
     validate_quantum_graph,
 )
+from graphlift import cli
+from graphlift.families import MAX_EDGES
 
 LENS_CASES = (
     LensParams(2, 3, (1, 1)),
@@ -95,6 +99,35 @@ class TestProjective:
             report = loop_structure(projective_graph(n))
             assert all(c == 1 for c in report.loops_per_vertex.values())
             assert report.loops_removed_acyclic
+
+
+EDGE_COUNTS = (
+    (sphere_odd_graph, lambda n: n * (n + 1) // 2, 1414),
+    (sphere_even_graph, lambda n: n * (n + 1) // 2 + 2 * n, 1412),
+    (projective_graph, lambda n: (n + 2) * (n + 1) * n // 6, 181),
+)
+
+
+class TestEdgeLimit:
+    @pytest.mark.parametrize("make, count, _", EDGE_COUNTS)
+    def test_closed_form_counts(self, make, count, _):
+        for n in range(1, 8):
+            assert len(make(n).edges) == count(n)
+
+    @pytest.mark.parametrize("make, count, above", EDGE_COUNTS)
+    def test_first_n_above_the_limit_is_refused(self, make, count, above):
+        assert count(above - 1) <= MAX_EDGES < count(above)
+        start = time.perf_counter()
+        with pytest.raises(GraphError, match=f"{count(above)} edges"):
+            make(above)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("family", ["sphere-odd", "sphere-even", "projective"])
+    def test_cli_refuses_huge_n(self, family, capsys):
+        start = time.perf_counter()
+        assert cli.run(["graph", "make", family, "--n", "100000000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "MAX_EDGES" in capsys.readouterr().err
 
 
 class TestLensParams:

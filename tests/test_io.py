@@ -178,6 +178,17 @@ class TestSpectrumCodec:
         doc = spectrum_to_dict(classify(sphere_odd_graph(2)))
         assert doc == {"class": "loop-graph", "circles": ["1", "2"], "points": []}
 
+    def test_by_analogy_round_trip(self):
+        g = sphere_even_graph(2)
+        desc = classify(Graph(g.vertices, g.edges[:-1]))  # less one source edge
+        doc = spectrum_to_dict(desc)
+        assert doc["by_analogy"] is True
+        assert spectrum_from_dict(doc) == desc
+
+    def test_by_analogy_must_be_boolean(self):
+        with pytest.raises(CodecError, match="/by_analogy: expected boolean"):
+            spectrum_from_dict({"class": "x", "circles": [], "points": [], "by_analogy": 1})
+
     def test_bad_point_entry_located(self):
         with pytest.raises(CodecError, match="/points/0: expected string"):
             spectrum_from_dict({"class": "x", "circles": [], "points": [1]})

@@ -24,11 +24,13 @@ from graphlift import (
     direct_sum,
     embed_vector,
     generator_matrices,
+    intertwiner_space,
     isolated_module,
     lens_graph_coprime,
     lift,
     lift_intertwiner,
     one_dim_module,
+    opposite,
     path_operator,
     projective_graph,
     random_module,
@@ -553,7 +555,7 @@ class TestFunctoriality:
         m = random_module(g, {"1": 2, "2": 1}, 5)
         t = lift(m, 2)
         theta = {v: np.eye(m.dims[v]) for v in g.vertices}
-        assert np.array_equal(lift_intertwiner(theta, t, t), np.eye(t.dimension))
+        assert np.array_equal(lift_intertwiner(theta, t, t).toarray(), np.eye(t.dimension))
 
     def test_lifted_map_commutes_with_generators(self):
         g = sphere_odd_graph(2)
@@ -565,8 +567,8 @@ class TestFunctoriality:
             v: np.eye(s.dims[v], dtype=complex) * (1.5 - 0.5j) for v in g.vertices
         }
         for k in range(3):
-            low = lift_intertwiner(theta, ts, ts, level=k)
-            high = lift_intertwiner(theta, ts, ts, level=k + 1)
+            low = lift_intertwiner(theta, ts, ts, level=k).toarray()
+            high = lift_intertwiner(theta, ts, ts, level=k + 1).toarray()
             for e in g.edges:
                 mat = ts.edge_matrix(e.id, k)
                 assert np.allclose(high @ mat, mat @ low, atol=1e-12)
@@ -578,7 +580,7 @@ class TestFunctoriality:
         a = random_module(g, {"1": 2, "2": 1}, 30)
         ta = lift(a, 2)
         theta = {v: 2.0 * np.eye(a.dims[v]) for v in g.vertices}
-        mat = lift_intertwiner(theta, ta, ta)
+        mat = lift_intertwiner(theta, ta, ta).toarray()
         assert np.allclose(mat, 2.0 * np.eye(ta.dimension))
 
     def test_zero_map_lifts_to_zero(self):
@@ -586,7 +588,7 @@ class TestFunctoriality:
         a = random_module(g, {"1": 1, "2": 1}, 1)
         b = random_module(g, {"1": 2, "2": 2}, 2)
         theta = {v: np.zeros((b.dims[v], a.dims[v])) for v in g.vertices}
-        mat = lift_intertwiner(theta, lift(a, 2), lift(b, 2))
+        mat = lift_intertwiner(theta, lift(a, 2), lift(b, 2)).toarray()
         assert not mat.any()
 
     def test_non_intertwiner_rejected(self):
@@ -609,7 +611,7 @@ class TestFunctoriality:
         for m in range(4):
             ta, ts = lift(a, m), lift(s, m)
             for theta, source, target in ((into, ta, ts), (back, ts, ta)):
-                got = lift_intertwiner(theta, source, target)
+                got = lift_intertwiner(theta, source, target).toarray()
                 rows = {}
                 for i, (p, _) in enumerate(target.basis_at(m)):
                     rows.setdefault((p.edges, p.base), i)
@@ -627,6 +629,106 @@ class TestFunctoriality:
         theta = {v: np.eye(1) for v in g.vertices}
         with pytest.raises(LiftError, match="different levels"):
             lift_intertwiner(theta, lift(a, 1), lift(a, 2))
+
+
+    def test_wide_lens_identity_stays_sparse(self):
+        # a dense 12,700 x 12,700 complex matrix would take about 2.6 GB
+        g = lens_graph_coprime(LensParams(5, 5, (1, 1, 1, 1, 1)))
+        m = random_module(g, {v: 2 for v in g.vertices}, 1)
+        t = lift(m, 3)
+        x = np.random.default_rng(0).standard_normal(t.dimension) + 0j
+        theta = {v: np.eye(2) for v in g.vertices}
+        tracemalloc.start()
+        try:
+            got = lift_intertwiner(theta, t, t).apply(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.dimension == 12_700
+        assert peak < 16 * 2**20
+        assert np.array_equal(got, x)
+
+
+def _random_intertwiner(space, rng) -> dict:
+    coeff = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(space.dimension)
+    return {v: sum(c * b[v] for c, b in zip(coeff, space.basis))
+            for v in space.source.graph.vertices}
+
+
+def _scatter(trunc, edge_id: str, k: int, x: np.ndarray) -> np.ndarray:
+    """E_e x for x in W_k, through the stored edge images."""
+    out = np.zeros(trunc.dimension_at(k + 1), dtype=np.complex128)
+    source = trunc.module.graph.edge_by_id[edge_id].source
+    np.add.at(out, trunc.edge_images(edge_id, k), x[trunc.block(source, k)])
+    return out
+
+
+class TestFunctorLaws:
+    """The lift as a functor on random modules over supported graphs."""
+
+    @staticmethod
+    def _module(graph, seed):
+        dims = random_feasible_dims(graph, np.random.default_rng(seed), hi=2)
+        return random_module(graph, dims, seed)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(graph=supported_graphs(), seed=st.integers(0, 2**16), level=st.integers(0, 3))
+    def test_identity_lifts_to_identity(self, graph, seed, level):
+        module = self._module(graph, seed)
+        t = lift(module, level)
+        theta = {v: np.eye(module.dims[v]) for v in graph.vertices}
+        rng = np.random.default_rng(seed)
+        for k in range(level + 2):
+            got = lift_intertwiner(theta, t, t, level=k)
+            n = t.dimension_at(k)
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert got.shape == (n, n)
+            assert np.array_equal(got.apply(x), x), k
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(graph=supported_graphs(), seed=st.integers(0, 2**16), level=st.integers(0, 3))
+    def test_composition_and_commutation(self, graph, seed, level):
+        a = self._module(graph, seed)
+        s = direct_sum(a, a)
+        rng = np.random.default_rng(seed)
+        space = intertwiner_space(s, s)
+        psi, theta = _random_intertwiner(space, rng), _random_intertwiner(space, rng)
+        both = {v: psi[v] @ theta[v] for v in graph.vertices}
+        t = lift(s, level)
+        lifted = [lift_intertwiner(theta, t, t, level=k) for k in range(level + 2)]
+        for k in range(level + 2):
+            n = t.dimension_at(k)
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            up = lifted[k].apply(x)
+            got = lift_intertwiner(both, t, t, level=k).apply(x)
+            assert np.allclose(got, lift_intertwiner(psi, t, t, level=k).apply(up),
+                               rtol=0, atol=1e-10), k
+            if k > level:
+                continue
+            for e in graph.edges:
+                assert np.allclose(lifted[k + 1].apply(_scatter(t, e.id, k, x)),
+                                   _scatter(t, e.id, k, up), rtol=0, atol=1e-10), (k, e.id)
+            emb = t.embed_map(k)
+            assert np.allclose(lifted[k + 1].apply(emb.apply(x)), emb.apply(up),
+                               rtol=0, atol=1e-10), k
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(graph=supported_graphs(), seed=st.integers(0, 2**16), level=st.integers(0, 3))
+    def test_validity_is_embedding_isometry(self, graph, seed, level):
+        module = self._module(graph, seed)
+        live = [e.id for e in graph.edges if module.dims[e.source] and module.dims[e.range]]
+        cases = [(module, True)]
+        if live:
+            cases.append((perturb_edge(module, live[seed % len(live)], 1e-3), False))
+        for m, valid in cases:
+            report = ck_residuals(lift(m, level, validate=False))
+            assert validate_module(m).passed == valid
+            assert all(r <= 1e-9 for r in report.embed_isometry.values()) == valid
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(graph=supported_graphs())
+    def test_opposite_is_an_involution(self, graph):
+        assert opposite(opposite(graph)) == graph
 
 
 class TestAdditivity:

@@ -1,6 +1,7 @@
 """Spectrum classification and representative modules."""
 
 import cmath
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,7 @@ from graphlift import (
     sphere_odd_graph,
     validate_module,
 )
+from graphlift import cli, io, spectrum
 
 from helpers import one_dim_components, relabel_graph
 
@@ -248,3 +250,33 @@ class TestRepresentatives:
             representative_module(g, "1")
         with pytest.raises(SpectrumError, match="is an isolated point and takes no phase"):
             representative_module(g, "4", 1j)
+
+
+class TestOnePass:
+    """Each classification computes the loop structure and the even-sphere
+    certificate once."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = Counter()
+        for name in ("loop_structure", "_even_sphere_shaped"):
+            def counted(*args, _fn=getattr(spectrum, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(spectrum, name, counted)
+        return counts
+
+    def test_classify(self, counts):
+        assert classify(sphere_even_graph(3)).by_analogy is False
+        assert counts == {"loop_structure": 1, "_even_sphere_shaped": 1}
+
+    @pytest.mark.parametrize("args", [("classify", "{}"), ("classify", "{}", "--format", "json"),
+                                      ("spectrum", "module", "{}", "--vertex", "4")])
+    def test_cli(self, counts, tmp_path, capsys, args):
+        path = str(tmp_path / "g.json")
+        g = sphere_even_graph(3)  # less one source edge: classified by analogy
+        io.write_json(path, io.graph_to_dict(Graph(g.vertices, g.edges[:-1])))
+        assert cli.run([a.format(path) for a in args]) == 0
+        assert counts == {"loop_structure": 1, "_even_sphere_shaped": 1}
+        if "json" in args:
+            assert '"by_analogy": true' in capsys.readouterr().out
