@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .graphs import Edge, Graph, GraphError, loop_structure, power_graph, skew_product
+from .graphs import Edge, Graph, GraphError, loop_structure, power_graph
 
 # Largest edge count the sphere and projective builders accept. The count is
 # known from n before anything is built, so a size a user types ends in a
@@ -101,36 +101,79 @@ def require_coprime(params: LensParams) -> None:
         raise GraphError(f"weights must be coprime to p: {detail}")
 
 
-def _level_of(skew_vertex: str) -> int:
-    return int(skew_vertex.rsplit("@", 1)[1])
+def _admissible_count(params: LensParams, cap: int) -> int:
+    """The number of admissible paths, so of lens edges, saturated at `cap`,
+    from one pass over the (vertex, level) states; nothing is enumerated.
+
+    A state (j, l) with l != 0 is the end of a path that must go on. Its
+    completions take one base edge j -> k (k >= j) to level l' = l + steps[j]:
+    landing on level 0 closes the path (one completion), elsewhere the path
+    goes on from (k, l'). As steps[j] is coprime to p, the loop at j walks
+    every level, -steps[j], -2 steps[j], ... up to 0, so the states at j are
+    settled in that order from the counts of the vertices above j. A path out of (i, 0) is counted
+    as its first edge, an admissible path on its own, plus its completions,
+    less the one completion that returns to the start (loops at i only).
+    """
+    n, p = params.n, params.p
+    # an edge out of vertex j (0-based) at level l lands at l + steps[j] mod p
+    steps = [w % p for w in params.weights]
+    total = 0
+    # above[l]: completions summed over the vertices k above j on landing at
+    # level l, where landing on level 0 is one completion
+    above = [0] * p
+    for j in reversed(range(n)):
+        step = steps[j]
+        # here[l]: the same on landing at (j, l)
+        here = [1] + [0] * (p - 1)
+        level = 0
+        for _ in range(p - 1):
+            below = (level - step) % p
+            here[below] = min(cap, above[level] + here[level])
+            level = below
+        # out of (j, 0): the loop, whose own path stands in for its one
+        # completion back to the start, and each edge to k > j as a path
+        # plus its completions
+        total = min(cap, total + here[step] + (n - 1 - j) + above[step])
+        above = [min(cap, a + h) for a, h in zip(above, here)]
+    return total
 
 
-def _base_of(skew_vertex: str) -> str:
-    return skew_vertex.rsplit("@", 1)[0]
+def _admissible_paths(params: LensParams, i: int) -> list[tuple[str, int]]:
+    """Admissible leveled paths out of (i, 0), each as its lens edge id and
+    the 0-based base vertex it ends on; `lens_graph_coprime` states the rule.
 
-
-def _admissible_paths_from(skew: Graph, i: str) -> list[tuple[str, ...]]:
-    """Admissible leveled paths out of (i, 0), as edge-id tuples in traversal
-    order; `lens_graph_coprime` states the rule."""
-    start = f"{i}@0"
-    found: list[tuple[str, ...]] = []
-
-    def extend(at: str, acc: list[str], blocked: set[str]) -> None:
-        for e in skew.out_edges(at):
-            head = e.range
-            if head in blocked:
+    A depth-first walk over integer (vertex, level) states: one flag per
+    state marks the current path, set on entry and cleared on backtracking,
+    and an explicit stack keeps deep paths off the Python call stack."""
+    n, p = params.n, params.p
+    steps = [w % p for w in params.weights]
+    out = [[(k, _pair_id(k + 1, j + 1)) for k in range(j, n)] for j in range(n)]
+    on_path = bytearray(n * p)
+    on_path[i * p] = 1
+    ids: list[str] = []  # leveled edge ids of the current path
+    found = []
+    stack = [(i, 0, iter(out[i]))]
+    while stack:
+        j, at, edges = stack[-1]
+        level = (at + steps[j]) % p
+        for k, eid in edges:
+            if on_path[k * p + level]:
                 continue
-            acc.append(e.id)
-            if len(acc) == 1:
-                found.append(tuple(acc))  # single-edge paths are always admissible
-                extend(head, acc, blocked | {head})
-            elif _level_of(head) == 0:
-                found.append(tuple(acc))  # closing edge; nothing may follow it
-            else:
-                extend(head, acc, blocked | {head})
-            acc.pop()
-
-    extend(start, [], {start})
+            ids.append(f"{eid}@{level}")
+            if len(ids) == 1:
+                found.append((ids[0], k))  # single-edge paths are always admissible
+            elif level == 0:
+                found.append((".".join(reversed(ids)), k))  # closing edge
+                ids.pop()  # nothing may follow it
+                continue
+            on_path[k * p + level] = 1
+            stack.append((k, level, iter(out[k])))
+            break
+        else:
+            stack.pop()
+            if stack:
+                on_path[j * p + at] = 0
+                ids.pop()
     return found
 
 
@@ -143,20 +186,24 @@ def lens_graph_coprime(params: LensParams) -> Graph:
     a single edge, or when only its final edge returns to level 0; no path
     revisits a leveled vertex, its start included, so every vertex keeps
     exactly one loop.
+
+    The leveled sphere (`skew_product` of the odd sphere) has p n(n+1)/2
+    edges, and the admissible paths are counted before any is enumerated: a
+    GraphError refuses either count above MAX_EDGES, so a size a user types
+    never runs out of time or memory.
     """
     require_coprime(params)
-    base = sphere_odd_graph(params.n)
-    weights = {str(i + 1): params.weights[i] for i in range(params.n)}
-    skew = skew_product(base, params.p, weights)
-    vertices = base.vertices
-    index = {v: k for k, v in enumerate(vertices)}
-    edges = []
-    for i in vertices:
-        for ids in _admissible_paths_from(skew, i):
-            target = _base_of(skew.edge_by_id[ids[-1]].range)
-            edges.append(Edge(".".join(reversed(ids)), i, target))
-    edges.sort(key=lambda e: (index[e.source], index[e.range], e.id))
-    return Graph(vertices, tuple(edges))
+    n, p = params.n, params.p
+    leveled = p * n * (n + 1) // 2
+    if leveled > MAX_EDGES:
+        raise GraphError(f"lens graph with n={n}, p={p} needs a leveled sphere of "
+                         f"{leveled} edges, more than MAX_EDGES={MAX_EDGES}")
+    if _admissible_count(params, MAX_EDGES + 1) > MAX_EDGES:
+        raise GraphError(f"lens graph with n={n}, p={p} has more than "
+                         f"MAX_EDGES={MAX_EDGES} edges")
+    vertices = tuple(str(i) for i in range(1, n + 1))
+    found = sorted((i, k, eid) for i in range(n) for eid, k in _admissible_paths(params, i))
+    return Graph(vertices, tuple(Edge(eid, vertices[i], vertices[k]) for i, k, eid in found))
 
 
 def lens_edge_provenance(edge_id: str) -> list[str]:

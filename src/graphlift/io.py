@@ -304,26 +304,39 @@ _LEAF = {
 }
 
 
+def _strings(obj: list, pad: str) -> str:
+    """The JSON text of obj, a list of exact strs, on a line indented by pad."""
+    if not obj:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(map(_ESCAPE, obj)) + pad + "]"
+
+
 def _records(obj, pad: str) -> str | None:
     """The JSON text of obj, a list of exact dicts, written column by column,
     when they all have the same str keys in the same order and each key's
-    values are of one exact leaf type; None otherwise."""
+    values are of one exact leaf type, or are all exact lists of exact strs
+    (as lens provenance is); None otherwise."""
     shapes = set(map(tuple, obj))
     if len(shapes) != 1:
         return None
     (keys,) = shapes
     if not keys or not all(isinstance(key, str) for key in keys):
         return None
+    inner = pad + "  "
+    field = "," + inner + "  "
     columns = []
     for key in keys:
         column = list(map(itemgetter(key), obj))
         kinds = set(map(type, column))
-        leaf = _LEAF.get(kinds.pop()) if len(kinds) == 1 else None
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is list and all(set(map(type, value)) <= {str} for value in column):
+            columns.append([_strings(value, field[1:]) for value in column])
+            continue
+        leaf = _LEAF.get(kind)
         if leaf is None:
             return None
         columns.append(map(leaf, column))
-    inner = pad + "  "
-    field = "," + inner + "  "
     # pad is a newline and spaces, so only the keys can hold a %
     names = [_ESCAPE(key).replace("%", "%%") + ": %s" for key in keys]
     record = "{" + field[1:] + field.join(names) + inner + "}"
@@ -344,6 +357,9 @@ def _encode(obj, pad: str, parts: list) -> None:
         kinds = set(map(type, obj))
         if kinds == {int}:
             parts += ("[", inner, ("," + inner).join(map(int.__repr__, obj)), pad, "]")
+            return
+        if kinds == {str}:
+            parts.append(_strings(obj, pad))
             return
         if kinds == {dict}:
             text = _records(obj, pad)
@@ -394,9 +410,10 @@ def dumps_json(doc) -> str:
     document has one.
 
     A list of flat records (exact dicts with the same str keys in the same
-    order, each key's values of one exact leaf type, as in lift bases and
-    graph edges) is written column by column through one per-record
-    template; the bytes are the same as on the general path."""
+    order, each key's values of one exact leaf type or all lists of strs, as
+    in lift bases and graph edges) is written column by column through one
+    per-record template, and a list of strs in one join; the bytes are the
+    same as on the general path."""
     return "".join(_json_parts(doc))
 
 

@@ -252,22 +252,31 @@ def _graded_nullspace(graph: Graph, dims_s: dict[str, int], dims_t: dict[str, in
     """Nullspace of theta_head a = b theta_tail, one equation per relation
     (head, tail, a, b), over graded maps theta with blocks theta_v of shape
     dims_t[v] x dims_s[v], each flattened row-major and stacked in vertex
-    order. Returns the nullspace columns and each vertex's column slice."""
+    order. Returns the nullspace columns and each vertex's column slice.
+
+    Relation (head, tail, a, b) owns dims_t[head] * dims_s[tail] rows of one
+    zeroed system. Its two terms, the Kronecker products I (x) a^T and
+    b (x) I, are broadcast products of the same operands in the same order,
+    added into those rows in place; so no per-relation rows x cols block is
+    formed, and every entry is bitwise the one a Kronecker product call gives."""
     span = {}
     cols = 0
     for v in graph.vertices:
         span[v] = slice(cols, cols + dims_t[v] * dims_s[v])
         cols = span[v].stop
-    blocks = []
-    for head, tail, a, b in relations:
-        rows = dims_t[head] * dims_s[tail]
-        if rows == 0:
-            continue
-        block = np.zeros((rows, cols), dtype=np.complex128)
-        block[:, span[head]] += np.kron(np.eye(dims_t[head]), a.T)
-        block[:, span[tail]] -= np.kron(b, np.eye(dims_s[tail]))
-        blocks.append(block)
-    system = np.vstack(blocks) if blocks else np.zeros((0, cols), dtype=np.complex128)
+    heights = [dims_t[head] * dims_s[tail] for head, tail, _, _ in relations]
+    system = np.zeros((sum(heights), cols), dtype=np.complex128)
+    # every identity the products need is a corner of this one
+    eye = np.eye(max([*dims_s.values(), *dims_t.values()], default=0))
+    at = 0
+    for (head, tail, a, b), h in zip(relations, heights):
+        m, n = dims_t[head], dims_s[tail]
+        rows = system[at : at + h]
+        rows[:, span[head]] += (
+            eye[:m, None, :m, None] * a.T[None, :, None, :]).reshape(h, m * a.shape[0])
+        rows[:, span[tail]] -= (
+            b[:, None, :, None] * eye[None, :n, None, :n]).reshape(h, b.shape[1] * n)
+        at += h
     return _nullspace(system), span
 
 
@@ -290,7 +299,8 @@ def intertwiner_space(source: PythagoreanModule, target: PythagoreanModule) -> I
     Commuting with the vertex projections makes a map block diagonal, so the
     unknowns are the graded blocks theta_v alone: the sum over vertices of
     target x source fiber dimensions, not the square of the total fiber. The
-    stacked per-edge equations are solved by SVD."""
+    per-edge equations fill their rows of one graded system in place
+    (`_graded_nullspace`), which is solved by SVD."""
     if source.graph != target.graph:
         raise ModuleError("modules live on different graphs")
     g = source.graph

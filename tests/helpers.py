@@ -9,11 +9,14 @@ from graphlift import (
     CkReport,
     Edge,
     Graph,
+    LensParams,
     PythagoreanModule,
     TruncatedLift,
     maximal_paths,
+    skew_product,
     sphere_odd_graph,
 )
+from graphlift import modules
 from graphlift.io import lift_to_dict
 
 
@@ -112,6 +115,37 @@ def dense_commutant_dim(module: PythagoreanModule) -> int:
     ]
     s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
     return d * d - int(np.sum(s > _SPAN_TOL * max(1.0, s[0])))
+
+
+def kron_graded_system(graph: Graph, dims_s: dict[str, int], dims_t: dict[str, int],
+                       relations) -> tuple[np.ndarray, dict[str, slice]]:
+    """Reference only: the system `modules._graded_nullspace` solves, and
+    each vertex's column slice, built one zeroed rows x cols block per
+    relation, its two terms written by np.kron with fresh identities, the
+    blocks joined by np.vstack."""
+    span = {}
+    cols = 0
+    for v in graph.vertices:
+        span[v] = slice(cols, cols + dims_t[v] * dims_s[v])
+        cols = span[v].stop
+    blocks = []
+    for head, tail, a, b in relations:
+        rows = dims_t[head] * dims_s[tail]
+        if rows == 0:
+            continue
+        block = np.zeros((rows, cols), dtype=np.complex128)
+        block[:, span[head]] += np.kron(np.eye(dims_t[head]), a.T)
+        block[:, span[tail]] -= np.kron(b, np.eye(dims_s[tail]))
+        blocks.append(block)
+    system = np.vstack(blocks) if blocks else np.zeros((0, cols), dtype=np.complex128)
+    return system, span
+
+
+def kron_graded_nullspace(graph: Graph, dims_s: dict[str, int], dims_t: dict[str, int],
+                          relations) -> tuple[np.ndarray, dict[str, slice]]:
+    """Reference only: `modules._graded_nullspace` on `kron_graded_system`."""
+    system, span = kron_graded_system(graph, dims_s, dims_t, relations)
+    return modules._nullspace(system), span
 
 
 def dense_ck_residuals(trunc: TruncatedLift) -> CkReport:
@@ -357,3 +391,45 @@ def supported_graphs(draw):
     edges = [Edge(str(label), names[i], names[j])
              for label, (i, j) in zip(ids, pairs)]
     return Graph(tuple(names), tuple(draw(st.permutations(edges))))
+
+
+def reference_lens_graph(params: LensParams) -> Graph:
+    """Reference only: the lens graph by a recursive DFS over the string
+    vertices of the built skew product, copying the blocked set per step."""
+    base = sphere_odd_graph(params.n)
+    weights = {str(i + 1): params.weights[i] for i in range(params.n)}
+    skew = skew_product(base, params.p, weights)
+
+    def level_of(vertex: str) -> int:
+        return int(vertex.rsplit("@", 1)[1])
+
+    def paths_from(i: str) -> list[tuple[str, ...]]:
+        start = f"{i}@0"
+        found: list[tuple[str, ...]] = []
+
+        def extend(at: str, acc: list[str], blocked: set[str]) -> None:
+            for e in skew.out_edges(at):
+                head = e.range
+                if head in blocked:
+                    continue
+                acc.append(e.id)
+                if len(acc) == 1:
+                    found.append(tuple(acc))
+                    extend(head, acc, blocked | {head})
+                elif level_of(head) == 0:
+                    found.append(tuple(acc))
+                else:
+                    extend(head, acc, blocked | {head})
+                acc.pop()
+
+        extend(start, [], {start})
+        return found
+
+    index = {v: k for k, v in enumerate(base.vertices)}
+    edges = []
+    for i in base.vertices:
+        for ids in paths_from(i):
+            target = skew.edge_by_id[ids[-1]].range.rsplit("@", 1)[0]
+            edges.append(Edge(".".join(reversed(ids)), i, target))
+    edges.sort(key=lambda e: (index[e.source], index[e.range], e.id))
+    return Graph(base.vertices, tuple(edges))

@@ -1,6 +1,8 @@
 """Family constructors and their structural validators."""
 
+import itertools
 import time
+from math import gcd
 
 import pytest
 
@@ -20,7 +22,8 @@ from graphlift import (
     validate_quantum_graph,
 )
 from graphlift import cli
-from graphlift.families import MAX_EDGES
+from graphlift.families import MAX_EDGES, _admissible_count, _admissible_paths
+from helpers import reference_lens_graph
 
 LENS_CASES = (
     LensParams(2, 3, (1, 1)),
@@ -201,6 +204,58 @@ class TestLensGraph:
     def test_deterministic(self):
         for params in LENS_CASES:
             assert lens_graph_coprime(params) == lens_graph_coprime(params)
+
+
+class TestLensSize:
+    def test_count_matches_enumeration(self):
+        # every coprime weight tuple (weights mod p) with n <= 4 and p <= 7
+        for p in range(2, 8):
+            units = [w for w in range(1, p) if gcd(w, p) == 1]
+            for n in range(1, 5):
+                for weights in itertools.product(units, repeat=n):
+                    params = LensParams(n, p, weights)
+                    found = sum(len(_admissible_paths(params, i)) for i in range(n))
+                    assert _admissible_count(params, 10**12) == found, params
+
+    @pytest.mark.parametrize("n, p, count", [(4, 50, 24_810), (16, 5, 54_384),
+                                             (4, 200, 1_394_210), (6, 50, 3_819_831)])
+    def test_count_of_wide_lenses(self, n, p, count):
+        params = LensParams(n, p, (1,) * n)
+        assert _admissible_count(params, 10**12) == count
+        assert _admissible_count(params, MAX_EDGES + 1) == min(count, MAX_EDGES + 1)
+
+    @pytest.mark.parametrize("params", LENS_CASES + (
+        LensParams(1, 2, (1,)),
+        LensParams(3, 5, (1, 2, 3)),
+        LensParams(4, 7, (1, 3, 5, 2)),
+        LensParams(5, 7, (1, 1, 1, 1, 1)),
+        LensParams(3, 4, (5, 7, 9)),  # weights above p
+    ), ids=str)
+    def test_matches_reference_enumeration(self, params):
+        # dataclass equality: the same vertices and edges in the same order
+        assert lens_graph_coprime(params) == reference_lens_graph(params)
+
+    def test_long_loop_chains_enumerate(self):
+        # the loop chain at the start walks p - 1 levels before it is blocked
+        g = lens_graph_coprime(LensParams(1, 5000, (1,)))
+        assert [e.id for e in g.edges] == ["11@1"]
+
+    @pytest.mark.parametrize("n, p", [(4, 200), (6, 50)])
+    def test_cli_refuses_too_many_paths(self, n, p, capsys):
+        start = time.perf_counter()
+        weights = ",".join(["1"] * n)
+        argv = ["graph", "make", "lens", "--n", str(n), "--p", str(p), "--weights", weights]
+        assert cli.run(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "more than MAX_EDGES" in capsys.readouterr().err
+
+    def test_leveled_sphere_above_the_limit_is_refused(self):
+        start = time.perf_counter()
+        with pytest.raises(GraphError, match="of 1000001 edges"):
+            lens_graph_coprime(LensParams(1, MAX_EDGES + 1, (1,)))
+        with pytest.raises(GraphError, match="of 1000002 edges"):
+            lens_graph_coprime(LensParams(2, 333_334, (1, 1)))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestValidator:

@@ -444,7 +444,8 @@ _LEAVES = st.one_of(
 )
 _INT_LISTS = st.lists(st.one_of(st.integers(), _LEAVES), max_size=6)
 _DOCS = st.recursive(
-    st.one_of(_LEAVES, _INT_LISTS, st.lists(st.integers(), max_size=6)),
+    st.one_of(_LEAVES, _INT_LISTS, st.lists(st.integers(), max_size=6),
+              st.lists(_STRINGS, max_size=6)),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -480,6 +481,8 @@ _COLUMNS = (
     _STRINGS.map(_Text),
     st.integers().map(_Count),
     _INT_LISTS,
+    st.lists(_STRINGS, max_size=4),
+    st.lists(st.one_of(_STRINGS, _STRINGS.map(_Text)), max_size=3),
     st.just({}),
 )
 
@@ -564,11 +567,22 @@ class TestEncoder:
         text = io._records(records, "\n")
         assert text == json.dumps(records, indent=2)
 
+    def test_string_list_columns_are_written_by_column(self):
+        records = [{"id": "a", "provenance": ["x%s", "\u00e9", '"']},
+                   {"id": "b", "provenance": []}]
+        for pad in ("\n", "\n    "):
+            text = io._records(records, pad)
+            assert text == json.dumps(records, indent=2).replace("\n", pad)
+
     @pytest.mark.parametrize("records", [
         [{"a": 1}, {"a": True}],
         [{"a": 1}, {"a": 1.0}],
         [{"a": "x"}, {"a": None}],
         [{"a": [1]}, {"a": [2]}],
+        [{"a": ["x"]}, {"a": [1]}],
+        [{"a": ["x"]}, {"a": [_Text("y")]}],
+        [{"a": ["x"]}, {"a": ("y",)}],
+        [{"a": ["x"]}, {"a": [["y"]]}],
         [{"a": {}}, {"a": {"b": 1}}],
         [{"a": np.float64(0.5)}, {"a": np.float64(1.5)}],
         [{"a": _Text("x")}, {"a": _Text("y")}],
@@ -577,7 +591,8 @@ class TestEncoder:
         [{"a": 1}, {"b": 1}],
         [{"a": 1}, {"a": 1, "b": 2}],
         [{}, {}],
-    ], ids=["int-bool", "int-float", "str-none", "nested-list", "nested-dict",
+    ], ids=["int-bool", "int-float", "str-none", "nested-list", "str-int-lists",
+            "str-subclass-list", "list-tuple", "nested-str-list", "nested-dict",
             "np-float64", "str-subclass", "int-subclass", "key-order", "key-names",
             "key-count", "empty-dicts"])
     def test_record_fallbacks(self, records):

@@ -14,6 +14,7 @@ from graphlift import (
     UNDETERMINED,
     Edge,
     Graph,
+    LensParams,
     ModuleError,
     Path,
     PythagoreanModule,
@@ -23,8 +24,10 @@ from graphlift import (
     is_indecomposable,
     is_irreducible,
     isolated_module,
+    lens_graph_coprime,
     one_dim_module,
     path_operator,
+    projective_graph,
     random_module,
     sphere_even_graph,
     sphere_odd_graph,
@@ -34,6 +37,8 @@ from graphlift import (
 from graphlift import modules
 from helpers import (
     dense_commutant_dim,
+    kron_graded_nullspace,
+    kron_graded_system,
     orbit_span_dim,
     overflow_module,
     perturb_edge,
@@ -672,3 +677,104 @@ class TestEquivalence:
         result = are_equivalent(s, unitary_conjugate(s, 5))
         assert result.verdict == UNDETERMINED
         assert result.certificate is None
+
+
+# entries whose products with 0.0 and 1.0 carry signed zeros and extremes
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.75, 1e-300, -1e300, 3.0e7])
+
+
+@st.composite
+def _relation_sets(draw):
+    """A graph with up to 3 vertices, fibers 0..3 on each side (so zero
+    fibers and rectangular blocks), and up to 6 relations whose head and
+    tail are drawn independently, loops (head == tail) included."""
+    n = draw(st.integers(1, 3))
+    graph = Graph(tuple(f"v{i}" for i in range(n)), ())
+    dims_s = {v: draw(st.integers(0, 3)) for v in graph.vertices}
+    dims_t = {v: draw(st.integers(0, 3)) for v in graph.vertices}
+
+    def block(rows, cols):
+        re = draw(st.lists(_ENTRIES, min_size=rows * cols, max_size=rows * cols))
+        im = draw(st.lists(_ENTRIES, min_size=rows * cols, max_size=rows * cols))
+        return (np.array(re) + 1j * np.array(im)).reshape(rows, cols)
+
+    relations = []
+    for _ in range(draw(st.integers(0, 6))):
+        head = draw(st.sampled_from(graph.vertices))
+        tail = draw(st.sampled_from(graph.vertices))
+        relations.append((head, tail, block(dims_s[head], dims_s[tail]),
+                          block(dims_t[head], dims_t[tail])))
+    return graph, dims_s, dims_t, relations
+
+
+def _pinned_cases() -> list[tuple[str, PythagoreanModule, PythagoreanModule]]:
+    """(name, module, unitary conjugate) over four families, fiber d at every
+    vertex with d in 1..3, two seeds each."""
+    graphs = {
+        "odd3": sphere_odd_graph(3),
+        "even2": sphere_even_graph(2),
+        "proj2": projective_graph(2),
+        "lens2": lens_graph_coprime(LensParams(2, 3, (1, 1))),
+    }
+    cases = []
+    for name, g in graphs.items():
+        for d in (1, 2, 3):
+            for seed in (1, 2):
+                m = random_module(g, {v: d for v in g.vertices}, seed)
+                cases.append((f"{name}-d{d}-seed{seed}", m, unitary_conjugate(m, 50 + seed)))
+    return cases
+
+
+PINNED_CASES = _pinned_cases()
+
+
+def _all_bytes(result) -> list:
+    """Every array of a verdict run, as bytes, plus the plain values."""
+    space, indecomposable, equivalence = result
+    return ([{v: b.tobytes() for v, b in theta.items()} for theta in space.basis]
+            + [indecomposable, equivalence.verdict]
+            + [{v: t.tobytes() for v, t in (equivalence.certificate or {}).items()}])
+
+
+def _assembled_system(graph, dims_s, dims_t, relations) -> np.ndarray:
+    """The system `_graded_nullspace` hands to `_nullspace`."""
+    seen = []
+    original = modules._nullspace
+    modules._nullspace = lambda system: seen.append(system) or original(system)
+    try:
+        modules._graded_nullspace(graph, dims_s, dims_t, relations)
+    finally:
+        modules._nullspace = original
+    (system,) = seen
+    return system
+
+
+class TestGradedSystemOracle:
+    """The graded system is bitwise the one the np.kron/np.vstack assembly
+    (`helpers.kron_graded_system`) gives, and so is everything solved from it."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_relation_sets())
+    def test_system_is_bitwise_the_kron_assembly(self, case):
+        graph, dims_s, dims_t, relations = case
+        system = _assembled_system(graph, dims_s, dims_t, relations)
+        expected, expected_span = kron_graded_system(graph, dims_s, dims_t, relations)
+        assert system.dtype == expected.dtype
+        assert system.shape == expected.shape
+        assert system.tobytes() == expected.tobytes()
+        null, span = modules._graded_nullspace(graph, dims_s, dims_t, relations)
+        assert span == expected_span
+        assert null.tobytes() == modules._nullspace(expected).tobytes()
+
+    @pytest.mark.parametrize("name,module,conjugate", PINNED_CASES,
+                             ids=[name for name, _, _ in PINNED_CASES])
+    def test_verdicts_are_bitwise_the_oracles(self, name, module, conjugate, monkeypatch):
+        def run():
+            return (intertwiner_space(module, conjugate), is_indecomposable(module),
+                    are_equivalent(module, conjugate))
+
+        result = run()
+        monkeypatch.setattr(modules, "_graded_nullspace", kron_graded_nullspace)
+        assert _all_bytes(result) == _all_bytes(run())
+        assert result[0].dimension >= 1
+        assert result[2].verdict == EQUIVALENT
