@@ -142,14 +142,18 @@ def _admissible_paths(params: LensParams, i: int) -> list[tuple[str, int]]:
     """Admissible leveled paths out of (i, 0), each as its lens edge id and
     the 0-based base vertex it ends on; `lens_graph_coprime` states the rule.
 
-    A depth-first walk over integer (vertex, level) states: one flag per
-    state marks the current path, set on entry and cleared on backtracking,
-    and an explicit stack keeps deep paths off the Python call stack."""
+    A depth-first walk over integer (vertex, level) states, with an explicit
+    stack that keeps deep paths off the Python call stack. No edge goes to a
+    lower vertex, and the loop at a vertex walks every level before it
+    repeats one, so a path reaches level 0, where it closes, before it could
+    repeat a state: the only state it can come back to is its start, which
+    it skips. Only the loop leaves the top vertex, and its orbit ends at the
+    start, so that loop is the one path out of it."""
     n, p = params.n, params.p
     steps = [w % p for w in params.weights]
+    if i == n - 1:
+        return [(f"{_pair_id(n, n)}@{steps[i]}", i)]
     out = [[(k, _pair_id(k + 1, j + 1)) for k in range(j, n)] for j in range(n)]
-    on_path = bytearray(n * p)
-    on_path[i * p] = 1
     ids: list[str] = []  # leveled edge ids of the current path
     found = []
     stack = [(i, 0, iter(out[i]))]
@@ -157,7 +161,7 @@ def _admissible_paths(params: LensParams, i: int) -> list[tuple[str, int]]:
         j, at, edges = stack[-1]
         level = (at + steps[j]) % p
         for k, eid in edges:
-            if on_path[k * p + level]:
+            if k == i and level == 0:  # back at the start
                 continue
             ids.append(f"{eid}@{level}")
             if len(ids) == 1:
@@ -166,13 +170,11 @@ def _admissible_paths(params: LensParams, i: int) -> list[tuple[str, int]]:
                 found.append((".".join(reversed(ids)), k))  # closing edge
                 ids.pop()  # nothing may follow it
                 continue
-            on_path[k * p + level] = 1
             stack.append((k, level, iter(out[k])))
             break
         else:
             stack.pop()
             if stack:
-                on_path[j * p + at] = 0
                 ids.pop()
     return found
 

@@ -15,7 +15,7 @@ from operator import itemgetter
 import numpy as np
 
 from .graphs import Edge, Graph, GraphError
-from .lifting import TruncatedLift, lift
+from .lifting import MAX_LEVEL, TruncatedLift, lift
 from .modules import ModuleError, PythagoreanModule
 from .spectrum import SpectrumDescription
 
@@ -227,6 +227,8 @@ def lift_from_dict(doc) -> TruncatedLift:
     level = _need_key(doc, "/", "level")
     if not _is_int(level) or level < 0:
         _fail("/level", "expected a nonnegative integer")
+    if level > MAX_LEVEL:
+        _fail("/level", f"level {level} is above MAX_LEVEL={MAX_LEVEL}")
     return lift(module, level, validate=False)
 
 

@@ -24,10 +24,13 @@ than with dimension squared. The maximal paths of level k+1 at v are e.mu
 for each edge e into v and each level-k path mu at source(e), plus the
 length-0 path at v when v receives no edge, so each level is a path trie
 over the one below: a `PathLevel` of int arrays, a parent path and an edge
-per path, built from the level below in one vectorized step and put in
-basis order by one lexsort. `basis_at` builds `(Path, fiber)` tuples from
-the trie only when asked. Basis order is range-major, so the entries with
-range v form one block of W_k, the slice `block(v, k)`, and P_v keeps it.
+per path, built from the level below in one vectorized step. One lexsort
+puts it in basis order, on the range and a key per path: the rank of the
+parent's traversal sequence in the level below and the appended edge, so
+the work per path does not grow with the level. `basis_at` builds
+`(Path, fiber)` tuples from the trie only when asked. Basis order is
+range-major, so the entries with range v form one block of W_k, the slice
+`block(v, k)`, and P_v keeps it.
 E_e maps the whole block of source(e) and nothing else, since each path has
 a child per out-edge of its range: a level stores just those images, edge by
 edge. `edge_images(e, k)` reads one edge's as they are stored (the index in
@@ -47,12 +50,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Path
-from .modules import PythagoreanModule, _require_tolerance, validate_module
+from .modules import (ModuleError, PythagoreanModule, _as_operator, _require_tolerance,
+                      validate_module)
 
 BasisEntry = tuple[Path, int]
 
 # largest Frobenius gap theta A = B theta that `lift_intertwiner` accepts
 INTERTWINER_TOL = 1e-9
+
+# Largest level `TruncatedLift` accepts. A lift builds every level below
+# its own, and a level can be empty or one path wide, so no size check
+# stops a level a user types; above the limit it ends in a LiftError
+# rather than a run that never returns. At the limit, `lift check` on a
+# module whose levels hold one path each takes seconds.
+MAX_LEVEL = 10_000
 
 
 class LiftError(ValueError):
@@ -134,8 +145,9 @@ class PathLevel(NamedTuple):
     sit at build indices first[i], first[i] + 1, ... of the level above, one
     per out-edge of range[i] in id order. `order` lists the paths in basis
     order (range vertex, then traversed edge ids, a path before its
-    extensions); the fiber entries of path i in W_k start at offset[i], and
-    those of the paths with range v fill the block bounds[v]:bounds[v + 1].
+    extensions), found from the order of the level below; the fiber
+    entries of path i in W_k start at offset[i], and those of the paths
+    with range v fill the block bounds[v]:bounds[v + 1].
     For the level embedding, head[i] is the first traversed edge (-1 at
     length 0), and down[i] the build index of the path of the level below
     that embeds onto path i: at full length k its tail without head[i],
@@ -163,6 +175,8 @@ class TruncatedLift:
     def __init__(self, module: PythagoreanModule, level: int, validate: bool = True):
         if level < 0:
             raise LiftError("level must be nonnegative")
+        if level > MAX_LEVEL:
+            raise LiftError(f"level {level} is above MAX_LEVEL={MAX_LEVEL}")
         if validate:
             report = validate_module(module)
             if not report.passed:
@@ -193,7 +207,6 @@ class TruncatedLift:
         self._root_rows = np.array([[-1] * len(roots), [-1] * len(roots), roots,
                                     roots, [0] * len(roots)], dtype=np.intp)
         self._levels: list[PathLevel] = []
-        self._keys = np.zeros((1, 0), dtype=np.int32)  # sort keys of the last level
         self._paths: dict[int, list[Path]] = {}
         self._images: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._embeds: dict[int, BlockMap] = {}
@@ -215,10 +228,24 @@ class TruncatedLift:
     def _grow(self) -> PathLevel:
         """Build the next level from the last one. Each path of level k+1 is
         an edge e appended to a level-k path mu at source(e), or the
-        length-0 path at a vertex that receives no edge; one lexsort over
-        the traversal-order edge ranks, padded low, gives the basis order.
-        The path that embeds onto e.mu is e appended to the one that embeds
-        onto mu, one level lower."""
+        length-0 path at a vertex that receives no edge. The path that
+        embeds onto e.mu is e appended to the one that embeds onto mu, one
+        level lower.
+
+        Basis order is range, then traversal sequence, a path before its
+        extensions. `_rank` holds the rank of each path's sequence among
+        the paths of the last level, so the order of level k+1 follows from
+        one key per path: rank(mu)·(|E|+1) + rank(e) + 1 for a new path
+        mu.e of length k+1, and rank(S)·(|E|+1) for any other path S, which
+        starts at a vertex that receives no edge and is its own `down` at
+        level k. This is exact. For k >= 1 the parents of new paths all
+        have length k, so distinct parents have distinct sequences and
+        neither is a prefix of the other; at k = 0 every parent is empty
+        and has rank 0, so the edge alone decides. A carried S compares with
+        mu.e as it compares with mu, and when S = mu, S comes first. The
+        length-0 paths of level 1 tie at key 0 and are ranked apart in build
+        order, which no later comparison sees: nothing else ranks between
+        them. Keys stay below paths·(|E|+1), far inside int64."""
         k = len(self._levels) - 1
         if k < 0:
             live = self._fiber.nonzero()[0]
@@ -226,7 +253,7 @@ class TruncatedLift:
             table[[0, 1, 7, 8]] = -1
             table[2] = table[3] = live
             table[4] = 0
-            self._keys = live[None, :].astype(np.int32)
+            self._rank = np.zeros(live.size, dtype=np.intp)  # all sequences empty
             return self._level_from(table, np.arange(live.size))
         low = self._levels[k]
         count = self._out_degree[low.range]
@@ -254,14 +281,13 @@ class TruncatedLift:
                 tail >= 0, self._levels[k - 1].first[tail] + self._out_rank[edge], -1)
             table[8, built:] = np.arange(low.range.size - self._root_rows.shape[1],
                                          low.range.size)
-        # row 0 the range, row 1 + j the rank of the j-th traversed edge
-        keys = np.empty((k + 2, table.shape[1]), dtype=np.int32)
-        keys.fill(-1)
-        keys[0] = table[2]
-        keys[1 : k + 1, :built] = self._keys[1:, parent]
-        keys[table[4, :built], step] = self._edge_rank[edge]
-        self._keys = keys
-        return self._level_from(table, np.lexsort(keys[::-1]))
+        # a new path sorts as its parent, then its last edge; any other as
+        # the same path one level down, ahead of that path's extensions
+        new = table[4] == k + 1
+        key = self._rank[np.where(new, table[0], table[8])] * (self._edge_rank.size + 1)
+        key[new] += self._edge_rank[table[1, new]] + 1
+        self._rank = key.argsort(kind="stable").argsort()
+        return self._level_from(table, np.lexsort((key, table[2])))
 
     def _level_from(self, table: np.ndarray, order: np.ndarray) -> PathLevel:
         """Fill in the entry offsets (row 5), the first-child build indices
@@ -659,18 +685,15 @@ def lift_intertwiner(theta: dict[str, np.ndarray], source: TruncatedLift,
     blocks = {}
     for v in g.vertices:
         want = (target.module.dims[v], source.module.dims[v])
-        block = np.asarray(theta.get(v, np.zeros(want)), dtype=np.complex128)
-        if block.shape != want:
-            if block.size == 0 and 0 in want:
-                block = np.zeros(want, dtype=np.complex128)
-            else:
-                raise LiftError(f"vertex {v!r}: block shape {block.shape} != {want}")
-        blocks[v] = block
+        try:
+            blocks[v] = _as_operator(theta.get(v, np.zeros(want)), want, f"vertex {v!r}")
+        except ModuleError as exc:
+            raise LiftError(str(exc)) from None
     for e in g.edges:
         lhs = blocks[e.source] @ source.module.ops[e.id]
         rhs = target.module.ops[e.id] @ blocks[e.range]
         gap = float(np.linalg.norm(lhs - rhs, "fro"))
-        if gap > INTERTWINER_TOL:
+        if not gap <= INTERTWINER_TOL:  # NaN, from an overflow, fails too
             raise LiftError(f"not an intertwiner: edge {e.id!r} residual {gap:.3e}")
     m = source.level if level is None else source._check_level(level, source.level + 1)
     cols, rows = source.paths_at(m), target.paths_at(m)

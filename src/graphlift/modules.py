@@ -36,14 +36,27 @@ def _require_count(value, what: str) -> int:
     return int(value)
 
 
-def _as_operator(value, shape: tuple[int, int], edge_id: str) -> np.ndarray:
+def _full_dims(graph: Graph, dims: dict) -> dict[str, int]:
+    """The fiber dimension of every vertex of `graph`, 0 where `dims` has
+    none; a ModuleError for a vertex not in the graph or a bad dimension."""
+    unknown = set(dims) - set(graph.vertices)
+    if unknown:
+        raise ModuleError(f"dims name unknown vertices {sorted(unknown)}")
+    return {v: _require_count(dims.get(v, 0), f"dimension at vertex {v!r}")
+            for v in graph.vertices}
+
+
+def _as_operator(value, shape: tuple[int, int], label: str) -> np.ndarray:
+    """`value` as a finite complex matrix of `shape`, any empty array
+    standing for a zero-size one; else a ModuleError that starts with
+    `label`, which names the operator."""
     a = np.asarray(value, dtype=np.complex128)
     if a.size == 0 and 0 in shape:
         return np.zeros(shape, dtype=np.complex128)
     if a.shape != shape:
-        raise ModuleError(f"edge {edge_id!r}: operator shape {a.shape} != {shape}")
+        raise ModuleError(f"{label}: operator shape {a.shape} != {shape}")
     if not np.isfinite(a).all():
-        raise ModuleError(f"edge {edge_id!r}: operator has non-finite entries")
+        raise ModuleError(f"{label}: operator has non-finite entries")
     return a
 
 
@@ -56,11 +69,7 @@ class PythagoreanModule:
     ops: dict[str, np.ndarray]
 
     def __post_init__(self):
-        unknown = set(self.dims) - set(self.graph.vertices)
-        if unknown:
-            raise ModuleError(f"dims name unknown vertices {sorted(unknown)}")
-        dims = {v: _require_count(self.dims.get(v, 0), f"dimension at vertex {v!r}")
-                for v in self.graph.vertices}
+        dims = _full_dims(self.graph, self.dims)
         unknown = set(self.ops) - set(self.graph.edge_by_id)
         if unknown:
             raise ModuleError(f"ops name unknown edges {sorted(unknown)}")
@@ -68,7 +77,8 @@ class PythagoreanModule:
         for e in self.graph.edges:
             if e.id not in self.ops:
                 raise ModuleError(f"missing operator for edge {e.id!r}")
-            ops[e.id] = _as_operator(self.ops[e.id], (dims[e.source], dims[e.range]), e.id)
+            ops[e.id] = _as_operator(self.ops[e.id], (dims[e.source], dims[e.range]),
+                                     f"edge {e.id!r}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "ops", ops)
 
@@ -183,11 +193,7 @@ def random_module(graph: Graph, dims: dict[str, int], seed: int) -> PythagoreanM
     """Random module, deterministic in `seed`: at each receiving vertex the
     incoming stack is the column-orthonormalization of a complex Gaussian
     sample, split back into per-edge blocks (incoming edges in id order)."""
-    unknown = set(dims) - set(graph.vertices)
-    if unknown:
-        raise ModuleError(f"dims name unknown vertices {sorted(unknown)}")
-    full = {v: _require_count(dims.get(v, 0), f"dimension at vertex {v!r}")
-            for v in graph.vertices}
+    full = _full_dims(graph, dims)
     rng = np.random.default_rng(_require_count(seed, "seed"))
     ops: dict[str, np.ndarray] = {}
     for w in graph.vertices:

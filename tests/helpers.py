@@ -393,6 +393,22 @@ def supported_graphs(draw):
     return Graph(tuple(names), tuple(draw(st.permutations(edges))))
 
 
+@st.composite
+def small_multigraphs(draw):
+    """Any multigraph with at most 4 vertices and 6 edges, outside the
+    supported class too: cycles through distinct vertices, several loops at
+    one vertex, parallel edges. Vertex order and edge ids are drawn as in
+    `supported_graphs`."""
+    n = draw(st.integers(1, 4))
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    ids = draw(st.lists(st.integers(0, 200), min_size=len(pairs),
+                        max_size=len(pairs), unique=True))
+    return Graph(tuple(names), tuple(Edge(str(label), names[i], names[j])
+                                     for label, (i, j) in zip(ids, pairs)))
+
+
 def reference_lens_graph(params: LensParams) -> Graph:
     """Reference only: the lens graph by a recursive DFS over the string
     vertices of the built skew product, copying the blocked set per step."""

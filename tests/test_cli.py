@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import time
 
 import numpy as np
 import pytest
@@ -310,6 +311,15 @@ class TestLiftCommands:
                            phase_module_file, "--vertex", "1", "--level", "0")
         assert code == 2
         assert "--level must be at least 1" in err
+
+    @pytest.mark.parametrize("command", [["build"], ["check"], ["eigen", "--vertex", "1"]])
+    def test_level_above_the_cap_exits_2(self, capsys, phase_module_file, command):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "lift", *command, "--module", phase_module_file,
+                           "--level", "99999999999")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == "error: level 99999999999 is above MAX_LEVEL=10000\n"
 
     def test_eigen_needs_nonzero_fiber(self, capsys, phase_module_file):
         code, _, err = run(capsys, "lift", "eigen", "--module",

@@ -236,8 +236,15 @@ class TestLensSize:
         assert lens_graph_coprime(params) == reference_lens_graph(params)
 
     def test_long_loop_chains_enumerate(self):
-        # the loop chain at the start walks p - 1 levels before it is blocked
+        # the loop orbit at the start ends back at the start, which is skipped
         g = lens_graph_coprime(LensParams(1, 5000, (1,)))
+        assert [e.id for e in g.edges] == ["11@1"]
+
+    def test_single_loop_lens_returns_quickly(self):
+        # only the loop leaves the top vertex, so its orbit is not walked
+        start = time.perf_counter()
+        g = lens_graph_coprime(LensParams(1, MAX_EDGES, (1,)))
+        assert time.perf_counter() - start < 1.5
         assert [e.id for e in g.edges] == ["11@1"]
 
     @pytest.mark.parametrize("n, p", [(4, 200), (6, 50)])

@@ -289,6 +289,14 @@ class TestLiftCodec:
         with pytest.raises(CodecError, match="/level: expected a nonnegative"):
             lift_from_dict(doc)
 
+    def test_level_above_the_cap_located(self):
+        g = sphere_odd_graph(1)
+        doc = lift_to_dict(lift(one_dim_module(g, "1", 1j), 1))
+        doc["level"] = 10**11
+        with pytest.raises(CodecError, match="/level: level 100000000000 is above "
+                                             "MAX_LEVEL=10000"):
+            lift_from_dict(doc)
+
     def test_boolean_level_located(self):
         g = sphere_odd_graph(1)
         doc = lift_to_dict(lift(one_dim_module(g, "1", 1j), 1))

@@ -1,6 +1,7 @@
 """Truncated lifts: bases, generators, relations, words, functoriality."""
 
 import cmath
+import time
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,7 @@ from graphlift import (
     validate_module,
     word_operator,
 )
+from graphlift.lifting import MAX_LEVEL
 
 from helpers import (
     dense_ck_residuals,
@@ -49,6 +51,7 @@ from helpers import (
     reference_basis,
     reference_edge_targets,
     reference_embed_map,
+    small_multigraphs,
     supported_graphs,
 )
 
@@ -88,6 +91,15 @@ class TestDimensions:
         g = sphere_odd_graph(1)
         with pytest.raises(LiftError, match="nonnegative"):
             lift(one_dim_module(g, "1", 1.0), -1)
+
+
+class TestLevelCap:
+    def test_levels_above_the_cap_are_refused(self):
+        m = one_dim_module(sphere_odd_graph(3), "3", 1j)
+        assert lift(m, MAX_LEVEL).level == MAX_LEVEL  # levels are built on demand
+        for level in (MAX_LEVEL + 1, 10**11):
+            with pytest.raises(LiftError, match=f"above MAX_LEVEL={MAX_LEVEL}"):
+                lift(m, level)
 
 
 class TestBasis:
@@ -623,6 +635,17 @@ class TestFunctoriality:
                         want[row0 : row0 + block.size, col] = block
                 assert np.array_equal(got, want), m
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_rejected(self, bad):
+        t = phase_lift("1", Z8, 2)
+        with pytest.raises(LiftError, match="vertex '1': operator has non-finite"):
+            lift_intertwiner({"1": [[bad]]}, t, t)
+
+    def test_block_shape_names_vertex(self):
+        t = phase_lift("1", Z8, 2)
+        with pytest.raises(LiftError, match=r"vertex '1': operator shape \(2, 2\)"):
+            lift_intertwiner({"1": np.eye(2)}, t, t)
+
     def test_level_mismatch_rejected(self):
         g = sphere_odd_graph(2)
         a = random_module(g, {"1": 1, "2": 1}, 1)
@@ -819,10 +842,13 @@ class TestTrieAgainstOracle:
     """The path trie against the DFS-based builders in `helpers`."""
 
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(graph=st.one_of(st.sampled_from(TRIE_FAMILIES).map(lambda make: make()),
-                           supported_graphs()),
-           seed=st.integers(0, 2**16), level=st.integers(0, 5))
-    def test_matches_reference_builders(self, graph, seed, level):
+    @given(case=st.one_of(
+               st.tuples(st.one_of(st.sampled_from(TRIE_FAMILIES).map(lambda make: make()),
+                                   supported_graphs()), st.integers(0, 5)),
+               st.tuples(small_multigraphs(), st.integers(0, 4))),
+           seed=st.integers(0, 2**16))
+    def test_matches_reference_builders(self, case, seed):
+        graph, level = case
         dims = random_feasible_dims(graph, np.random.default_rng(seed), hi=2)
         module = random_module(graph, dims, seed)
         t = lift(module, level, validate=False)
@@ -847,3 +873,26 @@ class TestTrieAgainstOracle:
             assert np.array_equal(emb.rows, rows)
             assert np.array_equal(emb.cols, cols)
             assert np.array_equal(emb.vals, vals)
+
+    def test_deep_levels_follow_traversal_order(self):
+        # basis order checked directly, far past the oracle's levels: range,
+        # then the sequence of edge ranks, a path before its extensions
+        g = sphere_even_graph(2)  # two vertices receive no edge
+        module = random_module(g, {v: 1 for v in g.vertices}, 3)
+        t = lift(module, 40, validate=False)
+        rank = {eid: r for r, eid in enumerate(sorted(g.edge_by_id))}
+        seqs: list[tuple] = []
+        for k in range(41):
+            level = t.paths_at(k)
+            seqs = [() if p < 0 else seqs[p] + (rank[g.edges[e].id],)
+                    for p, e in zip(level.parent.tolist(), level.edge.tolist())]
+            want = sorted(range(len(seqs)), key=lambda i: (level.range[i], seqs[i]))
+            assert level.order.tolist() == want, k
+
+    def test_deep_trie_builds_quickly(self):
+        # each level is ordered from the one below, so the work per path
+        # does not grow with the level
+        start = time.perf_counter()
+        t = lift(one_dim_module(sphere_odd_graph(3), "1", 1j), 200)
+        assert t.dimension_at(201) == 202 * 203 // 2
+        assert time.perf_counter() - start < 1.0

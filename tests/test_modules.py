@@ -318,6 +318,14 @@ class TestRandomModule:
                                               "nonnegative integer"):
             random_module(sphere_odd_graph(2), {"1": bad, "2": 1}, 0)
 
+    def test_unknown_vertex_reads_as_in_the_constructor(self):
+        g = sphere_odd_graph(2)
+        with pytest.raises(ModuleError) as made:
+            PythagoreanModule(g, {"9": 1, "1": 1}, {})
+        with pytest.raises(ModuleError) as drawn:
+            random_module(g, {"9": 1, "1": 1}, 0)
+        assert str(drawn.value) == str(made.value) == "dims name unknown vertices ['9']"
+
 
 class TestPathOperator:
     def test_vertex_path_is_identity(self):
