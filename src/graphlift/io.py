@@ -2,7 +2,10 @@
 
 Decoders report failures with a JSON-pointer location and ignore unknown
 keys, so annotated documents (extra provenance fields and the like) still
-decode. Complex entries in matrices are [re, im] pairs, row-major.
+decode. A graph decoder checks each array of a document in one pass; only
+a document that fails that check is walked item by item, to name its first
+fault by JSON pointer, with the same message as an item-by-item decoder.
+Complex entries in matrices are [re, im] pairs, row-major.
 """
 
 from __future__ import annotations
@@ -10,7 +13,9 @@ from __future__ import annotations
 import cmath
 import json
 import re
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
+from typing import NoReturn
 
 import numpy as np
 
@@ -53,25 +58,47 @@ def graph_to_dict(graph: Graph) -> dict:
     }
 
 
+def _each(items, kind) -> bool:
+    """Whether every item is an instance of kind, in one pass."""
+    return all(map(isinstance, items, repeat(kind)))
+
+
+_EDGE_FIELDS = attrgetter("id", "source", "range")
+
+
 def graph_from_dict(doc) -> Graph:
+    vertices = records = edges = None
+    if isinstance(doc, dict) and "vertices" in doc and "edges" in doc:
+        vertices, records = doc["vertices"], doc["edges"]
+    if (isinstance(vertices, list) and _each(vertices, str)
+            and isinstance(records, list) and _each(records, dict)):
+        try:
+            edges = tuple([Edge(r["id"], r["source"], r["range"]) for r in records])
+        except KeyError:
+            pass
+    if edges is None or not _each(chain.from_iterable(map(_EDGE_FIELDS, edges)), str):
+        _graph_fault(doc)
+    try:
+        return Graph(tuple(vertices), edges)
+    except GraphError as exc:
+        raise CodecError(f"/: {exc}") from exc
+
+
+def _graph_fault(doc) -> NoReturn:
+    """Raise the CodecError for the first fault of a graph document that
+    failed the whole-array checks of `graph_from_dict`: the object, its
+    vertices in order, then its edge records in order, each record's id,
+    source and range in that order."""
     _need(doc, "/", dict, "object")
     vertices = _need(_need_key(doc, "/", "vertices"), "/vertices", list, "array")
     for i, v in enumerate(vertices):
         _need(v, f"/vertices/{i}", str, "string")
-    raw_edges = _need(_need_key(doc, "/", "edges"), "/edges", list, "array")
-    edges = []
-    for i, entry in enumerate(raw_edges):
+    records = _need(_need_key(doc, "/", "edges"), "/edges", list, "array")
+    for i, entry in enumerate(records):
         _need(entry, f"/edges/{i}", dict, "object")
-        fields = {}
         for key in ("id", "source", "range"):
-            fields[key] = _need(
-                _need_key(entry, f"/edges/{i}", key), f"/edges/{i}/{key}", str, "string"
-            )
-        edges.append(Edge(fields["id"], fields["source"], fields["range"]))
-    try:
-        return Graph(tuple(vertices), tuple(edges))
-    except GraphError as exc:
-        raise CodecError(f"/: {exc}") from exc
+            _need(_need_key(entry, f"/edges/{i}", key), f"/edges/{i}/{key}", str, "string")
+    raise AssertionError("graph_from_dict refused a document with no fault")
 
 
 def _matrix_to_entries(mat: np.ndarray) -> list:
@@ -92,7 +119,10 @@ def _entries_to_matrix(doc, where: str, shape: tuple[int, int]) -> np.ndarray:
             _need(pair, f"{where}/{i}/{j}", list, "array")
             if len(pair) != 2 or not all(_is_int(x) or isinstance(x, float) for x in pair):
                 _fail(f"{where}/{i}/{j}", "expected a [re, im] pair of numbers")
-            out[i, j] = complex(pair[0], pair[1])
+            try:
+                out[i, j] = complex(pair[0], pair[1])
+            except OverflowError:  # an integer literal beyond float range
+                _fail(f"{where}/{i}/{j}", "number out of float range")
     return out
 
 
@@ -275,10 +305,13 @@ def read_json(path: str):
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise CodecError(f"/: invalid JSON in {path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CodecError(f"/: {path} is not UTF-8 text: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, or text json refuses with another error: an
+            # integer literal over the interpreter's digit limit (ValueError)
+            # or nesting deeper than the recursion limit
+            raise CodecError(f"/: invalid JSON in {path}: {exc}") from exc
 
 
 _INF = float("inf")

@@ -675,13 +675,18 @@ def lift_intertwiner(theta: dict[str, np.ndarray], source: TruncatedLift,
 
     The map acts blockwise on each basis path's fiber, so it commutes with
     every generator and with the embeddings. By default the map is produced
-    at the lifts' own level; pass `level` for any materialized one.
+    at the lifts' own level; pass `level` for any materialized one. A key of
+    `theta` that names no vertex is a LiftError; a vertex it omits gets a
+    zero block.
     """
     if source.module.graph != target.module.graph:
         raise LiftError("lifts live on different graphs")
     if source.level != target.level:
         raise LiftError("lifts have different levels")
     g = source.module.graph
+    unknown = set(theta) - set(g.vertices)
+    if unknown:
+        raise LiftError(f"theta names unknown vertices {sorted(unknown, key=repr)}")
     blocks = {}
     for v in g.vertices:
         want = (target.module.dims[v], source.module.dims[v])

@@ -9,6 +9,7 @@ from graphlift import (
     CkReport,
     Edge,
     Graph,
+    GraphError,
     LensParams,
     PythagoreanModule,
     TruncatedLift,
@@ -17,7 +18,7 @@ from graphlift import (
     sphere_odd_graph,
 )
 from graphlift import modules
-from graphlift.io import lift_to_dict
+from graphlift.io import CodecError, _need, _need_key, lift_to_dict
 
 
 def one_dim_components(graph: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -449,3 +450,26 @@ def reference_lens_graph(params: LensParams) -> Graph:
             edges.append(Edge(".".join(reversed(ids)), i, target))
     edges.sort(key=lambda e: (index[e.source], index[e.range], e.id))
     return Graph(base.vertices, tuple(edges))
+
+
+def reference_graph_from_dict(doc) -> Graph:
+    """Reference only: the graph decoder that checks and builds item by item,
+    raising at the first fault in document order."""
+    _need(doc, "/", dict, "object")
+    vertices = _need(_need_key(doc, "/", "vertices"), "/vertices", list, "array")
+    for i, v in enumerate(vertices):
+        _need(v, f"/vertices/{i}", str, "string")
+    raw_edges = _need(_need_key(doc, "/", "edges"), "/edges", list, "array")
+    edges = []
+    for i, entry in enumerate(raw_edges):
+        _need(entry, f"/edges/{i}", dict, "object")
+        fields = {}
+        for key in ("id", "source", "range"):
+            fields[key] = _need(
+                _need_key(entry, f"/edges/{i}", key), f"/edges/{i}/{key}", str, "string"
+            )
+        edges.append(Edge(fields["id"], fields["source"], fields["range"]))
+    try:
+        return Graph(tuple(vertices), tuple(edges))
+    except GraphError as exc:
+        raise CodecError(f"/: {exc}") from exc

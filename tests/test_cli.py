@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -480,6 +483,15 @@ class TestBadNumbers:
         assert err == "error: module fails validation: max residual nan > 1.0e-09\n"
         assert not (tmp_path / "lift.json").exists()
 
+    def test_entry_beyond_float_range_refused(self, tmp_path, capsys, phase_module_file):
+        doc = read_json(phase_module_file)
+        doc["ops"]["11"] = [[[10**400, 0]]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "module", "check", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: /ops/11/0/0: number out of float range\n"
+
     def test_boolean_dim_refused(self, tmp_path, capsys, phase_module_file):
         doc = read_json(phase_module_file)
         doc["dims"]["1"] = True
@@ -513,3 +525,35 @@ class TestUndecodableFiles:
         code, out, err = run(capsys, *(a.format(path) for a in argv))
         assert code == 2 and out == ""
         assert err.startswith(f"error: /: {path} is not UTF-8 text")
+
+    @pytest.mark.parametrize("text", [
+        '{"vertices": ["1"], "edges": [], "note": ' + "9" * 5000 + "}",
+        "[" * 100_000,
+    ], ids=["digits-over-limit", "nesting-over-limit"])
+    def test_text_json_refuses_otherwise_is_a_data_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: /: invalid JSON in {path}: ")
+
+
+class TestModuleEntryPoint:
+    """`python -m graphlift` with only the source tree on the path."""
+
+    @staticmethod
+    def _run(tmp_path, *argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(graphlift.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "graphlift", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_graph_make_runs(self, tmp_path):
+        done = self._run(tmp_path, "graph", "make", "sphere-odd", "--n", "2")
+        assert done.returncode == 0, done.stderr
+        assert graph_from_dict(json.loads(done.stdout)) == sphere_odd_graph(2)
+
+    def test_usage_error_exits_2(self, tmp_path):
+        done = self._run(tmp_path, "graph", "make", "sphere-odd")
+        assert done.returncode == 2 and done.stdout == ""
+        assert "the following arguments are required: --n" in done.stderr

@@ -43,7 +43,88 @@ from graphlift.io import (
     write_json,
 )
 
-from helpers import expand_edge_images, partial_maps_dict, random_feasible_dims
+from helpers import (
+    expand_edge_images,
+    partial_maps_dict,
+    random_feasible_dims,
+    reference_graph_from_dict,
+    small_multigraphs,
+    supported_graphs,
+)
+
+
+class _Name(str):
+    """A str subclass; a decoder takes it as it takes a str."""
+
+
+_LENS_GRAPHS = st.sampled_from([LensParams(2, 3, (1, 1)), LensParams(2, 3, (1, 2)),
+                                LensParams(3, 4, (1, 1, 3))]).map(lens_graph_coprime)
+_NOT_STR = st.sampled_from([True, False, 0, 7, None, 1.5, [], ["1"], {}])
+_NOT_LIST = st.sampled_from([True, 0, None, "1", {}, {"0": "1"}])
+_NOT_DICT = st.sampled_from([True, 0, None, "e", [], [["id", "e"]]])
+
+
+@st.composite
+def graph_docs(draw):
+    """A graph and its document, maybe with extra keys, lens provenance on
+    each edge record and a str subclass in place of some names."""
+    graph = draw(st.one_of(supported_graphs(), small_multigraphs(), _LENS_GRAPHS))
+    doc = graph_to_dict(graph)
+    if draw(st.booleans()):
+        doc["comment"] = "not part of the graph"
+        for entry in doc["edges"]:
+            entry["provenance"] = lens_edge_provenance(entry["id"])
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(doc["vertices"]) - 1))
+        doc["vertices"][at] = _Name(doc["vertices"][at])
+        for entry in doc["edges"]:
+            entry["source"] = _Name(entry["source"])
+    return graph, doc
+
+
+def _inject_fault(draw, doc):
+    """doc with one more schema fault, made in place unless the fault
+    replaces the whole document."""
+    if not isinstance(doc, dict):
+        return doc
+    kinds = ["root", "no vertices", "no edges", "vertices", "edges"]
+    vertices, records = doc.get("vertices"), doc.get("edges")
+    if isinstance(vertices, list) and vertices:
+        kinds.append("vertex")
+    dicts = ([i for i, entry in enumerate(records) if isinstance(entry, dict)]
+             if isinstance(records, list) else [])
+    if isinstance(records, list) and records:
+        kinds.append("record")
+    if dicts:
+        kinds += ["field", "no field"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "root":
+        return draw(_NOT_DICT)
+    if kind in ("no vertices", "no edges"):
+        doc.pop(kind[3:], None)
+    elif kind in ("vertices", "edges"):
+        doc[kind] = draw(_NOT_LIST)
+    elif kind == "vertex":
+        vertices[draw(st.integers(0, len(vertices) - 1))] = draw(_NOT_STR)
+    elif kind == "record":
+        records[draw(st.integers(0, len(records) - 1))] = draw(_NOT_DICT)
+    else:
+        entry = records[draw(st.sampled_from(dicts))]
+        key = draw(st.sampled_from(["id", "source", "range"]))
+        if kind == "field":
+            entry[key] = draw(_NOT_STR)
+        else:
+            entry.pop(key, None)
+    return doc
+
+
+def _decoded(decode, doc):
+    """The graph decode(doc) returns, or the type and text of the CodecError
+    it raises."""
+    try:
+        return decode(doc)
+    except CodecError as exc:
+        return type(exc), str(exc)
 
 
 class TestGraphCodec:
@@ -82,6 +163,46 @@ class TestGraphCodec:
     def test_non_object_rejected(self):
         with pytest.raises(CodecError, match="/: expected object, got list"):
             graph_from_dict([])
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(graph_docs())
+    def test_matches_reference_decoder(self, drawn):
+        graph, doc = drawn
+        got = graph_from_dict(doc)
+        assert got == reference_graph_from_dict(doc) == graph
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(graph_docs(), st.integers(1, 2), st.data())
+    def test_faults_raise_as_reference_decoder(self, drawn, faults, data):
+        _, doc = drawn
+        for _ in range(faults):
+            doc = _inject_fault(data.draw, doc)
+        want = _decoded(reference_graph_from_dict, doc)
+        assert want[0] is CodecError
+        assert _decoded(graph_from_dict, doc) == want
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"vertices": ["1", 2]}, "/vertices/1: expected string, got int"),
+        ({"vertices": [None], "edges": 0}, "/vertices/0: expected string, got NoneType"),
+        ({"vertices": [True], "edges": [5]}, "/vertices/0: expected string, got bool"),
+    ])
+    def test_bad_vertex_is_named_before_missing_or_bad_edges(self, doc, message):
+        with pytest.raises(CodecError) as caught:
+            graph_from_dict(doc)
+        assert str(caught.value) == message
+
+    def test_need_calls_do_not_grow_with_the_edges(self, monkeypatch):
+        calls = []
+        need = io._need
+        monkeypatch.setattr(io, "_need", lambda *args: calls.append(args) or need(*args))
+        counts = []
+        for n in (10, 1000):
+            calls.clear()
+            doc = {"vertices": ["1"],
+                   "edges": [{"id": f"e{i}", "source": "1", "range": "1"} for i in range(n)]}
+            assert len(graph_from_dict(doc).edges) == n
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestModuleCodec:
@@ -153,6 +274,13 @@ class TestModuleCodec:
         doc = module_to_dict(one_dim_module(sphere_odd_graph(1), "1", 1j))
         doc["ops"]["11"] = [[[True, False]]]
         with pytest.raises(CodecError, match=r"/ops/11/0/0: expected a \[re, im\]"):
+            module_from_dict(doc)
+
+    @pytest.mark.parametrize("pair", [[10**400, 0], [0.0, -10**400]])
+    def test_integer_beyond_float_range_located(self, pair):
+        doc = module_to_dict(one_dim_module(sphere_odd_graph(1), "1", 1j))
+        doc["ops"]["11"] = [[pair]]
+        with pytest.raises(CodecError, match=r"^/ops/11/0/0: number out of float range$"):
             module_from_dict(doc)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -404,6 +532,17 @@ class TestDotAndFiles:
         path.write_text("{not json")
         with pytest.raises(CodecError, match="invalid JSON"):
             read_json(str(path))
+
+    @pytest.mark.parametrize("text", [
+        '{"vertices": ["1"], "edges": [], "note": ' + "9" * 5000 + "}",
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["digits-over-limit", "nesting-over-limit"])
+    def test_text_json_refuses_without_decode_error_reported(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(CodecError) as caught:
+            read_json(str(path))
+        assert str(caught.value).startswith(f"/: invalid JSON in {path}: ")
 
     def test_dot_escapes_quotes_and_backslashes(self):
         g = Graph(('a"b', "c\\d"), (Edge('e"', 'a"b', "c\\d"),))

@@ -646,6 +646,12 @@ class TestFunctoriality:
         with pytest.raises(LiftError, match=r"vertex '1': operator shape \(2, 2\)"):
             lift_intertwiner({"1": np.eye(2)}, t, t)
 
+    @pytest.mark.parametrize("key", ["9", 1])
+    def test_unknown_vertex_key_rejected(self, key):
+        t = lift(one_dim_module(sphere_odd_graph(2), "1", 1j), 2)
+        with pytest.raises(LiftError, match=rf"theta names unknown vertices \[{key!r}\]"):
+            lift_intertwiner({key: [[1.0]]}, t, t)
+
     def test_level_mismatch_rejected(self):
         g = sphere_odd_graph(2)
         a = random_module(g, {"1": 1, "2": 1}, 1)
