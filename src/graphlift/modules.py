@@ -41,7 +41,7 @@ def _full_dims(graph: Graph, dims: dict) -> dict[str, int]:
     none; a ModuleError for a vertex not in the graph or a bad dimension."""
     unknown = set(dims) - set(graph.vertices)
     if unknown:
-        raise ModuleError(f"dims name unknown vertices {sorted(unknown)}")
+        raise ModuleError(f"dims name unknown vertices {sorted(unknown, key=repr)}")
     return {v: _require_count(dims.get(v, 0), f"dimension at vertex {v!r}")
             for v in graph.vertices}
 
@@ -72,7 +72,7 @@ class PythagoreanModule:
         dims = _full_dims(self.graph, self.dims)
         unknown = set(self.ops) - set(self.graph.edge_by_id)
         if unknown:
-            raise ModuleError(f"ops name unknown edges {sorted(unknown)}")
+            raise ModuleError(f"ops name unknown edges {sorted(unknown, key=repr)}")
         ops = {}
         for e in self.graph.edges:
             if e.id not in self.ops:
@@ -260,29 +260,48 @@ def _graded_nullspace(graph: Graph, dims_s: dict[str, int], dims_t: dict[str, in
     dims_t[v] x dims_s[v], each flattened row-major and stacked in vertex
     order. Returns the nullspace columns and each vertex's column slice.
 
-    Relation (head, tail, a, b) owns dims_t[head] * dims_s[tail] rows of one
-    zeroed system. Its two terms, the Kronecker products I (x) a^T and
-    b (x) I, are broadcast products of the same operands in the same order,
-    added into those rows in place; so no per-relation rows x cols block is
-    formed, and every entry is bitwise the one a Kronecker product call gives."""
+    Relation (head, tail, a, b) owns the m * n rows (i, j) of one zeroed
+    system, m = dims_t[head] and n = dims_s[tail]. Only the nonzeros of its
+    two Kronecker terms are written: I (x) a^T puts a[k, j] at column (i, k)
+    of the head block, and b (x) I puts -b[i, l] at column (l, j) of the tail
+    block, m * n * (p + q) entries for a of p rows and b of q columns. The
+    relations are grouped by block shape (m, n, p, q), and each term of a
+    group is one indexed read-modify-write of the flat system; a loop's two
+    terms can share entries, so the terms are never merged or assigned. A
+    skipped product is a zero, and a written one differs from the Kronecker
+    product's at most in the sign of a zero part; adding a zero to an entry of
+    +0.0, or subtracting one from an entry that is never -0.0, changes no bit,
+    so every entry is bitwise the one the Kronecker products give."""
     span = {}
     cols = 0
     for v in graph.vertices:
         span[v] = slice(cols, cols + dims_t[v] * dims_s[v])
         cols = span[v].stop
-    heights = [dims_t[head] * dims_s[tail] for head, tail, _, _ in relations]
-    system = np.zeros((sum(heights), cols), dtype=np.complex128)
-    # every identity the products need is a corner of this one
-    eye = np.eye(max([*dims_s.values(), *dims_t.values()], default=0))
-    at = 0
-    for (head, tail, a, b), h in zip(relations, heights):
+    groups: dict[tuple[int, int, int, int], tuple[list, list, list, list]] = {}
+    rows = 0
+    for head, tail, a, b in relations:
         m, n = dims_t[head], dims_s[tail]
-        rows = system[at : at + h]
-        rows[:, span[head]] += (
-            eye[:m, None, :m, None] * a.T[None, :, None, :]).reshape(h, m * a.shape[0])
-        rows[:, span[tail]] -= (
-            b[:, None, :, None] * eye[None, :n, None, :n]).reshape(h, b.shape[1] * n)
-        at += h
+        if m * n == 0:
+            continue
+        heads, tails, a_blocks, b_blocks = groups.setdefault(
+            (m, n, a.shape[0], b.shape[1]), ([], [], [], []))
+        # flat offsets of the relation's first row at the head and tail blocks
+        heads.append(rows * cols + span[head].start)
+        tails.append(rows * cols + span[tail].start)
+        a_blocks.append(a)
+        b_blocks.append(b)
+        rows += m * n
+    system = np.zeros((rows, cols), dtype=np.complex128)
+    flat = system.reshape(-1)
+    for (m, n, p, q), (heads, tails, a_blocks, b_blocks) in groups.items():
+        i, j = np.arange(m)[:, None, None], np.arange(n)[:, None]
+        row_at = (i * n + j) * cols  # flat start of row (i, j), shape (m, n, 1)
+        head_at = row_at + i * p + np.arange(p)
+        tail_at = row_at + np.arange(q) * n + j
+        flat[np.array(heads)[:, None, None, None] + head_at] += (
+            np.array(a_blocks).transpose(0, 2, 1)[:, None])
+        flat[np.array(tails)[:, None, None, None] + tail_at] -= (
+            np.array(b_blocks)[:, :, None])
     return _nullspace(system), span
 
 

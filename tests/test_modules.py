@@ -112,6 +112,17 @@ class TestConstruction:
         with pytest.raises(ModuleError, match="unknown vertices"):
             PythagoreanModule(g, {"9": 1}, {"11": np.eye(1)})
 
+    def test_unknown_vertices_of_mixed_types_rejected(self):
+        with pytest.raises(ModuleError) as err:
+            PythagoreanModule(sphere_odd_graph(2), {1: 1, "9": 1}, {})
+        assert str(err.value) == "dims name unknown vertices ['9', 1]"
+
+    def test_unknown_edges_of_mixed_types_rejected(self):
+        ops = {"11": np.eye(1), 1: np.eye(1), "zz": np.eye(1)}
+        with pytest.raises(ModuleError) as err:
+            PythagoreanModule(loop_only_graph(), {"1": 1}, ops)
+        assert str(err.value) == "ops name unknown edges ['zz', 1]"
+
     def test_negative_dim_rejected(self):
         g = loop_only_graph()
         with pytest.raises(ModuleError, match="negative"):
@@ -325,6 +336,11 @@ class TestRandomModule:
         with pytest.raises(ModuleError) as drawn:
             random_module(g, {"9": 1, "1": 1}, 0)
         assert str(drawn.value) == str(made.value) == "dims name unknown vertices ['9']"
+
+    def test_unknown_vertices_of_mixed_types_drawn(self):
+        with pytest.raises(ModuleError) as err:
+            random_module(sphere_odd_graph(2), {1: 1, "9": 1}, 0)
+        assert str(err.value) == "dims name unknown vertices ['9', 1]"
 
 
 class TestPathOperator:
@@ -694,8 +710,9 @@ _ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.75, 1e-300, -1e300, 3.
 @st.composite
 def _relation_sets(draw):
     """A graph with up to 3 vertices, fibers 0..3 on each side (so zero
-    fibers and rectangular blocks), and up to 6 relations whose head and
-    tail are drawn independently, loops (head == tail) included."""
+    fibers and rectangular blocks), and up to 12 relations whose head and
+    tail are drawn independently, loops (head == tail) included, so one
+    block shape often holds many relations."""
     n = draw(st.integers(1, 3))
     graph = Graph(tuple(f"v{i}" for i in range(n)), ())
     dims_s = {v: draw(st.integers(0, 3)) for v in graph.vertices}
@@ -707,7 +724,7 @@ def _relation_sets(draw):
         return (np.array(re) + 1j * np.array(im)).reshape(rows, cols)
 
     relations = []
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, 12))):
         head = draw(st.sampled_from(graph.vertices))
         tail = draw(st.sampled_from(graph.vertices))
         relations.append((head, tail, block(dims_s[head], dims_s[tail]),
@@ -717,7 +734,9 @@ def _relation_sets(draw):
 
 def _pinned_cases() -> list[tuple[str, PythagoreanModule, PythagoreanModule]]:
     """(name, module, unitary conjugate) over four families, fiber d at every
-    vertex with d in 1..3, two seeds each."""
+    vertex with d in 1..3, two seeds each; then mixed fibers in 0..3 from
+    `random_feasible_dims` on three of the families, two seeds each, so one
+    system holds relations of several block shapes."""
     graphs = {
         "odd3": sphere_odd_graph(3),
         "even2": sphere_even_graph(2),
@@ -730,6 +749,11 @@ def _pinned_cases() -> list[tuple[str, PythagoreanModule, PythagoreanModule]]:
             for seed in (1, 2):
                 m = random_module(g, {v: d for v in g.vertices}, seed)
                 cases.append((f"{name}-d{d}-seed{seed}", m, unitary_conjugate(m, 50 + seed)))
+    for name in ("odd3", "even2", "lens2"):
+        for seed in (1, 2):
+            g = graphs[name]
+            m = random_module(g, random_feasible_dims(g, np.random.default_rng(seed)), seed)
+            cases.append((f"{name}-mixed-seed{seed}", m, unitary_conjugate(m, 60 + seed)))
     return cases
 
 
@@ -786,3 +810,37 @@ class TestGradedSystemOracle:
         assert _all_bytes(result) == _all_bytes(run())
         assert result[0].dimension >= 1
         assert result[2].verdict == EQUIVALENT
+
+    def test_mixed_cases_hold_zero_fibers_and_several_block_shapes(self):
+        mixed = [m for name, m, _ in PINNED_CASES if "-mixed-" in name]
+        assert len(mixed) == 6
+        assert any(0 in m.dims.values() for m in mixed)
+        for m in mixed:
+            shapes = {(m.dims[e.source], m.dims[e.range]) for e in m.graph.edges
+                      if m.dims[e.source] * m.dims[e.range]}
+            assert len(shapes) >= 2
+
+    def test_loop_terms_sharing_entries_are_bitwise_the_kron_assembly(self):
+        # each loop relation's two terms meet at row (i, j), column (i, j); a
+        # term written by assignment instead of a read-modify-write loses one
+        rng = np.random.default_rng(3)
+        entries = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.75, 1e-300, -1e300])
+
+        def block(d):
+            return rng.choice(entries, (d, d)) + 1j * rng.choice(entries, (d, d))
+
+        one = two_loop_graph()
+        a, b = block(3), block(3)
+        cases = [(one, {"1": 3}, [("1", "1", a, b), ("1", "1", b, a),
+                                  ("1", "1", a, a), ("1", "1", b.conj().T, b.conj().T)])]
+        # two block shapes, (3, 3, 3, 3) and (2, 2, 2, 2), taking turns
+        two = Graph(("1", "2"), ())
+        c = block(2)
+        cases.append((two, {"1": 3, "2": 2}, [("1", "1", a, b), ("2", "2", c, c),
+                                              ("1", "1", b, a), ("2", "2", c.T, c),
+                                              ("1", "1", a, a)]))
+        for graph, dims, relations in cases:
+            system = _assembled_system(graph, dims, dims, relations)
+            expected, _ = kron_graded_system(graph, dims, dims, relations)
+            assert system.shape == expected.shape
+            assert system.tobytes() == expected.tobytes()
