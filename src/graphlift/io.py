@@ -102,7 +102,7 @@ def _graph_fault(doc) -> NoReturn:
 
 
 def _matrix_to_entries(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    return np.stack((mat.real, mat.imag), axis=-1).tolist()
 
 
 def _entries_to_matrix(doc, where: str, shape: tuple[int, int]) -> np.ndarray:

@@ -19,8 +19,7 @@ import numpy as np
 from .graphs import Graph, Path
 
 RANK_TOL = 1e-10
-# random combinations of the intertwiner basis that `are_equivalent` tries
-EQUIVALENCE_DRAWS = 20
+# seed of the one intertwiner combination that `are_equivalent` draws
 EQUIVALENCE_SEED = 0
 
 
@@ -467,10 +466,11 @@ def _graded_invertible(theta: dict[str, np.ndarray], dims: dict[str, int]) -> bo
 def are_equivalent(m1: PythagoreanModule, m2: PythagoreanModule) -> Equivalence:
     """Decide module equivalence where possible.
 
-    Mismatched fibers or a vanishing intertwiner space in either direction
-    settle inequivalence; an invertible random combination of the intertwiner
-    basis (or irreducibility of both sides plus a nonzero intertwiner) settles
-    equivalence with a certificate. Anything else is reported undetermined.
+    Mismatched fibers settle inequivalence. Otherwise one seeded random
+    combination of the Hom(m1, m2) basis is drawn; if it is invertible it
+    settles equivalence and is the certificate. If it is not (or Hom(m1, m2)
+    is zero), a zero intertwiner space in either direction settles
+    inequivalence, and two nonzero spaces leave the verdict undetermined.
     """
     if m1.graph != m2.graph:
         raise ModuleError("modules live on different graphs")
@@ -480,10 +480,8 @@ def are_equivalent(m1: PythagoreanModule, m2: PythagoreanModule) -> Equivalence:
     if any(m1.dims[v] != m2.dims[v] for v in g.vertices):
         return Equivalence(INEQUIVALENT)
     forward = intertwiner_space(m1, m2)
-    if forward.dimension == 0 or intertwiner_space(m2, m1).dimension == 0:
-        return Equivalence(INEQUIVALENT)
-    rng = np.random.default_rng(EQUIVALENCE_SEED)
-    for _ in range(EQUIVALENCE_DRAWS):
+    if forward.dimension:
+        rng = np.random.default_rng(EQUIVALENCE_SEED)
         coeff = rng.standard_normal(forward.dimension) + 1j * rng.standard_normal(
             forward.dimension
         )
@@ -493,7 +491,6 @@ def are_equivalent(m1: PythagoreanModule, m2: PythagoreanModule) -> Equivalence:
         }
         if _graded_invertible(theta, m1.dims):
             return Equivalence(EQUIVALENT, theta)
-    if is_irreducible(m1) and is_irreducible(m2):
-        # a nonzero intertwiner between irreducibles is automatically invertible
-        return Equivalence(EQUIVALENT, forward.basis[0])
+    if forward.dimension == 0 or intertwiner_space(m2, m1).dimension == 0:
+        return Equivalence(INEQUIVALENT)
     return Equivalence(UNDETERMINED)

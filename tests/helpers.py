@@ -118,6 +118,12 @@ def dense_commutant_dim(module: PythagoreanModule) -> int:
     return d * d - int(np.sum(s > _SPAN_TOL * max(1.0, s[0])))
 
 
+def reference_matrix_to_entries(mat: np.ndarray) -> list:
+    """`io._matrix_to_entries` entry by entry: each complex entry as a
+    [real, imag] pair of Python floats, row by row."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+
+
 def kron_graded_system(graph: Graph, dims_s: dict[str, int], dims_t: dict[str, int],
                        relations) -> tuple[np.ndarray, dict[str, slice]]:
     """Reference only: the system `modules._graded_nullspace` solves, and
@@ -352,6 +358,13 @@ def overflow_module() -> PythagoreanModule:
     big = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]])
     ops = {"11": np.eye(1), "21": np.zeros((1, 2)), "22": big}
     return PythagoreanModule(sphere_odd_graph(2), {"1": 1, "2": 2}, ops)
+
+
+def unfed_fiber_module() -> PythagoreanModule:
+    """Edge a from u to v with fibers u: 0 and v: 2. The relation at v fails
+    by sqrt(2), and the level-0 embedding of its lift has no entry."""
+    graph = Graph(("u", "v"), (Edge("a", "u", "v"),))
+    return PythagoreanModule(graph, {"u": 0, "v": 2}, {"a": np.zeros((0, 2))})
 
 
 def expand_class(trunc: TruncatedLift, path, xi: np.ndarray, level: int) -> np.ndarray:

@@ -12,11 +12,16 @@ import pytest
 
 import graphlift
 from graphlift import (
+    Edge,
+    Graph,
+    PythagoreanModule,
     cli,
+    isolated_module,
     lens_edge_provenance,
     lift,
     one_dim_module,
     random_module,
+    sphere_even_graph,
     sphere_odd_graph,
     word_operator,
 )
@@ -29,7 +34,7 @@ from graphlift.io import (
     write_json,
 )
 
-from helpers import overflow_module
+from helpers import overflow_module, unfed_fiber_module
 
 
 def run(capsys, *argv):
@@ -102,6 +107,12 @@ class TestGraphMake:
         code, _, err = run(capsys, "graph", "make", "lens", "--n", "2")
         assert code == 2
         assert "lens graphs need --p and --weights" in err
+
+    def test_lens_weights_must_be_integers(self, capsys):
+        code, out, err = run(capsys, "graph", "make", "lens", "--n", "2", "--p", "3",
+                             "--weights", "1,x")
+        assert code == 2 and out == ""
+        assert "--weights must be comma-separated integers" in err
 
     def test_dot_file_written(self, tmp_path, capsys):
         dot = tmp_path / "g.dot"
@@ -221,6 +232,28 @@ class TestModuleCommands:
         assert code == 2
         assert "--dims lists 2 values for 3 vertices" in err
 
+    def test_random_dims_must_be_integers(self, capsys, even_graph_file):
+        code, out, err = run(capsys, "module", "random", "--graph", even_graph_file,
+                             "--dims", "1,x,0,0")
+        assert code == 2 and out == ""
+        assert "--dims must be comma-separated integers" in err
+
+    def test_make_without_phase_is_the_isolated_module(self, tmp_path, capsys,
+                                                       even_graph_file):
+        path = tmp_path / "point.json"
+        code, _, _ = run(capsys, "module", "make", "--graph", even_graph_file,
+                         "--vertex", "3", "--out", str(path))
+        assert code == 0
+        expected = module_to_dict(isolated_module(sphere_even_graph(2), "3"))
+        assert module_to_dict(module_from_dict(read_json(str(path)))) == expected
+
+    def test_make_without_phase_refuses_a_receiving_vertex(self, capsys,
+                                                           even_graph_file):
+        code, out, err = run(capsys, "module", "make", "--graph", even_graph_file,
+                             "--vertex", "1")
+        assert code == 2 and out == ""
+        assert "receives edges" in err
+
     def test_irreducible_verdicts(self, tmp_path, capsys, odd_graph_file,
                                   phase_module_file):
         code, out, _ = run(capsys, "module", "irreducible", phase_module_file)
@@ -329,6 +362,35 @@ class TestLiftCommands:
                            phase_module_file, "--vertex", "2", "--level", "1")
         assert code == 2
         assert "zero-dimensional" in err
+
+    def test_eigen_needs_a_loop(self, tmp_path, capsys, even_graph_file):
+        path = tmp_path / "point.json"
+        run(capsys, "module", "make", "--graph", even_graph_file,
+            "--vertex", "3", "--out", str(path))
+        code, _, err = run(capsys, "lift", "eigen", "--module", str(path),
+                           "--vertex", "3", "--level", "1")
+        assert code == 2
+        assert "carries 0 loops" in err
+
+    def test_eigen_class_reducing_to_zero(self, tmp_path, capsys):
+        # a zero loop operator sends the class to zero in W_1
+        graph = Graph(("1",), (Edge("11", "1", "1"),))
+        path = tmp_path / "zero-loop.json"
+        write_json(str(path), module_to_dict(
+            PythagoreanModule(graph, {"1": 1}, {"11": np.zeros((1, 1))})))
+        code, _, err = run(capsys, "lift", "eigen", "--module", str(path),
+                           "--vertex", "1", "--level", "1")
+        assert code == 2
+        assert "reduces to zero" in err
+
+    def test_check_fails_on_an_embedding_with_no_entry(self, tmp_path, capsys):
+        path = tmp_path / "unfed.json"
+        write_json(str(path), module_to_dict(unfed_fiber_module()))
+        code, out, _ = run(capsys, "lift", "check", "--module", str(path),
+                           "--level", "2")
+        assert code == 1
+        assert "embedding level 0: 1.414e+00" in out
+        assert out.strip().endswith("FAIL")
 
 
 def eigen_reference(module, v, level):

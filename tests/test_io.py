@@ -48,6 +48,7 @@ from helpers import (
     partial_maps_dict,
     random_feasible_dims,
     reference_graph_from_dict,
+    reference_matrix_to_entries,
     small_multigraphs,
     supported_graphs,
 )
@@ -205,6 +206,26 @@ class TestGraphCodec:
         assert counts[0] == counts[1]
 
 
+def _entry_blocks() -> dict[str, np.ndarray]:
+    """Operator blocks for the entry encoding: random complex blocks, signed
+    zeros in both parts, and the empty (0, n) and (n, 0) shapes."""
+    rng = np.random.default_rng(4)
+    blocks = {
+        f"random-{r}x{c}": rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+        for r, c in ((1, 1), (2, 3), (3, 2), (12, 12))
+    }
+    signed = np.empty((2, 2), dtype=np.complex128)
+    signed.real = [[0.0, -0.0], [0.0, -0.0]]
+    signed.imag = [[0.0, 0.0], [-0.0, -0.0]]
+    blocks["signed-zeros"] = signed
+    blocks["empty-0x3"] = np.zeros((0, 3), dtype=np.complex128)
+    blocks["empty-3x0"] = np.zeros((3, 0), dtype=np.complex128)
+    return blocks
+
+
+_ENTRY_BLOCKS = _entry_blocks()
+
+
 class TestModuleCodec:
     def test_round_trip_exact(self):
         g = sphere_odd_graph(2)
@@ -295,6 +316,15 @@ class TestModuleCodec:
         doc["provenance"] = {"tool": "elsewhere"}
         m = module_from_dict(doc)
         assert m.dims == {"1": 1}
+
+    @pytest.mark.parametrize("name", sorted(_ENTRY_BLOCKS))
+    def test_entries_are_the_reference_encoding(self, name):
+        mat = _ENTRY_BLOCKS[name]
+        got = io._matrix_to_entries(mat)
+        expected = reference_matrix_to_entries(mat)
+        assert dumps_json(got) == dumps_json(expected)
+        leaves = [x for row in got for pair in row for x in pair]
+        assert all(type(x) is float for x in leaves)
 
 
 class TestSpectrumCodec:

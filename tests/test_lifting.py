@@ -53,6 +53,7 @@ from helpers import (
     reference_embed_map,
     small_multigraphs,
     supported_graphs,
+    unfed_fiber_module,
 )
 
 Z8 = cmath.exp(2j * cmath.pi / 8)
@@ -347,6 +348,15 @@ class TestRelationReport:
         assert report.passed(1e-9)
         with pytest.raises(ModuleError, match="positive finite"):
             report.passed(tol)
+
+    def test_embedding_with_no_entry_reads_the_relation_residual(self):
+        # W_1 is empty, so the level-0 embedding has no entry and M*M - I is
+        # -I on the two dimensions of W_0
+        m = unfed_fiber_module()
+        trunc = lift(m, 2, validate=False)
+        assert trunc.embed_map(0).rows.size == 0
+        residual = ck_residuals(trunc).embed_isometry[0]
+        assert residual == validate_module(m).residuals["v"] == np.sqrt(2)
 
     def test_invalid_module_blocked_unless_opted_out(self):
         g = sphere_odd_graph(2)

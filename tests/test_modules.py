@@ -90,6 +90,24 @@ def unitary_conjugate(module: PythagoreanModule, seed: int) -> PythagoreanModule
     return PythagoreanModule(module.graph, module.dims, ops)
 
 
+@st.composite
+def _equivalence_pairs(draw):
+    """(m1, m2, whether m2 is a unitary conjugate of m1) on a supported
+    graph: a random module a against a conjugate, a + a against a conjugate,
+    or a + b against a + c, for random modules a, b, c of the same fibers."""
+    graph = draw(supported_graphs())
+    seed = draw(st.integers(0, 2**16))
+    dims = random_feasible_dims(graph, np.random.default_rng(seed), hi=2)
+    a, b, c = (random_module(graph, dims, seed + i) for i in range(3))
+    kind = draw(st.sampled_from(("conjugate", "repeated", "shared")))
+    if kind == "conjugate":
+        return a, unitary_conjugate(a, seed), True
+    if kind == "repeated":
+        s = direct_sum(a, a)
+        return s, unitary_conjugate(s, seed), True
+    return direct_sum(a, b), direct_sum(a, c), False
+
+
 class TestConstruction:
     def test_shape_mismatch_names_edge(self):
         g = sphere_odd_graph(2)
@@ -679,28 +697,33 @@ class TestEquivalence:
         assert validate_module(m).passed
         assert not validate_module(bad).passed
 
-    def test_irreducible_fallback_certifies(self, monkeypatch):
-        # With no random draws, irreducibility of both sides settles it.
-        monkeypatch.setattr(modules, "EQUIVALENCE_DRAWS", 0)
-        g = two_loop_graph()
-        m = random_module(g, {"1": 3}, 11)
-        other = unitary_conjugate(m, 12)
-        result = are_equivalent(m, other)
-        assert result.verdict == EQUIVALENT
-        theta = result.certificate
-        for e in g.edges:
-            lhs = theta[e.source] @ m.ops[e.id]
-            rhs = other.ops[e.id] @ theta[e.range]
-            assert np.allclose(lhs, rhs, atol=1e-8)
-        assert np.linalg.matrix_rank(theta["1"]) == 3
-
-    def test_reducible_without_draws_is_undetermined(self, monkeypatch):
-        monkeypatch.setattr(modules, "EQUIVALENCE_DRAWS", 0)
-        g = sphere_odd_graph(2)
-        s = direct_sum(*[one_dim_module(g, "1", cmath.exp(0.7j))] * 2)
-        result = are_equivalent(s, unitary_conjugate(s, 5))
+    def test_singular_draw_with_both_spaces_nonzero_is_undetermined(self):
+        # Hom(a + b, a + c) and Hom(a + c, a + b) are both spanned by the map
+        # a -> a, so the one draw is singular and neither space is zero.
+        g = sphere_odd_graph(1)
+        a, b, c = (one_dim_module(g, "1", cmath.exp(t * 1j)) for t in (0.3, 1.1, 2.0))
+        left, right = direct_sum(a, b), direct_sum(a, c)
+        assert intertwiner_space(left, right).dimension == 1
+        assert intertwiner_space(right, left).dimension == 1
+        result = are_equivalent(left, right)
         assert result.verdict == UNDETERMINED
         assert result.certificate is None
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(case=_equivalence_pairs())
+    def test_certificates_intertwine_and_conjugates_are_never_inequivalent(self, case):
+        m1, m2, conjugate = case
+        result = are_equivalent(m1, m2)
+        if conjugate:
+            assert result.verdict != INEQUIVALENT
+        if result.verdict != EQUIVALENT:
+            assert result.certificate is None
+            return
+        theta = result.certificate
+        for e in m1.graph.edges:
+            gap = theta[e.source] @ m1.ops[e.id] - m2.ops[e.id] @ theta[e.range]
+            assert np.linalg.norm(gap) <= 1e-8
+        assert modules._graded_invertible(theta, m1.dims)
 
 
 # entries whose products with 0.0 and 1.0 carry signed zeros and extremes
