@@ -26,7 +26,7 @@ from .families import (
     validate_quantum_graph,
 )
 from .graphs import GraphError
-from .lifting import LiftError, ck_residuals, lift
+from .lifting import LiftError, ck_residuals, lift, loop_eigenvalue
 from .modules import (
     ModuleError,
     are_equivalent,
@@ -241,30 +241,10 @@ def _cmd_lift_check(args) -> int:
 
 def _cmd_lift_eigen(args) -> int:
     module = _load_module(args.module)
-    graph = module.graph
-    graph.require_vertex(args.vertex)
     if args.level < 1:
         raise LiftError("--level must be at least 1")
-    loops = [e for e in graph.out_edges(args.vertex) if e.range == args.vertex]
-    if len(loops) != 1:
-        raise LiftError(f"vertex {args.vertex!r} carries {len(loops)} loops, need one")
-    if module.dims[args.vertex] == 0:
-        raise LiftError(f"fiber at {args.vertex!r} is zero-dimensional")
-    trunc = lift(module, args.level, validate=False)
-    xi = np.zeros(module.dims[args.vertex])
-    xi[0] = 1.0
-    below = trunc.reduce_class(args.vertex, xi, args.level - 1).coeffs
-    # the loop generator scatters each entry of the vertex's block of
-    # W_{level-1} to its image
-    images = trunc.edge_images(loops[0].id, args.level - 1)
-    image = np.zeros(trunc.dimension_at(args.level), dtype=np.complex128)
-    image[images] = below[trunc.block(args.vertex, args.level - 1)]
-    top = trunc.embed_map(args.level - 1).apply(below)
-    weight = complex(np.vdot(top, top))
-    if abs(weight) < 1e-30:
-        raise LiftError(f"the class at {args.vertex!r} reduces to zero")
-    value = complex(np.vdot(top, image)) / weight
-    residual = float(np.linalg.norm(image - value * top))
+    value, residual = loop_eigenvalue(lift(module, args.level, validate=False),
+                                      args.vertex)
     print(f"eigenvalue: {io.format_complex(value)}")
     print(f"residual: {residual:.3e}")
     return EXIT_OK if residual <= args.tol else EXIT_CHECK_FAILED

@@ -189,10 +189,10 @@ def lens_graph_coprime(params: LensParams) -> Graph:
     revisits a leveled vertex, its start included, so every vertex keeps
     exactly one loop.
 
-    The leveled sphere (`skew_product` of the odd sphere) has p n(n+1)/2
-    edges, and the admissible paths are counted before any is enumerated: a
-    GraphError refuses either count above MAX_EDGES, so a size a user types
-    never runs out of time or memory.
+    The leveled sphere (the odd sphere's skew product over Z/p: each vertex
+    and edge once per level) has p n(n+1)/2 edges, and the admissible paths
+    are counted before any is enumerated: a GraphError refuses either count
+    above MAX_EDGES, so a size a user types never runs out of time or memory.
     """
     require_coprime(params)
     n, p = params.n, params.p

@@ -265,30 +265,6 @@ def power_graph(graph: Graph, k: int) -> Graph:
     return Graph(graph.vertices, edges)
 
 
-def skew_product(graph: Graph, p: int, weights: dict[str, int]) -> Graph:
-    """Level the graph over the cyclic group of order p.
-
-    Vertex (v, c) is named "v@c"; edge (e, c) is named "e@c" and runs from
-    (source(e), c - weights[source(e)] mod p) to (range(e), c).
-    """
-    if p < 2:
-        raise GraphError("cyclic order p must be >= 2")
-    missing = [v for v in graph.vertices if v not in weights]
-    if missing:
-        raise GraphError(f"missing weights for vertices {missing}")
-    vertices = tuple(f"{v}@{c}" for v in graph.vertices for c in range(p))
-    edges = tuple(
-        Edge(
-            f"{e.id}@{c}",
-            f"{e.source}@{(c - weights[e.source]) % p}",
-            f"{e.range}@{c}",
-        )
-        for e in graph.edges
-        for c in range(p)
-    )
-    return Graph(vertices, edges)
-
-
 _ISO_VERTEX_LIMIT = 9
 
 

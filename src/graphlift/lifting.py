@@ -207,7 +207,7 @@ class TruncatedLift:
         self._root_rows = np.array([[-1] * len(roots), [-1] * len(roots), roots,
                                     roots, [0] * len(roots)], dtype=np.intp)
         self._levels: list[PathLevel] = []
-        self._paths: dict[int, list[Path]] = {}
+        self._paths: list[list[Path]] = []  # levels 0, 1, ... built so far
         self._images: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._embeds: dict[int, BlockMap] = {}
         self._block_table: tuple[np.ndarray, np.ndarray] | None = None
@@ -311,17 +311,17 @@ class TruncatedLift:
                      for b in range(self.module.dims[paths[i].source]))
 
     def _paths_of(self, k: int) -> list[Path]:
-        """The `Path` of each path of level k, in build order."""
-        level = self.paths_at(k)
-        if k not in self._paths:
-            g = self.module.graph
-            below = self._paths_of(k - 1) if k else []
-            self._paths[k] = [
+        """The `Path` of each path of level k, in build order, level by level."""
+        self.paths_at(k)
+        g = self.module.graph
+        for level in self._levels[len(self._paths) : k + 1]:
+            below = self._paths[-1] if self._paths else []
+            self._paths.append([
                 Path(g, (), base=g.vertices[v]) if p < 0
                 else Path(g, below[p].edges + (g.edges[e].id,), base=below[p].base)
                 for p, e, v in zip(level.parent.tolist(), level.edge.tolist(),
                                    level.range.tolist())
-            ]
+            ])
         return self._paths[k]
 
     @property
@@ -626,6 +626,33 @@ class WordOperator:
     target_level: int
 
 
+def _act(trunc: TruncatedLift, token: str, x: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """One symbol of a word (see `word_operator`) applied to x, a vector on W_k
+    or a matrix with rows indexed by W_k; returns the result and its level."""
+    g = trunc.module.graph
+    if token.endswith("*") and token[:-1] in g.edge_by_id:
+        if k == 0:
+            raise LiftError(f"level underflow applying {token!r}")
+        k -= 1
+        out = np.zeros((trunc.dimension_at(k),) + x.shape[1:], dtype=np.complex128)
+        # E* gathers: entry j of the source block reads entry t_j
+        out[trunc.block(g.edge_by_id[token[:-1]].source, k)] = x[trunc.edge_images(token[:-1], k)]
+    elif token in g.edge_by_id:
+        if k == trunc.level:
+            raise LiftError(f"level overflow applying {token!r} at level {k}")
+        out = np.zeros((trunc.dimension_at(k + 1),) + x.shape[1:], dtype=np.complex128)
+        # E scatters entry j of the source block to entry t_j (all distinct)
+        out[trunc.edge_images(token, k)] = x[trunc.block(g.edge_by_id[token].source, k)]
+        k += 1
+    elif token in g.vertex_index:
+        keep = trunc.block(token, k)
+        out = np.zeros_like(x)
+        out[keep] = x[keep]
+    else:
+        raise LiftError(f"unknown symbol {token!r}")
+    return out, k
+
+
 def word_operator(trunc: TruncatedLift, word: list[str], start_level: int) -> WordOperator:
     """Matrix of a word of symbols, applied rightmost first.
 
@@ -635,38 +662,31 @@ def word_operator(trunc: TruncatedLift, word: list[str], start_level: int) -> Wo
     the running matrix through the stored maps, so no generator matrix is
     formed.
     """
-    g = trunc.module.graph
     k = trunc._check_level(start_level, trunc.level)
     mat = np.eye(trunc.dimension_at(k), dtype=np.complex128)
     for token in reversed(list(word)):
-        if token.endswith("*") and token[:-1] in g.edge_by_id:
-            if k == 0:
-                raise LiftError(f"level underflow applying {token!r}")
-            images = trunc.edge_images(token[:-1], k - 1)
-            out = np.zeros((trunc.dimension_at(k - 1), mat.shape[1]),
-                           dtype=np.complex128)
-            # E* gathers: row j of the source block reads row t_j
-            out[trunc.block(g.edge_by_id[token[:-1]].source, k - 1)] = mat[images]
-            mat = out
-            k -= 1
-        elif token in g.edge_by_id:
-            if k == trunc.level:
-                raise LiftError(f"level overflow applying {token!r} at level {k}")
-            images = trunc.edge_images(token, k)
-            out = np.zeros((trunc.dimension_at(k + 1), mat.shape[1]),
-                           dtype=np.complex128)
-            # E scatters row j of the source block to row t_j
-            np.add.at(out, images, mat[trunc.block(g.edge_by_id[token].source, k)])
-            mat = out
-            k += 1
-        elif token in g.vertex_index:
-            keep = trunc.block(token, k)
-            out = np.zeros_like(mat)
-            out[keep] = mat[keep]
-            mat = out
-        else:
-            raise LiftError(f"unknown symbol {token!r}")
+        mat, k = _act(trunc, token, mat, k)
     return WordOperator(mat, int(start_level), k)
+
+
+def loop_eigenvalue(trunc: TruncatedLift, v: str) -> tuple[complex, float]:
+    """The loop at v applied to the class of (v, e_0) at level m - 1 of a lift
+    of level m >= 1, against that class at level m: the Rayleigh quotient and
+    the residual. A one-dimensional module of loop phase z gives conj(z), 0."""
+    loops = [e for e in trunc.module.graph.out_edges(v) if e.range == v]
+    if len(loops) != 1:
+        raise LiftError(f"vertex {v!r} carries {len(loops)} loops, need one")
+    if trunc.level < 1:
+        raise LiftError("the loop eigenvalue needs a lift of level at least 1")
+    below = trunc.reduce_class(v, np.arange(trunc.module.dims[v]) == 0,
+                               trunc.level - 1).coeffs
+    image, _ = _act(trunc, loops[0].id, below, trunc.level - 1)
+    top = trunc.embed_map(trunc.level - 1).apply(below)
+    weight = complex(np.vdot(top, top))
+    if abs(weight) < 1e-30:
+        raise LiftError(f"the class at {v!r} reduces to zero")
+    value = complex(np.vdot(top, image)) / weight
+    return value, float(np.linalg.norm(image - value * top))
 
 
 def lift_intertwiner(theta: dict[str, np.ndarray], source: TruncatedLift,

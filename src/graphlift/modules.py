@@ -454,13 +454,7 @@ class Equivalence:
 
 
 def _graded_invertible(theta: dict[str, np.ndarray], dims: dict[str, int]) -> bool:
-    for v, d in dims.items():
-        if d == 0:
-            continue
-        s = np.linalg.svd(theta[v], compute_uv=False)
-        if _rank(s, s[0]) < d:
-            return False
-    return True
+    return all(_nullspace(theta[v]).shape[1] == 0 for v, d in dims.items() if d)
 
 
 def are_equivalent(m1: PythagoreanModule, m2: PythagoreanModule) -> Equivalence:
@@ -470,7 +464,11 @@ def are_equivalent(m1: PythagoreanModule, m2: PythagoreanModule) -> Equivalence:
     combination of the Hom(m1, m2) basis is drawn; if it is invertible it
     settles equivalence and is the certificate. If it is not (or Hom(m1, m2)
     is zero), a zero intertwiner space in either direction settles
-    inequivalence, and two nonzero spaces leave the verdict undetermined.
+    inequivalence. Equivalent modules have dim Hom(m1, m2) = dim Hom(m2, m1)
+    = dim End(m1) = dim End(m2), so when both spaces are nonzero End(m1) and
+    End(m2) are solved, and any mismatch settles inequivalence. Four equal
+    dimensions leave the verdict undetermined; between direct sums of
+    irreducibles they force equivalence, so only non-semisimple pairs remain.
     """
     if m1.graph != m2.graph:
         raise ModuleError("modules live on different graphs")
@@ -491,6 +489,9 @@ def are_equivalent(m1: PythagoreanModule, m2: PythagoreanModule) -> Equivalence:
         }
         if _graded_invertible(theta, m1.dims):
             return Equivalence(EQUIVALENT, theta)
-    if forward.dimension == 0 or intertwiner_space(m2, m1).dimension == 0:
+    backward = intertwiner_space(m2, m1).dimension if forward.dimension else 0
+    if backward == 0:
         return Equivalence(INEQUIVALENT)
-    return Equivalence(UNDETERMINED)
+    counts = {forward.dimension, backward, intertwiner_space(m1, m1).dimension,
+              intertwiner_space(m2, m2).dimension}
+    return Equivalence(UNDETERMINED if len(counts) == 1 else INEQUIVALENT)

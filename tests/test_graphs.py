@@ -15,12 +15,11 @@ from graphlift import (
     maximal_paths,
     opposite,
     power_graph,
-    skew_product,
     sphere_even_graph,
     sphere_odd_graph,
 )
 
-from helpers import relabel_graph
+from helpers import relabel_graph, skew_product
 
 
 def two_vertex_graph() -> Graph:

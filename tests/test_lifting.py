@@ -19,6 +19,7 @@ from graphlift import (
     ModuleError,
     LiftVector,
     Path,
+    PythagoreanModule,
     TruncatedLift,
     ck_residuals,
     compose_paths,
@@ -30,6 +31,7 @@ from graphlift import (
     lens_graph_coprime,
     lift,
     lift_intertwiner,
+    loop_eigenvalue,
     one_dim_module,
     opposite,
     path_operator,
@@ -40,7 +42,7 @@ from graphlift import (
     validate_module,
     word_operator,
 )
-from graphlift.lifting import MAX_LEVEL
+from graphlift.lifting import MAX_LEVEL, _act
 
 from helpers import (
     dense_ck_residuals,
@@ -130,6 +132,11 @@ class TestBasis:
         assert t.dimension_at(2) == 3
         with pytest.raises(LiftError, match="outside"):
             t.basis_at(3)
+
+    def test_levels_above_the_recursion_limit(self):
+        # one path per level, each built from the one below
+        t = lift(one_dim_module(sphere_odd_graph(1), "1", 1j), 1100)
+        assert t.basis_at(1100) == ((Path(t.module.graph, ("11",) * 1100), 0),)
 
 
 class TestEmbedding:
@@ -569,6 +576,77 @@ class TestWords:
             @ t.projection_matrix("1", 1)
         )
         assert np.allclose(out.matrix, direct)
+
+
+def _random_word(g: Graph, rng, start: int, top: int) -> list[str]:
+    """A word of up to 8 symbols whose levels stay within 0..top from start,
+    listed rightmost (first applied) last."""
+    word, k = [], start
+    for _ in range(rng.integers(1, 9)):
+        choices = list(g.vertices)
+        if k < top:
+            choices += [e.id for e in g.edges]
+        if k > 0:
+            choices += [e.id + "*" for e in g.edges]
+        token = choices[rng.integers(len(choices))]
+        k += 1 if token in g.edge_by_id else -1 if token.endswith("*") else 0
+        word.insert(0, token)
+    return word
+
+
+class TestActOnVectors:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_word_operator(self, seed):
+        rng = np.random.default_rng(seed)
+        g = [sphere_odd_graph(2), sphere_even_graph(2), projective_graph(2)][seed % 3]
+        t = lift(random_module(g, random_feasible_dims(g, rng), seed), 3)
+        for _ in range(10):
+            start = int(rng.integers(0, 4))
+            word = _random_word(g, rng, start, 3)
+            x = rng.standard_normal(t.dimension_at(start)) + 1j * rng.standard_normal(
+                t.dimension_at(start))
+            y, k = x, start
+            for token in reversed(word):
+                y, k = _act(t, token, y, k)
+            out = word_operator(t, word, start)
+            assert k == out.target_level
+            assert np.allclose(y, out.matrix @ x)
+
+
+class TestLoopEigenvalue:
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_phase_modules_give_the_conjugate_phase(self, level):
+        g = sphere_odd_graph(3)
+        for v in g.vertices:
+            for k in range(1, 8):
+                z = cmath.exp(2j * cmath.pi * k / 8)
+                t = lift(one_dim_module(g, v, z), level)
+                value, residual = loop_eigenvalue(t, v)
+                assert value == pytest.approx(z.conjugate(), abs=1e-15)
+                assert residual <= 1e-15  # zero but for the quotient's rounding
+
+    def test_loopless_vertex_refused(self):
+        t = lift(isolated_module(sphere_even_graph(2), "3"), 2)
+        with pytest.raises(LiftError, match="carries 0 loops"):
+            loop_eigenvalue(t, "3")
+
+    def test_unknown_vertex_refused(self):
+        with pytest.raises(GraphError, match="unknown vertex"):
+            loop_eigenvalue(phase_lift("1", Z8, 2), "9")
+
+    def test_zero_fiber_refused(self):
+        with pytest.raises(LiftError, match="fiber at '2' is zero-dimensional"):
+            loop_eigenvalue(phase_lift("1", Z8, 2), "2")
+
+    def test_class_reducing_to_zero_refused(self):
+        graph = Graph(("1",), (Edge("11", "1", "1"),))
+        m = PythagoreanModule(graph, {"1": 1}, {"11": np.zeros((1, 1))})
+        with pytest.raises(LiftError, match="the class at '1' reduces to zero"):
+            loop_eigenvalue(lift(m, 1, validate=False), "1")
+
+    def test_level_zero_lift_refused(self):
+        with pytest.raises(LiftError, match="level at least 1"):
+            loop_eigenvalue(phase_lift("1", Z8, 0), "1")
 
 
 class TestFunctoriality:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from graphlift import (
     EQUIVALENT,
     INEQUIVALENT,
-    UNDETERMINED,
     Edge,
     Graph,
     LensParams,
@@ -697,16 +696,24 @@ class TestEquivalence:
         assert validate_module(m).passed
         assert not validate_module(bad).passed
 
-    def test_singular_draw_with_both_spaces_nonzero_is_undetermined(self):
+    def test_singular_draw_with_unequal_dimension_counts_is_inequivalent(self, monkeypatch):
         # Hom(a + b, a + c) and Hom(a + c, a + b) are both spanned by the map
-        # a -> a, so the one draw is singular and neither space is zero.
+        # a -> a, so the one draw is singular and neither space is zero; but
+        # End(a + b) and End(a + c) are 2-dimensional, which no pair of
+        # equivalent modules allows.
         g = sphere_odd_graph(1)
         a, b, c = (one_dim_module(g, "1", cmath.exp(t * 1j)) for t in (0.3, 1.1, 2.0))
         left, right = direct_sum(a, b), direct_sum(a, c)
-        assert intertwiner_space(left, right).dimension == 1
-        assert intertwiner_space(right, left).dimension == 1
+        pairs = ((left, right), (right, left), (left, left), (right, right))
+        assert [intertwiner_space(x, y).dimension for x, y in pairs] == [1, 1, 2, 2]
+        decisions = []
+        invertible = modules._graded_invertible
+        monkeypatch.setattr(modules, "_graded_invertible",
+                            lambda theta, dims: decisions.append(invertible(theta, dims))
+                            or decisions[-1])
         result = are_equivalent(left, right)
-        assert result.verdict == UNDETERMINED
+        assert decisions == [False]
+        assert result.verdict == INEQUIVALENT
         assert result.certificate is None
 
     @settings(derandomize=True, max_examples=100, deadline=None)

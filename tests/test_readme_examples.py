@@ -70,3 +70,15 @@ def test_readme_classify_shape(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     cli.run(["classify", "sphere.json"])
     assert '"class": "loop-graph"' in capsys.readouterr().out
+
+
+def test_readme_library_block_prints_its_comments(capsys):
+    """The "Library use" block runs as written, and each line it prints is
+    the trailing `# ...` comment of its `print` call."""
+    section = README.read_text().split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("#", 1)[1].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+    assert len(expected) == 3
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
