@@ -128,6 +128,21 @@ class Path:
         elif self.base != src:
             raise GraphError(f"base {self.base!r} is not the path source {src!r}")
 
+    def extend(self, edge_id: str) -> Path:
+        """This path, then edge `edge_id`. Only the new edge is checked: it
+        must exist and start at this path's range."""
+        e = self.graph.edge_by_id.get(edge_id)
+        if e is None:
+            raise GraphError(f"unknown edge {edge_id!r}")
+        if e.source != self.range:
+            raise GraphError(f"edge {e.id!r} does not compose after {self.display!r}: "
+                             f"range {self.range!r} != source {e.source!r}")
+        path = object.__new__(Path)  # the prefix is valid, so skip the full check
+        object.__setattr__(path, "graph", self.graph)
+        object.__setattr__(path, "edges", self.edges + (edge_id,))
+        object.__setattr__(path, "base", self.base)
+        return path
+
     @property
     def length(self) -> int:
         return len(self.edges)

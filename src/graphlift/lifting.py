@@ -28,7 +28,8 @@ per path, built from the level below in one vectorized step. One lexsort
 puts it in basis order, on the range and a key per path: the rank of the
 parent's traversal sequence in the level below and the appended edge, so
 the work per path does not grow with the level. `basis_at` builds
-`(Path, fiber)` tuples from the trie only when asked. Basis order is
+`(Path, fiber)` tuples from the trie only when asked, each `Path` its
+parent's extended by one edge, keeping only the level below. Basis order is
 range-major, so the entries with range v form one block of W_k, the slice
 `block(v, k)`, and P_v keeps it.
 E_e maps the whole block of source(e) and nothing else, since each path has
@@ -36,10 +37,14 @@ a child per out-edge of its range: a level stores just those images, edge by
 edge. `edge_images(e, k)` reads one edge's as they are stored (the index in
 W_{k+1} of the image of each entry of the source block), which is all that
 callers acting on vectors, the relation check and the "edge-images" lift file
-need. Each embedding is a `BlockMap`, the nonzeros of its blocks A_nu[:, b]
-(one per column and incoming edge) plus one identity entry per unextendable
-column, and so is each lifted intertwiner. `edge_matrix`, `projection_matrix`
-and `embed_matrix` materialize dense matrices for callers that want them.
+need. Each embedding is a block placement: per path of level k+1, its
+block (A_nu for its first edge nu, or the identity at a vertex that
+receives no edge) and the path of level k it reads. `embed_map` expands a
+placement into a `BlockMap`, the nonzeros of its blocks, for the callers
+that act on vectors, and so is each lifted intertwiner; the relation check
+reads the embedding Gram straight off the placement instead.
+`edge_matrix`, `projection_matrix` and `embed_matrix` materialize dense
+matrices for callers that want them.
 """
 
 from __future__ import annotations
@@ -96,38 +101,19 @@ class BlockMap:
         mat[self.rows, self.cols] = self.vals
         return mat
 
-    def gram_residual(self) -> float:
-        """Frobenius norm of M*M - I, summed row by row over the pairs of
-        entries that share a row; no dense Gram matrix is formed."""
-        n = self.shape[1]
-        if not self.rows.size:
-            return float(np.sqrt(n))
-        starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
-        counts = np.diff(np.append(starts, self.rows.size))
-        size = np.repeat(counts, counts)  # entries in the row of each entry
-        left = np.repeat(np.arange(self.rows.size), size)
-        # each entry pairs with every entry of its row, its own included
-        offset = np.arange(left.size) - np.repeat(np.cumsum(size) - size, size)
-        right = np.repeat(np.repeat(starts, counts), size) + offset
-        keys, inverse = np.unique(self.cols[left] * n + self.cols[right],
-                                  return_inverse=True)
-        # conj(x) * y in real arithmetic, so that conj(x) * x is exactly real
-        xr, xi = self.vals.real[left], self.vals.imag[left]
-        yr, yi = self.vals.real[right], self.vals.imag[right]
-        gram_re = np.bincount(inverse, xr * yr + xi * yi)
-        gram_im = np.bincount(inverse, xr * yi - xi * yr)
-        diagonal = keys // n == keys % n
-        gram_re[diagonal] -= 1.0
-        unseen = n - int(diagonal.sum())  # zero columns: Gram diagonal 0
-        return float(np.sqrt(np.sum(gram_re**2) + np.sum(gram_im**2) + unseen))
+
+def _ramps(size: np.ndarray) -> np.ndarray:
+    """0, 1, ..., size[i] - 1 for each i in turn: each item's place in its run."""
+    at = np.arange(int(size.sum()))
+    at -= (size.cumsum() - size).repeat(size)
+    return at
 
 
 def _block_map(row0, col0, height, width, start, values, shape) -> BlockMap:
     """Block i, the height[i] x width[i] row-major array from values[start[i]],
     sits at (row0[i], col0[i]); blocks come in row order and share no row."""
     size = height * width
-    before = (size.cumsum() - size).repeat(size)  # entries ahead of the block
-    j = np.arange(before.size) - before
+    j = _ramps(size)
     width = width.repeat(size)
     return BlockMap(_frozen(row0.repeat(size) + j // width),
                     _frozen(col0.repeat(size) + j % width),
@@ -207,10 +193,11 @@ class TruncatedLift:
         self._root_rows = np.array([[-1] * len(roots), [-1] * len(roots), roots,
                                     roots, [0] * len(roots)], dtype=np.intp)
         self._levels: list[PathLevel] = []
-        self._paths: list[list[Path]] = []  # levels 0, 1, ... built so far
+        self._paths: tuple[int, list[Path]] = (-1, [])  # the last level built
         self._images: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._embeds: dict[int, BlockMap] = {}
         self._block_table: tuple[np.ndarray, np.ndarray] | None = None
+        self._gram_table: tuple[np.ndarray, ...] | None = None
 
     def _check_level(self, k: int, top: int) -> int:
         k = int(k)
@@ -268,8 +255,9 @@ class TruncatedLift:
             (self._out_start[low.range] - low.first).repeat(count) + step]
         table[2, :built] = self._edge_range[edge]
         table[3, :built] = low.source[parent]
-        np.add(low.length[parent], 1, out=table[4, :built])
-        table[7, :built] = np.where(low.length[parent] == 0, edge, low.head[parent])
+        length = low.length[parent]
+        np.add(length, 1, out=table[4, :built])
+        table[7, :built] = np.where(length == 0, edge, low.head[parent])
         if k == 0:  # paths of length <= 1 embed from their range vertex
             index = np.empty(self._fiber.size, dtype=np.intp)
             index.fill(-1)
@@ -292,8 +280,8 @@ class TruncatedLift:
     def _level_from(self, table: np.ndarray, order: np.ndarray) -> PathLevel:
         """Fill in the entry offsets (row 5), the first-child build indices
         (row 6) and the vertex blocks of a level whose other rows are set."""
-        fibers = self._fiber[table[3, order]]
-        starts = np.append(0, fibers.cumsum())
+        starts = np.zeros(order.size + 1, dtype=np.intp)
+        self._fiber[table[3, order]].cumsum(out=starts[1:])
         table[5, order] = starts[:-1]
         count = self._out_degree[table[2]]
         count.cumsum(out=table[6])
@@ -311,18 +299,20 @@ class TruncatedLift:
                      for b in range(self.module.dims[paths[i].source]))
 
     def _paths_of(self, k: int) -> list[Path]:
-        """The `Path` of each path of level k, in build order, level by level."""
+        """The `Path` of each path of level k, in build order, each its parent
+        one level down extended by its edge. Only the last level built is
+        kept, so requests in ascending order build each level once."""
         self.paths_at(k)
+        at, paths = self._paths
+        if at > k:
+            at, paths = -1, []
         g = self.module.graph
-        for level in self._levels[len(self._paths) : k + 1]:
-            below = self._paths[-1] if self._paths else []
-            self._paths.append([
-                Path(g, (), base=g.vertices[v]) if p < 0
-                else Path(g, below[p].edges + (g.edges[e].id,), base=below[p].base)
-                for p, e, v in zip(level.parent.tolist(), level.edge.tolist(),
-                                   level.range.tolist())
-            ])
-        return self._paths[k]
+        for level in self._levels[at + 1 : k + 1]:
+            paths = [Path(g, (), base=g.vertices[v]) if p < 0 else paths[p].extend(g.edges[e].id)
+                     for p, e, v in zip(level.parent.tolist(), level.edge.tolist(),
+                                        level.range.tolist())]
+        self._paths = (k, paths)
+        return paths
 
     @property
     def basis(self) -> tuple[BasisEntry, ...]:
@@ -394,17 +384,24 @@ class TruncatedLift:
         k = self._check_level(k, self.level)
         if k not in self._embeds:
             low, high = self.paths_at(k), self.paths_at(k + 1)
-            path = high.order  # row order: paths in basis order
-            down = high.down[path]
+            path, down, block = self._placement(k)
             blocks, starts = self._blocks()
-            block = np.where(high.length == k + 1, high.head,
-                             len(self._edge_index) + high.source)[path]
             # the block of path i is fiber(source i) x fiber(source down(i))
             self._embeds[k] = _block_map(
                 high.offset[path], low.offset[down], self._fiber[high.source[path]],
                 self._fiber[low.source[down]] * (down >= 0), starts[block], blocks,
                 (high.dimension, low.dimension))
         return self._embeds[k]
+
+    def _placement(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The embedding of level k as a block placement: the paths of level
+        k+1 in basis order (the row order), the path of level k that each
+        reads (-1 for none), and the index of its block in `_blocks`."""
+        high = self.paths_at(k + 1)
+        path = high.order
+        block = np.where(high.length == k + 1, high.head,
+                         len(self._edge_index) + high.source)[path]
+        return path, high.down[path], block
 
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """The embedding blocks, row-major in one array: A_e per edge, then
@@ -422,6 +419,68 @@ class TruncatedLift:
             self._block_table = (np.concatenate(parts).astype(np.complex128),
                                  sizes.cumsum() - sizes)
         return self._block_table
+
+    def _gram_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The Gram terms of the blocks of `_blocks`: for row r and columns a
+        and c of a block B of width w, conj(B[r, a]) * B[r, c] in real
+        arithmetic, as a real and an imaginary part, and its cell a * w + c
+        of the w x w Gram; block by block, each in (r, a, c) order. Also
+        where the terms of each block start and how many it has."""
+        if self._gram_table is None:
+            values, starts = self._blocks()
+            side = np.zeros_like(self._fiber)  # of the identity at each root
+            side[self._root_rows[2]] = self._fiber[self._root_rows[2]]
+            height = np.concatenate((self._fiber[self._edge_source], side))
+            width = np.concatenate((self._fiber[self._edge_range], side))
+            count = height * width * width
+            w = width.repeat(count)
+            r, cell = np.divmod(_ramps(count), w * w)
+            a, c = np.divmod(cell, w)
+            row = starts.repeat(count) + r * w  # where row r of the block starts
+            x, y = values[row + a], values[row + c]
+            self._gram_table = (x.real * y.real + x.imag * y.imag,
+                                x.real * y.imag - x.imag * y.real,
+                                cell, count.cumsum() - count, count)
+        return self._gram_table
+
+    def _gram_residual(self, k: int) -> float:
+        """Frobenius norm of M*M - I for the embedding M of level k, read off
+        the block placement of `embed_map` without expanding it.
+
+        Each row of M reads the columns of one lower path, so M*M is block
+        diagonal, with a w x w slot block for each lower path that receives
+        a row, w being its fiber; the slot blocks follow the lower paths in
+        basis order. Each row path adds the Gram terms of its block into the
+        slots of its lower path, rows in order, in one bincount for the real
+        parts and one for the imaginary parts, so each slot sums its terms
+        row by row. A lower path that receives no row has a zero Gram block:
+        its entries add 1 each. Slots are indexed by path, never by column,
+        and nothing is sorted."""
+        low = self.paths_at(k)
+        _, down, block = self._placement(k)
+        fed = down >= 0
+        down, block = down[fed], block[fed]
+        if not down.size:
+            return float(np.sqrt(low.dimension))
+        real, imag, cell, first, count = self._gram_terms()
+        side = np.zeros_like(low.source)  # slot block side per lower path
+        side[down] = self._fiber[low.source[down]]
+        side = side[low.order]
+        size = side * side
+        start = size.cumsum() - size
+        base = np.empty_like(size)
+        base[low.order] = start
+        count = count[block]
+        at = _ramps(count)  # the terms of each row path's block, in turn
+        at += first[block].repeat(count)
+        slot = cell[at]
+        slot += base[down].repeat(count)
+        slots = int(size.sum())
+        gram_re = np.bincount(slot, real[at], slots)
+        gram_im = np.bincount(slot, imag[at], slots)
+        gram_re[_ramps(side) * (side + 1).repeat(side) + start.repeat(side)] -= 1.0
+        unseen = low.dimension - int(side.sum())  # lower entries no row reads
+        return float(np.sqrt(np.sum(gram_re**2) + np.sum(gram_im**2) + unseen))
 
     def edge_matrix(self, edge_id: str, k: int) -> np.ndarray:
         """Matrix of the edge generator from W_k to W_{k+1}; entries 0 or 1."""
@@ -568,8 +627,10 @@ def ck_residuals(trunc: TruncatedLift) -> CkReport:
 
     Every residual is read off the vertex blocks and the stored maps, with
     work that follows their nonzeros: one sort of the level's edge images,
-    and the embedding entries times the largest fiber. No dense matrix and
-    no per-vertex or per-edge array as long as a level is formed.
+    and per level a per-path slot block of the embedding Gram, filled from
+    the block placement with no sort (`TruncatedLift._gram_residual`); no
+    embedding is expanded. No dense matrix and no per-vertex or per-edge
+    array as long as a level is formed.
     P_v keeps the block of v, so the projector residuals follow from the
     block intervals: an entry covered c times adds (c - 1)^2 to
     completeness, and two blocks that share n entries give an orthogonality
@@ -582,7 +643,7 @@ def ck_residuals(trunc: TruncatedLift) -> CkReport:
     """
     g = trunc.module.graph
     m = trunc.level
-    embed_isometry = {k: trunc.embed_map(k).gram_residual() for k in range(m + 1)}
+    embed_isometry = {k: trunc._gram_residual(k) for k in range(m + 1)}
     low, high = trunc.paths_at(m).bounds, trunc.paths_at(m + 1).bounds
     order = np.argsort(low[:-1], kind="stable")
     starts, stops = low[:-1][order], low[1:][order]

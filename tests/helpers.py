@@ -309,6 +309,33 @@ def reference_embed_map(module: PythagoreanModule, k: int):
     return rows[order], cols[order], vals[order]
 
 
+def reference_gram_residual(block_map) -> float:
+    """Reference only: the Frobenius norm of M*M - I for the nonzeros of a
+    `BlockMap` M, summed row by row over the pairs of entries that share a
+    row; no dense Gram matrix is formed."""
+    n = block_map.shape[1]
+    if not block_map.rows.size:
+        return float(np.sqrt(n))
+    starts = np.flatnonzero(np.diff(block_map.rows, prepend=-1))
+    counts = np.diff(np.append(starts, block_map.rows.size))
+    size = np.repeat(counts, counts)  # entries in the row of each entry
+    left = np.repeat(np.arange(block_map.rows.size), size)
+    # each entry pairs with every entry of its row, its own included
+    offset = np.arange(left.size) - np.repeat(np.cumsum(size) - size, size)
+    right = np.repeat(np.repeat(starts, counts), size) + offset
+    keys, inverse = np.unique(block_map.cols[left] * n + block_map.cols[right],
+                              return_inverse=True)
+    # conj(x) * y in real arithmetic, so that conj(x) * x is exactly real
+    xr, xi = block_map.vals.real[left], block_map.vals.imag[left]
+    yr, yi = block_map.vals.real[right], block_map.vals.imag[right]
+    gram_re = np.bincount(inverse, xr * yr + xi * yi)
+    gram_im = np.bincount(inverse, xr * yi - xi * yr)
+    diagonal = keys // n == keys % n
+    gram_re[diagonal] -= 1.0
+    unseen = n - int(diagonal.sum())  # zero columns: Gram diagonal 0
+    return float(np.sqrt(np.sum(gram_re**2) + np.sum(gram_im**2) + unseen))
+
+
 def perturb_edge(module: PythagoreanModule, edge_id: str,
                  eps: float) -> PythagoreanModule:
     """Copy the module with one operator shifted by eps in every entry."""

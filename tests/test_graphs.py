@@ -78,6 +78,22 @@ class TestPaths:
         with pytest.raises(GraphError, match="do not compose"):
             Path(g, ("21", "11"))
 
+    def test_extend_appends_at_the_range_end(self):
+        g = two_vertex_graph()
+        p = Path(g, (), base="1").extend("11").extend("21").extend("22")
+        assert p == Path(g, ("11", "21", "22"))
+        assert hash(p) == hash(Path(g, ("11", "21", "22")))
+        assert p.source == "1" and p.range == "2"
+
+    def test_extend_checks_the_new_edge(self):
+        g = two_vertex_graph()
+        with pytest.raises(GraphError, match="unknown edge"):
+            Path(g, ("11",)).extend("zz")
+        with pytest.raises(GraphError, match="does not compose"):
+            Path(g, ("21",)).extend("11")
+        with pytest.raises(GraphError, match="does not compose"):
+            Path(g, (), base="2").extend("21")
+
     def test_base_must_match_source(self):
         g = two_vertex_graph()
         with pytest.raises(GraphError, match="not the path source"):

@@ -53,6 +53,7 @@ from helpers import (
     reference_basis,
     reference_edge_targets,
     reference_embed_map,
+    reference_gram_residual,
     small_multigraphs,
     supported_graphs,
     unfed_fiber_module,
@@ -137,6 +138,25 @@ class TestBasis:
         # one path per level, each built from the one below
         t = lift(one_dim_module(sphere_odd_graph(1), "1", 1j), 1100)
         assert t.basis_at(1100) == ((Path(t.module.graph, ("11",) * 1100), 0),)
+
+    def test_deep_basis_keeps_one_level(self):
+        # the paths of every level below were kept, 2000^2 / 2 edge ids in
+        # all: 18.8 MiB; only the level below is kept now: 3.1 MiB
+        m = one_dim_module(sphere_odd_graph(1), "1", 1j)
+        tracemalloc.start()
+        try:
+            basis = lift(m, 2000).basis_at(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis == ((Path(m.graph, ("11",) * 2000), 0),)
+        assert peak < 6 * 2**20
+
+    def test_basis_levels_in_any_order(self):
+        t = lift(random_module(sphere_odd_graph(3), {"1": 2, "2": 1, "3": 1}, 4), 4)
+        fresh = [lift(t.module, 4).basis_at(k) for k in range(6)]
+        for k in (5, 2, 2, 0, 4, 1, 3):
+            assert t.basis_at(k) == fresh[k], k
 
 
 class TestEmbedding:
@@ -479,6 +499,20 @@ class TestSparseRelations:
         assert report.edge_isometry["22"] == 0.0
         assert not report.passed()
 
+    def test_wide_lens_gram_memory(self):
+        # level 5 of dimension 81920: expanding each embedding and sorting
+        # its pairs of entries peaked at 87.5 MiB; per-path slots at 33 MiB
+        g = lens_graph_coprime(LensParams(5, 5, (1, 1, 1, 1, 1)))
+        m = random_module(g, {v: 2 for v in g.vertices}, 1)
+        tracemalloc.start()
+        try:
+            report = ck_residuals(lift(m, 5, validate=False))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        assert report.max_residual <= 1e-9
+
     def test_wide_graph_memory(self):
         # 220 edges, level 4 of dimension 35762: a -1-padded row per edge and
         # level peaked at 108.7 MiB, the images of each source block at 48.6
@@ -493,6 +527,70 @@ class TestSparseRelations:
             tracemalloc.stop()
         assert peak < 72 * 2**20
         assert report.max_residual <= 1e-9
+
+
+def _relation_gram(trunc: TruncatedLift, k: int) -> float:
+    """The Gram block of a level-k path mu is the module's relation at
+    source(mu) less the identity, so the level-k residual is sqrt of the sum
+    over those paths of r_source(mu)^2, r from `validate_module`."""
+    report = validate_module(trunc.module)
+    r = np.array([report.residuals.get(v, 0.0) for v in trunc.module.graph.vertices])
+    return float(np.sqrt(np.sum(r[trunc.paths_at(k).source] ** 2)))
+
+
+def _mixed_even_sphere(dims):
+    g = sphere_even_graph(2)  # "3" and "4" receive nothing: identity blocks
+    return random_module(g, dict(zip(g.vertices, dims)), 5)
+
+
+GRAM_CASES = {
+    "unfed fiber": unfed_fiber_module,
+    "even sphere": lambda: _mixed_even_sphere((2, 3, 1, 2)),
+    "even sphere, zero fiber": lambda: _mixed_even_sphere((1, 2, 0, 3)),
+    "even sphere, perturbed": lambda: perturb_edge(_mixed_even_sphere((2, 3, 1, 2)), "14", 1e-3),
+    "odd sphere, perturbed": lambda: perturb_edge(
+        random_module(sphere_odd_graph(3), {"1": 2, "2": 1, "3": 2}, 6), "22", 1e-2),
+}
+
+
+class TestGramFromPlacement:
+    """The embedding Gram residual of `ck_residuals`, read off the block
+    placement, against the expanded embedding and the module relation."""
+
+    @staticmethod
+    def _check(module):
+        t = lift(module, 4, validate=False)
+        report = ck_residuals(t)
+        for k in range(5):
+            assert report.embed_isometry[k] == reference_gram_residual(t.embed_map(k)), k
+            assert report.embed_isometry[k] == pytest.approx(_relation_gram(t, k),
+                                                             rel=0, abs=1e-12), k
+
+    @pytest.mark.parametrize("name", sorted(GRAM_CASES))
+    def test_named_modules(self, name):
+        self._check(GRAM_CASES[name]())
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(graph=supported_graphs(), seed=st.integers(0, 2**16))
+    def test_random_modules(self, graph, seed):
+        dims = random_feasible_dims(graph, np.random.default_rng(seed), hi=3)
+        module = random_module(graph, dims, seed)
+        self._check(module)
+        live = [e.id for e in graph.edges if module.ops[e.id].size]
+        if live:
+            self._check(perturb_edge(module, live[seed % len(live)], 1e-3))
+
+    def test_check_expands_no_embedding(self, monkeypatch):
+        module = GRAM_CASES["even sphere, perturbed"]()
+        t = lift(module, 3, validate=False)
+        want = [reference_gram_residual(t.embed_map(k)) for k in range(4)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("embedding expanded")
+
+        monkeypatch.setattr(TruncatedLift, "embed_map", refuse)
+        report = ck_residuals(lift(module, 3, validate=False))
+        assert [report.embed_isometry[k] for k in range(4)] == want
 
 
 class TestWords:
