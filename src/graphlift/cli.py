@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -213,11 +214,22 @@ def _cmd_module_equivalent(args) -> int:
 
 
 def _cmd_lift_build(args) -> int:
+    """Write the lift document as its pieces are produced; a build that fails
+    part way removes its partial file, so it leaves no file."""
     module = _load_module(args.module)
     trunc = lift(module, args.level)
-    doc = io.lift_to_dict(trunc)
-    _emit(doc, args.out, "text",
-          f"lift at level {args.level}: dimension {trunc.dimension}")
+    parts = io._lift_text(trunc)
+    if not args.out:
+        sys.stdout.writelines(parts)
+        return EXIT_OK
+    handle = open(args.out, "w", encoding="utf-8")
+    try:
+        with handle:
+            handle.writelines(parts)
+    except BaseException:
+        os.remove(args.out)
+        raise
+    print(f"lift at level {args.level}: dimension {trunc.dimension}")
     return EXIT_OK
 
 

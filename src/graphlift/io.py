@@ -15,7 +15,7 @@ import json
 import re
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -186,33 +186,6 @@ def spectrum_from_dict(doc) -> SpectrumDescription:
     return SpectrumDescription(tag, out["circles"], out["points"], by_analogy)
 
 
-def _basis_records(trunc: TruncatedLift) -> dict:
-    """One record per basis entry of levels 0..m+1, read off the path trie;
-    each display extends its parent's by one edge id on the left."""
-    g = trunc.module.graph
-    names = [e.id for e in g.edges]
-    vertices = g.vertices
-    fibers = [range(trunc.module.dims[v]) for v in vertices]
-    shown: list[str] = []
-    out = {}
-    for k in range(trunc.level + 2):
-        level = trunc.paths_at(k)
-        parent, edge, rng, source, length = (
-            a.tolist() for a in (level.parent, level.edge, level.range,
-                                 level.source, level.length))
-        shown = [
-            vertices[v] if p < 0 else names[e] if n == 1 else f"{names[e]}.{shown[p]}"
-            for p, e, v, n in zip(parent, edge, rng, length)
-        ]
-        out[str(k)] = [
-            {"path": shown[i], "source": vertices[source[i]],
-             "range": vertices[rng[i]], "length": length[i], "fiber": b}
-            for i in level.order.tolist()
-            for b in fibers[source[i]]
-        ]
-    return out
-
-
 LIFT_FORMAT = "edge-images"
 # the earlier layout, which spread each edge over a -1-padded list as long as
 # its level and listed each projection's indices; it decodes the same
@@ -224,25 +197,96 @@ def lift_to_dict(trunc: TruncatedLift) -> dict:
     lists. The basis is range-major, so vertex v projects onto one block of
     each level, written as its [start, stop]; an edge maps the block of its
     source and nothing else, and is written as the index in level k+1 of the
-    image of each entry of that block (`TruncatedLift.edge_images`). Apart
-    from the bases, a file holds O(vertices + nonzeros) numbers per level."""
+    image of each entry of that block (`TruncatedLift.edge_images`). Each
+    basis entry has one record: its path's display, source, range and length,
+    and its fiber index. Apart from the bases, a file holds
+    O(vertices + nonzeros) numbers per level. The document is decoded from
+    the text that `lift build` writes."""
+    return json.loads("".join(_lift_text(trunc)))
+
+
+_PATHS_PER_PIECE = 4096
+
+
+def _lift_text(trunc: TruncatedLift) -> Iterator[str]:
+    """The text of the lift document, as `dumps_json` would write it, in
+    pieces in document order: the module, the bases level by level, then the
+    edge images and the projection blocks. No per-entry object is built. Ids
+    are escaped once; each path's display is its parent's with one more
+    escaped edge id on the left; each path's record text up to the fiber
+    index is formatted once and joined with the fiber indices of its source.
+    A level's bases come in pieces of a few thousand paths, so that besides
+    the trie only the displays of the level and one piece are held."""
     m = trunc.level
     g = trunc.module.graph
-    bounds = [trunc.paths_at(k).bounds.tolist() for k in range(m + 1)]
-    return {
-        "format": LIFT_FORMAT,
-        "module": module_to_dict(trunc.module),
-        "level": m,
-        "bases": _basis_records(trunc),
-        "edges": {
-            str(k): {e.id: trunc.edge_images(e.id, k).tolist() for e in g.edges}
-            for k in range(m + 1)
-        },
-        "projections": {
-            str(k): {v: b[u : u + 2] for u, v in enumerate(g.vertices)}
-            for k, b in enumerate(bounds)
-        },
-    }
+    vertices = [_ESCAPE(v) for v in g.vertices]
+    names = [_ESCAPE(e.id) for e in g.edges]
+    bare_vertices = [v[1:-1] for v in vertices]
+    bare_names = [name[1:-1] for name in names]
+    sources = [f',\n        "source": {v}' for v in vertices]
+    ranges = [f',\n        "range": {v},\n        "length": ' for v in vertices]
+    # the record text of a path up to its length, joined over the fibers of
+    # the path's source, gives its records, each led by the comma before it
+    dims = [trunc.module.dims[v] for v in g.vertices]
+    fibers = [["", *(f',\n        "fiber": {b}\n      }}' for b in range(d))] for d in dims]
+    parts: list[str] = []
+    _encode(module_to_dict(trunc.module), "\n  ", parts)
+    yield f'{{\n  "format": {_ESCAPE(LIFT_FORMAT)},\n  "module": ' + "".join(parts)
+    yield f',\n  "level": {m},\n  "bases": {{'
+    shown: list[str] = []  # escaped displays without quotes, in build order
+    for k in range(m + 2):
+        level = trunc.paths_at(k)
+        shown = [
+            bare_vertices[v] if p < 0 else bare_names[e] if n == 1
+            else f"{bare_names[e]}.{shown[p]}"
+            for p, e, v, n in zip(*(a.tolist() for a in (level.parent, level.edge,
+                                                         level.range, level.length)))
+        ]
+        key = f'{"," if k else ""}\n    "{k}": '
+        if not level.order.size:
+            yield key + "[]"
+            continue
+        for start in range(0, level.order.size, _PATHS_PER_PIECE):
+            at = level.order[start : start + _PATHS_PER_PIECE]
+            piece = "".join([
+                f',\n      {{\n        "path": "{shown[i]}"{sources[s]}{ranges[r]}{n}'.join(
+                    fibers[s])
+                for i, s, r, n in zip(at.tolist(), level.source[at].tolist(),
+                                      level.range[at].tolist(), level.length[at].tolist())
+            ])
+            yield key + "[" + piece[1:] if start == 0 else piece
+        yield "\n    ]"
+    yield '\n  },\n  "edges": {'
+    for k in range(m + 1):
+        yield f'{"," if k else ""}\n    "{k}": '
+        yield from _members(
+            f"\n      {name}: " + _ints(trunc.edge_images(e.id, k).tolist())
+            for e, name in zip(g.edges, names))
+    yield '\n  },\n  "projections": {'
+    for k in range(m + 1):
+        bounds = trunc.paths_at(k).bounds.tolist()
+        yield f'{"," if k else ""}\n    "{k}": '
+        yield from _members(
+            f"\n      {v}: [\n        {bounds[u]},\n        {bounds[u + 1]}\n      ]"
+            for u, v in enumerate(vertices))
+    yield "\n  }\n}\n"
+
+
+def _ints(values: list) -> str:
+    """The JSON text of a list of ints at the indent of a lift map's entries."""
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(int.__repr__, values)) + "\n      ]"
+
+
+def _members(texts: Iterator[str]) -> Iterator[str]:
+    """The JSON object of one level of lift maps, from the texts of its
+    members, each yielded as it is produced."""
+    sep = "{"
+    for text in texts:
+        yield sep + text
+        sep = ","
+    yield "{}" if sep == "{" else "\n    }"
 
 
 def lift_from_dict(doc) -> TruncatedLift:
@@ -446,9 +490,9 @@ def dumps_json(doc) -> str:
 
     A list of flat records (exact dicts with the same str keys in the same
     order, each key's values of one exact leaf type or all lists of strs, as
-    in lift bases and graph edges) is written column by column through one
-    per-record template, and a list of strs in one join; the bytes are the
-    same as on the general path."""
+    in graph edges with their lens provenance) is written column by column
+    through one per-record template, and a list of strs in one join; the
+    bytes are the same as on the general path."""
     return "".join(_json_parts(doc))
 
 

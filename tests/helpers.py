@@ -17,7 +17,7 @@ from graphlift import (
     sphere_odd_graph,
 )
 from graphlift import modules
-from graphlift.io import CodecError, _need, _need_key, lift_to_dict
+from graphlift.io import LIFT_FORMAT, CodecError, _need, _need_key, module_to_dict
 
 
 def one_dim_components(graph: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -243,12 +243,63 @@ def expand_edge_images(doc: dict) -> dict:
     return dict(doc, format="partial-maps", edges=edges, projections=projections)
 
 
+def _reference_basis_records(trunc: TruncatedLift) -> dict:
+    """Reference only: one record dict per basis entry of levels 0..m+1, read
+    off the path trie; each display extends its parent's by one edge id on
+    the left."""
+    g = trunc.module.graph
+    names = [e.id for e in g.edges]
+    vertices = g.vertices
+    fibers = [range(trunc.module.dims[v]) for v in vertices]
+    shown: list[str] = []
+    out = {}
+    for k in range(trunc.level + 2):
+        level = trunc.paths_at(k)
+        parent, edge, rng, source, length = (
+            a.tolist() for a in (level.parent, level.edge, level.range,
+                                 level.source, level.length))
+        shown = [
+            vertices[v] if p < 0 else names[e] if n == 1 else f"{names[e]}.{shown[p]}"
+            for p, e, v, n in zip(parent, edge, rng, length)
+        ]
+        out[str(k)] = [
+            {"path": shown[i], "source": vertices[source[i]],
+             "range": vertices[rng[i]], "length": length[i], "fiber": b}
+            for i in level.order.tolist()
+            for b in fibers[source[i]]
+        ]
+    return out
+
+
+def reference_lift_dict(trunc: TruncatedLift) -> dict:
+    """Reference only: the "edge-images" lift document built as one dict per
+    basis entry, the byte oracle of the lift writer through
+    `json.dumps(doc, indent=2) + "\n"`."""
+    m = trunc.level
+    g = trunc.module.graph
+    bounds = [trunc.paths_at(k).bounds.tolist() for k in range(m + 1)]
+    return {
+        "format": LIFT_FORMAT,
+        "module": module_to_dict(trunc.module),
+        "level": m,
+        "bases": _reference_basis_records(trunc),
+        "edges": {
+            str(k): {e.id: trunc.edge_images(e.id, k).tolist() for e in g.edges}
+            for k in range(m + 1)
+        },
+        "projections": {
+            str(k): {v: b[u : u + 2] for u, v in enumerate(g.vertices)}
+            for k, b in enumerate(bounds)
+        },
+    }
+
+
 def partial_maps_dict(trunc: TruncatedLift) -> dict:
     """Reference only: the "partial-maps" lift document, one -1-padded
     `reference_edge_targets` list per edge and level and the listed indices of
     each projection block (from `paths_at(k).bounds`), with the same module,
-    level and bases as `lift_to_dict`."""
-    doc = lift_to_dict(trunc)
+    level and bases as `reference_lift_dict`."""
+    doc = reference_lift_dict(trunc)
     g = trunc.module.graph
     levels = range(trunc.level + 1)
     bounds = {k: trunc.paths_at(k).bounds.tolist() for k in levels}

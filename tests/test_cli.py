@@ -33,6 +33,7 @@ from graphlift.io import (
     read_json,
     write_json,
 )
+from graphlift.lifting import LiftError, TruncatedLift
 
 from helpers import overflow_module, unfed_fiber_module
 
@@ -317,6 +318,27 @@ class TestLiftCommands:
         doc = read_json(str(out_path))
         assert doc["level"] == 2
         assert set(doc["bases"]) == {"0", "1", "2", "3"}
+
+    def test_failed_build_leaves_no_file(self, tmp_path, capsys, monkeypatch,
+                                         phase_module_file):
+        """The file is written as the document is produced; a failure after
+        the bases and the level-0 edges removes what was written."""
+        out_path = tmp_path / "lift.json"
+        images = TruncatedLift.edge_images
+        seen = []
+
+        def fail_at_level_1(self, edge_id, k):
+            if k == 1:
+                seen.append(out_path.exists())
+                raise LiftError("no images at level 1")
+            return images(self, edge_id, k)
+
+        monkeypatch.setattr(TruncatedLift, "edge_images", fail_at_level_1)
+        code, out, err = run(capsys, "lift", "build", "--module", phase_module_file,
+                             "--level", "2", "--out", str(out_path))
+        assert (code, out, err) == (2, "", "error: no images at level 1\n")
+        assert seen == [True]
+        assert not out_path.exists()
 
     def test_check_passes_for_valid_module(self, capsys, phase_module_file):
         code, out, _ = run(capsys, "lift", "check", "--module",

@@ -48,6 +48,7 @@ from helpers import (
     partial_maps_dict,
     random_feasible_dims,
     reference_graph_from_dict,
+    reference_lift_dict,
     reference_matrix_to_entries,
     small_multigraphs,
     supported_graphs,
@@ -511,6 +512,47 @@ class TestLiftRoundTripProperty:
         assert json.dumps(expanded) == json.dumps(partial_maps_dict(t))
 
 
+def _lift_text(trunc) -> str:
+    return "".join(io._lift_text(trunc))
+
+
+def _oracle_text(trunc) -> str:
+    return json.dumps(reference_lift_dict(trunc), indent=2) + "\n"
+
+
+class TestLiftWriter:
+    """The lift writer's text against the per-entry builder through the
+    stdlib encoder, byte for byte."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(graph=supported_graphs(), seed=st.integers(0, 2**16),
+           level=st.integers(0, 4))
+    def test_matches_the_reference(self, graph, seed, level):
+        dims = random_feasible_dims(graph, np.random.default_rng(seed), hi=3)
+        t = lift(random_module(graph, dims, seed), level)
+        assert _lift_text(t) == _oracle_text(t)
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_escaped_ids(self, level):
+        """Ids with quotes, backslashes, format characters, dots, non-ASCII
+        and a line separator; a zero fiber, and a vertex with no edges."""
+        q, s, lone, zero = 'q"\\%', "s{}.\u00e9", "lone\u2028", "z%s"
+        graph = Graph((q, s, lone, zero), (
+            Edge('a"{0}', q, q), Edge("b\\.%d", q, s), Edge("c\u2028\u00e9", s, s),
+            Edge("d.}", zero, s), Edge("e{}", q, zero)))
+        module = random_module(graph, {q: 2, s: 3, lone: 1, zero: 0}, 5)
+        t = lift(module, level)
+        text = _lift_text(t)
+        assert text == _oracle_text(t)
+        assert text.isascii()
+        doc = json.loads(text)
+        assert doc["bases"]["0"][-1]["path"] == lone
+        assert doc["edges"]["0"]["d.}"] == []
+        if level:
+            assert {'a"{0}.a"{0}', "c\u2028\u00e9.b\\.%d"} <= {
+                r["path"] for r in doc["bases"]["2"]}
+
+
 class TestComplexSyntax:
     def test_cartesian_forms(self):
         assert parse_complex("0.6+0.8i") == complex(0.6, 0.8)
@@ -729,7 +771,7 @@ class TestEncoder:
                         "--level", str(level), "--out", str(out)]) == 0
         capsys.readouterr()
         module = module_from_dict(read_json(str(mod_path)))
-        oracle = json.dumps(lift_to_dict(lift(module, level)), indent=2) + "\n"
+        oracle = json.dumps(reference_lift_dict(lift(module, level)), indent=2) + "\n"
         assert out.read_bytes() == oracle.encode("ascii")
 
     @given(_record_lists())
@@ -821,5 +863,5 @@ class TestCliOutputMatchesStdlib:
         path = tmp_path / "lens3-wide.json"
         write_json(str(path), module_to_dict(module))
         assert cli.run(["lift", "build", "--module", str(path), "--level", "2"]) == 0
-        doc = lift_to_dict(lift(module, 2))
+        doc = reference_lift_dict(lift(module, 2))
         assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
