@@ -171,20 +171,6 @@ class Path:
         return f"Path({self.display!r})"
 
 
-def compose_paths(left: Path, right: Path) -> Path:
-    """The path that traverses `right` first and then `left`.
-
-    Requires source(left) == range(right); lengths add.
-    """
-    if left.graph != right.graph:
-        raise GraphError("paths live on different graphs")
-    if left.source != right.range:
-        raise GraphError(
-            f"paths do not compose: source {left.source!r} != range {right.range!r}"
-        )
-    return Path(left.graph, right.edges + left.edges, base=right.base)
-
-
 def enumerate_paths(graph: Graph, length: int, source: str | None = None,
                     range: str | None = None) -> list[Path]:
     """All paths of exactly `length`, optionally filtered by source and/or range

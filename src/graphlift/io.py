@@ -163,14 +163,11 @@ def module_from_dict(doc) -> PythagoreanModule:
 
 
 def spectrum_to_dict(description: SpectrumDescription) -> dict:
-    doc = {
+    return {
         "class": description.class_tag,
         "circles": list(description.circles),
         "points": list(description.points),
     }
-    if description.by_analogy:
-        doc["by_analogy"] = True
-    return doc
 
 
 def spectrum_from_dict(doc) -> SpectrumDescription:
@@ -182,8 +179,7 @@ def spectrum_from_dict(doc) -> SpectrumDescription:
         for i, v in enumerate(seq):
             _need(v, f"/{key}/{i}", str, "string")
         out[key] = tuple(seq)
-    by_analogy = _need(doc.get("by_analogy", False), "/by_analogy", bool, "boolean")
-    return SpectrumDescription(tag, out["circles"], out["points"], by_analogy)
+    return SpectrumDescription(tag, out["circles"], out["points"])
 
 
 LIFT_FORMAT = "edge-images"

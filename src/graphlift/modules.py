@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, Path
+from .graphs import Graph
 
 RANK_TOL = 1e-10
 # seed of the one intertwiner combination that `are_equivalent` draws
@@ -219,17 +219,6 @@ def random_module(graph: Graph, dims: dict[str, int], seed: int) -> PythagoreanM
             ops[e.id] = q[at : at + d, :].copy()
             at += d
     return PythagoreanModule(graph, full, ops)
-
-
-def path_operator(module: PythagoreanModule, path: Path) -> np.ndarray:
-    """Matrix of a path action (fiber at range -> fiber at source); the first
-    traversed edge is applied last. A length-0 path acts as the identity."""
-    if path.graph != module.graph:
-        raise ModuleError("path lives on a different graph")
-    mat = np.eye(module.dims[path.range], dtype=np.complex128)
-    for eid in reversed(path.edges):
-        mat = module.ops[eid] @ mat
-    return mat
 
 
 def _rank(s: np.ndarray, scale: float) -> int:

@@ -4,13 +4,46 @@ Supported graphs: every cycle is the power of a loop, each vertex carries at
 most one loop, and a loopless vertex may not receive any edge. Within that
 class the irreducible-module classes are one circle of one-dimensional
 modules per looped vertex (the loop scalar sweeps the unit circle) plus one
-isolated class per loopless source vertex. Anything outside the class is
-refused rather than extrapolated.
+isolated class per loopless vertex. Anything outside the class is refused
+rather than extrapolated.
+
+Why this is the whole spectrum. Read the graph in the edge convention of
+Bates, Hong, Raeburn and Szymański (Illinois J. Math. 46, 2002) and Hong
+and Szymański (J. Math. Soc. Japan 56, 2004), which is this package's
+`opposite`. There the primitive ideals of a finite graph algebra are given
+by its maximal tails, the nonempty vertex sets M with
+
+  (1) every vertex that reaches a vertex of M lies in M;
+  (2) every vertex of M that emits an edge emits one into M;
+  (3) any two vertices of M reach a common vertex of M.
+
+A tail that holds a loop with no exit in M gives a circle of primitive
+ideals, and any other tail gives one point. In the opposite of a supported
+graph every cycle is a power of a loop, and every loopless vertex is a
+sink.
+
+Lemma: in the supported class a maximal tail M has one minimal vertex m,
+and M is the set of vertices that reach m; m is a sink or looped, and the
+loop at m has no exit in M. Proof: M is finite and acyclic apart from
+loops, so it has minimal vertices, and by (3) any two of them reach a
+common one, so they are equal; then (1) gives M. If m emits an edge, (2)
+gives one into M; it reaches m, so it is a loop. The loop at m has no exit
+in M, since m carries one loop and any other edge out of m would leave M. A
+loop at another vertex v of M has an exit: the first edge of a shortest
+path from v to m. Conversely, the vertices that reach a sink or a looped
+vertex m form a maximal tail with minimal vertex m. So the circles are
+exactly the looped vertices, and the points are exactly the loopless
+vertices, which receive no edge in this package's orientation.
+
+Primitive ideals stand for irreducible classes because the algebra is of
+type I: a graph algebra is of type I when no vertex lies on two distinct
+cycles (Deicke, Hong and Szymański, Indiana Univ. Math. J. 52, 2003;
+Ephrem, J. Operator Theory 52, 2004). A supported graph meets this, since
+its cycles are powers of loops and each vertex carries at most one loop.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, LoopStructure, loop_structure
@@ -27,44 +60,19 @@ class SpectrumError(ValueError):
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Verdict on the classification hypotheses plus failure diagnostics.
-
-    by_analogy is set when loopless sources are present but the graph is not
-    certified isomorphic to an even-sphere graph, the one shape whose
-    classification has a complete argument behind it.
-    """
+    """Verdict on the classification hypotheses plus failure diagnostics."""
 
     verdict: str
     diagnostics: tuple[str, ...] = ()
-    by_analogy: bool = False
 
 
 @dataclass(frozen=True)
 class SpectrumDescription:
-    """The spectrum components, and by_analogy as in `HypothesisReport`."""
+    """The spectrum components: circle vertices and isolated points."""
 
     class_tag: str
     circles: tuple[str, ...]
     points: tuple[str, ...]
-    by_analogy: bool = False
-
-
-def _even_sphere_shaped(graph: Graph, loopless: list[str]) -> bool:
-    """Certify an isomorphism to sphere_even_graph(n), n = |V| - 2, from edge
-    multiplicities in time linear in the edges.
-
-    Only for supported graphs: at most one loop per vertex, no edge into a
-    loopless vertex, and acyclic once loops are removed. Such a graph is
-    even-sphere shaped iff it has two loopless vertices and n >= 1 looped
-    ones, and exactly one edge joins each pair of looped vertices and each
-    loopless vertex to each looped one; acyclicity then leaves the looped
-    vertices only the one transitive tournament there is.
-    """
-    n = len(graph.vertices) - 2
-    if len(loopless) != 2 or n < 1:
-        return False
-    pairs = Counter(frozenset((e.source, e.range)) for e in graph.edges if e.source != e.range)
-    return len(pairs) == n * (n - 1) // 2 + 2 * n and all(k == 1 for k in pairs.values())
 
 
 def check_hypotheses(graph: Graph) -> HypothesisReport:
@@ -85,11 +93,7 @@ def _check_hypotheses(graph: Graph, structure: LoopStructure) -> HypothesisRepor
         diagnostics.append(f"cycle through distinct vertices: {cycle}")
     if diagnostics:
         return HypothesisReport(UNSUPPORTED, tuple(diagnostics))
-    if not loopless:
-        return HypothesisReport(LOOP_GRAPH)
-    return HypothesisReport(
-        LOOP_GRAPH_WITH_SOURCES, by_analogy=not _even_sphere_shaped(graph, loopless)
-    )
+    return HypothesisReport(LOOP_GRAPH_WITH_SOURCES if loopless else LOOP_GRAPH)
 
 
 def classify(graph: Graph) -> SpectrumDescription:
@@ -100,7 +104,7 @@ def classify(graph: Graph) -> SpectrumDescription:
         raise SpectrumError("; ".join(report.diagnostics))
     circles = tuple(v for v in graph.vertices if structure.loops_per_vertex[v] == 1)
     points = tuple(v for v in graph.vertices if structure.loops_per_vertex[v] == 0)
-    return SpectrumDescription(report.verdict, circles, points, report.by_analogy)
+    return SpectrumDescription(report.verdict, circles, points)
 
 
 def representative_module(graph: Graph, vertex: str,

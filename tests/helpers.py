@@ -11,9 +11,12 @@ from graphlift import (
     Graph,
     GraphError,
     LensParams,
+    ModuleError,
+    Path,
     PythagoreanModule,
     TruncatedLift,
     maximal_paths,
+    opposite,
     sphere_odd_graph,
 )
 from graphlift import modules
@@ -37,6 +40,50 @@ def one_dim_components(graph: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
         elif not graph.in_edges(v):
             free.append(v)
     return tuple(looped), tuple(free)
+
+
+def maximal_tails(graph: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Brute-force the maximal tails of `opposite(graph)`, the edge
+    convention in which they index the primitive ideals, as (circles,
+    points): the labels of the tails whose loop has no exit inside the tail,
+    and of the other tails, each in vertex order.
+
+    A nonempty vertex subset M is a maximal tail when
+    (1) every vertex that reaches a vertex of M by a path lies in M;
+    (2) every vertex of M that emits an edge emits one whose range is in M;
+    (3) any two vertices of M reach a common vertex of M.
+    Every vertex reaches itself. A tail is labelled by its minimal vertex m,
+    the one vertex of M that reaches no other vertex of M; a graph whose
+    cycles are all loops gives every tail one, and the unpacking below fails
+    otherwise. The tail's loop is a loop at m, and an exit from it inside
+    the tail is any other edge out of m whose range is in M. Every subset
+    is tried, so keep graphs small.
+    """
+    g = opposite(graph)
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    reach = dict(bit)  # reach[v]: bitmask of the vertices that v reaches
+    changed = True
+    while changed:
+        changed = False
+        for e in g.edges:
+            grown = reach[e.source] | reach[e.range]
+            changed |= grown != reach[e.source]
+            reach[e.source] = grown
+    circles, points = set(), set()
+    for mask in range(1, 1 << len(g.vertices)):
+        tail = [v for v in g.vertices if bit[v] & mask]
+        closed = all(bit[v] & mask or not reach[v] & mask for v in g.vertices)
+        emits = all(any(bit[e.range] & mask for e in g.out_edges(v))
+                    for v in tail if g.out_edges(v))
+        directed = all(reach[u] & reach[v] & mask for u in tail for v in tail)
+        if not (closed and emits and directed):
+            continue
+        (m,) = [v for v in tail if reach[v] & mask == bit[v]]
+        inside = [e for e in g.out_edges(m) if bit[e.range] & mask]
+        no_exit_loop = len(inside) == 1 and inside[0].range == m
+        (circles if no_exit_loop else points).add(m)
+    return (tuple(v for v in g.vertices if v in circles),
+            tuple(v for v in g.vertices if v in points))
 
 
 _SPAN_TOL = 1e-10
@@ -403,6 +450,30 @@ def module_allclose(m1: PythagoreanModule, m2: PythagoreanModule,
         np.allclose(m1.ops[e.id], m2.ops[e.id], rtol=0.0, atol=tol)
         for e in m1.graph.edges
     )
+
+
+def compose_paths(left: Path, right: Path) -> Path:
+    """Reference only: the path that traverses `right` first and then
+    `left`. Requires source(left) == range(right); lengths add."""
+    if left.graph != right.graph:
+        raise GraphError("paths live on different graphs")
+    if left.source != right.range:
+        raise GraphError(
+            f"paths do not compose: source {left.source!r} != range {right.range!r}"
+        )
+    return Path(left.graph, right.edges + left.edges, base=right.base)
+
+
+def path_operator(module: PythagoreanModule, path: Path) -> np.ndarray:
+    """Reference only: the matrix of a path action (fiber at range -> fiber
+    at source); the first traversed edge is applied last. A length-0 path
+    acts as the identity."""
+    if path.graph != module.graph:
+        raise ModuleError("path lives on a different graph")
+    mat = np.eye(module.dims[path.range], dtype=np.complex128)
+    for eid in reversed(path.edges):
+        mat = module.ops[eid] @ mat
+    return mat
 
 
 def relabel_graph(graph: Graph, mapping: dict[str, str]) -> Graph:

@@ -8,7 +8,6 @@ from graphlift import (
     Graph,
     GraphError,
     Path,
-    compose_paths,
     enumerate_paths,
     is_isomorphic,
     loop_structure,
@@ -19,7 +18,7 @@ from graphlift import (
     sphere_odd_graph,
 )
 
-from helpers import relabel_graph, skew_product
+from helpers import compose_paths, relabel_graph, skew_product
 
 
 def two_vertex_graph() -> Graph:

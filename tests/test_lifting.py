@@ -22,7 +22,6 @@ from graphlift import (
     PythagoreanModule,
     TruncatedLift,
     ck_residuals,
-    compose_paths,
     direct_sum,
     embed_vector,
     generator_matrices,
@@ -34,7 +33,6 @@ from graphlift import (
     loop_eigenvalue,
     one_dim_module,
     opposite,
-    path_operator,
     projective_graph,
     random_module,
     sphere_even_graph,
@@ -45,9 +43,11 @@ from graphlift import (
 from graphlift.lifting import MAX_LEVEL, _act
 
 from helpers import (
+    compose_paths,
     dense_ck_residuals,
     expand_class,
     overflow_module,
+    path_operator,
     perturb_edge,
     random_feasible_dims,
     reference_basis,

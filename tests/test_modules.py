@@ -25,7 +25,6 @@ from graphlift import (
     isolated_module,
     lens_graph_coprime,
     one_dim_module,
-    path_operator,
     projective_graph,
     random_module,
     sphere_even_graph,
@@ -35,11 +34,13 @@ from graphlift import (
 
 from graphlift import modules
 from helpers import (
+    compose_paths,
     dense_commutant_dim,
     kron_graded_nullspace,
     kron_graded_system,
     orbit_span_dim,
     overflow_module,
+    path_operator,
     perturb_edge,
     random_feasible_dims,
     supported_graphs,
@@ -379,7 +380,7 @@ class TestPathOperator:
         assert op.shape == (1, 0)
 
     def test_contravariance_on_random_paths(self):
-        from graphlift import compose_paths, enumerate_paths
+        from graphlift import enumerate_paths
 
         g = sphere_odd_graph(3)
         m = random_module(g, {"1": 2, "2": 1, "3": 2}, 9)

@@ -4,6 +4,8 @@ import cmath
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlift import (
     LOOP_GRAPH,
@@ -18,7 +20,6 @@ from graphlift import (
     classify,
     is_indecomposable,
     is_irreducible,
-    is_isomorphic,
     lens_graph_coprime,
     projective_graph,
     representative_module,
@@ -28,7 +29,13 @@ from graphlift import (
 )
 from graphlift import cli, io, spectrum
 
-from helpers import one_dim_components, relabel_graph
+from helpers import (
+    maximal_tails,
+    one_dim_components,
+    relabel_graph,
+    small_multigraphs,
+    supported_graphs,
+)
 
 LENS_CASES = (
     LensParams(2, 3, (1, 1)),
@@ -55,13 +62,12 @@ class TestHypotheses:
         report = check_hypotheses(sphere_odd_graph(n))
         assert report.verdict == LOOP_GRAPH
         assert report.diagnostics == ()
-        assert not report.by_analogy
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_even_spheres_have_recognized_sources(self, n):
         report = check_hypotheses(sphere_even_graph(n))
         assert report.verdict == LOOP_GRAPH_WITH_SOURCES
-        assert not report.by_analogy
+        assert report.diagnostics == ()
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_projective_graphs_are_loop_graphs(self, n):
@@ -88,7 +94,7 @@ class TestHypotheses:
         assert any("cycle through distinct vertices" in d
                    for d in report.diagnostics)
 
-    def test_unrecognized_source_shape_flagged_as_analogy(self):
+    def test_source_shape_beyond_the_families_certified(self):
         g = Graph(
             ("1", "2", "9"),
             (
@@ -98,9 +104,9 @@ class TestHypotheses:
                 Edge("19", "9", "1"),
             ),
         )
-        report = check_hypotheses(g)
-        assert report.verdict == LOOP_GRAPH_WITH_SOURCES
-        assert report.by_analogy
+        assert check_hypotheses(g).verdict == LOOP_GRAPH_WITH_SOURCES
+        desc = classify(g)
+        assert (desc.circles, desc.points) == maximal_tails(g) == (("1", "2"), ("9",))
 
 
 def even_sphere_mutations(n: int) -> dict[str, Graph]:
@@ -127,28 +133,41 @@ def even_sphere_mutations(n: int) -> dict[str, Graph]:
     return graphs
 
 
-class TestEvenSphereShape:
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_isomorphism_search_agrees(self, n):
+class TestMaximalTails:
+    """`classify` against the brute-forced maximal tails of the opposite
+    graph and the census of one-dimensional modules."""
+
+    @staticmethod
+    def assert_tails(cases: dict[str, Graph]) -> None:
+        for name, g in cases.items():
+            desc = classify(g)
+            assert desc.class_tag == LOOP_GRAPH_WITH_SOURCES, name
+            want = (desc.circles, desc.points)
+            assert want == maximal_tails(g) == one_dim_components(g), name
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_even_sphere_relabelings(self, n):
         target = sphere_even_graph(n)
         names = [str(k) for k in range(1, n + 3)]
         mapping = dict(zip(names, reversed(names)))
         shuffled = relabel_graph(target, mapping)
         shuffled = Graph(shuffled.vertices[::-1], shuffled.edges[::-1])
-        cases = {"identity": target, "relabeled": shuffled, **even_sphere_mutations(n)}
-        for name, g in cases.items():
-            report = check_hypotheses(g)
-            assert report.verdict == LOOP_GRAPH_WITH_SOURCES, name
-            assert report.by_analogy == (is_isomorphic(g, target) is None), name
+        self.assert_tails({"identity": target, "relabeled": shuffled})
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
-    def test_one_edit_stays_by_analogy(self, n):
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_even_sphere_edits(self, n):
         mutations = even_sphere_mutations(n)
         assert len(mutations) == (2 if n == 1 else 5)
-        for name, g in mutations.items():
-            report = check_hypotheses(g)
-            assert report.verdict == LOOP_GRAPH_WITH_SOURCES, name
-            assert report.by_analogy, name
+        self.assert_tails(mutations)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.one_of(supported_graphs(), small_multigraphs()))
+    def test_classify_is_the_tails(self, g):
+        try:
+            desc = classify(g)
+        except SpectrumError:
+            return
+        assert (desc.circles, desc.points) == maximal_tails(g) == one_dim_components(g)
 
 
 class TestClassify:
@@ -194,19 +213,19 @@ class TestOneDimCompleteness:
     def test_odd_spheres_match_brute_force(self, n):
         g = sphere_odd_graph(n)
         desc = classify(g)
-        assert (desc.circles, desc.points) == one_dim_components(g)
+        assert (desc.circles, desc.points) == one_dim_components(g) == maximal_tails(g)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_even_spheres_match_brute_force(self, n):
         g = sphere_even_graph(n)
         desc = classify(g)
-        assert (desc.circles, desc.points) == one_dim_components(g)
+        assert (desc.circles, desc.points) == one_dim_components(g) == maximal_tails(g)
 
     @pytest.mark.parametrize("params", LENS_CASES, ids=str)
     def test_lens_graphs_match_brute_force(self, params):
         g = lens_graph_coprime(params)
         desc = classify(g)
-        assert (desc.circles, desc.points) == one_dim_components(g)
+        assert (desc.circles, desc.points) == one_dim_components(g) == maximal_tails(g)
 
 
 class TestRepresentatives:
@@ -253,30 +272,28 @@ class TestRepresentatives:
 
 
 class TestOnePass:
-    """Each classification computes the loop structure and the even-sphere
-    certificate once."""
+    """Each classification computes the loop structure once."""
 
     @pytest.fixture()
     def counts(self, monkeypatch):
         counts = Counter()
-        for name in ("loop_structure", "_even_sphere_shaped"):
-            def counted(*args, _fn=getattr(spectrum, name), _name=name):
-                counts[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(spectrum, name, counted)
+
+        def counted(*args, _fn=spectrum.loop_structure):
+            counts["loop_structure"] += 1
+            return _fn(*args)
+        monkeypatch.setattr(spectrum, "loop_structure", counted)
         return counts
 
     def test_classify(self, counts):
-        assert classify(sphere_even_graph(3)).by_analogy is False
-        assert counts == {"loop_structure": 1, "_even_sphere_shaped": 1}
+        assert classify(sphere_even_graph(3)).points == ("4", "5")
+        assert counts == {"loop_structure": 1}
 
     @pytest.mark.parametrize("args", [("classify", "{}"), ("classify", "{}", "--format", "json"),
                                       ("spectrum", "module", "{}", "--vertex", "4")])
     def test_cli(self, counts, tmp_path, capsys, args):
         path = str(tmp_path / "g.json")
-        g = sphere_even_graph(3)  # less one source edge: classified by analogy
+        g = sphere_even_graph(3)  # less one source edge: no even sphere
         io.write_json(path, io.graph_to_dict(Graph(g.vertices, g.edges[:-1])))
         assert cli.run([a.format(path) for a in args]) == 0
-        assert counts == {"loop_structure": 1, "_even_sphere_shaped": 1}
-        if "json" in args:
-            assert '"by_analogy": true' in capsys.readouterr().out
+        assert counts == {"loop_structure": 1}
+        assert "by_analogy" not in capsys.readouterr().out
