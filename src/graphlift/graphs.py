@@ -171,6 +171,16 @@ class Path:
         return f"Path({self.display!r})"
 
 
+def _unwind(node) -> list[str]:
+    """The edge ids of a path node, its own edge first, then those of the
+    nodes it holds. A node is None (no edges) or (edge id, node)."""
+    edges = []
+    while node is not None:
+        edge, node = node
+        edges.append(edge)
+    return edges
+
+
 def enumerate_paths(graph: Graph, length: int, source: str | None = None,
                     range: str | None = None) -> list[Path]:
     """All paths of exactly `length`, optionally filtered by source and/or range
@@ -182,20 +192,13 @@ def enumerate_paths(graph: Graph, length: int, source: str | None = None,
     if range is not None:
         graph.require_vertex(range)
     starts = [source] if source is not None else list(graph.vertices)
-    found: list[Path] = []
-
-    def extend(start: str, at: str, acc: list[str]) -> None:
-        if len(acc) == length:
-            if range is None or at == range:
-                found.append(Path(graph, tuple(acc), base=start))
-            return
-        for e in graph.out_edges(at):
-            acc.append(e.id)
-            extend(start, e.range, acc)
-            acc.pop()
-
-    for start in starts:
-        extend(start, start, [])
+    # (source, range, node); each level's nodes grow at the range end
+    level = [(start, start, None) for start in starts]
+    for _ in itertools.repeat(None, length):  # `range` is a parameter here
+        level = [(start, e.range, (e.id, node)) for start, at, node in level
+                 for e in graph.out_edges(at)]
+    found = [Path(graph, _unwind(node)[::-1], base=start)
+             for start, at, node in level if range is None or at == range]
     found.sort(key=lambda p: p.edges)
     return found
 
@@ -208,23 +211,19 @@ def maximal_paths(graph: Graph, v: str, m: int) -> list[Path]:
     graph.require_vertex(v)
     if m < 0:
         raise GraphError("level must be nonnegative")
-    found: list[Path] = []
-
-    def back(at: str, acc: list[str]) -> None:
-        # acc holds edge ids from the range end inward; reverse on emit
-        if len(acc) == m:
-            found.append(Path(graph, tuple(reversed(acc)), base=at))
-            return
-        incoming = graph.in_edges(at)
-        if not incoming:
-            found.append(Path(graph, tuple(reversed(acc)), base=at))
-            return
-        for e in incoming:
-            acc.append(e.id)
-            back(e.source, acc)
-            acc.pop()
-
-    back(v, [])
+    # (source, node); each level's nodes grow at the source end, and a path
+    # whose source receives no edge is carried to the next level unchanged
+    level = [(v, None)]
+    for _ in range(m):
+        grown = []
+        for at, node in level:
+            incoming = graph.in_edges(at)
+            if not incoming:
+                grown.append((at, node))
+            for e in incoming:
+                grown.append((e.source, (e.id, node)))
+        level = grown
+    found = [Path(graph, _unwind(node), base=at) for at, node in level]
     found.sort(key=lambda p: p.edges)
     return found
 

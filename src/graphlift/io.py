@@ -430,9 +430,6 @@ def _encode(obj, pad: str, parts: list) -> None:
             return
         inner = pad + "  "
         kinds = set(map(type, obj))
-        if kinds == {int}:
-            parts += ("[", inner, ("," + inner).join(map(int.__repr__, obj)), pad, "]")
-            return
         if kinds == {str}:
             parts.append(_strings(obj, pad))
             return

@@ -193,7 +193,6 @@ class TruncatedLift:
         self._root_rows = np.array([[-1] * len(roots), [-1] * len(roots), roots,
                                     roots, [0] * len(roots)], dtype=np.intp)
         self._levels: list[PathLevel] = []
-        self._paths: tuple[int, list[Path]] = (-1, [])  # the last level built
         self._images: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._embeds: dict[int, BlockMap] = {}
         self._block_table: tuple[np.ndarray, np.ndarray] | None = None
@@ -300,18 +299,15 @@ class TruncatedLift:
 
     def _paths_of(self, k: int) -> list[Path]:
         """The `Path` of each path of level k, in build order, each its parent
-        one level down extended by its edge. Only the last level built is
-        kept, so requests in ascending order build each level once."""
+        one level down extended by its edge. Built from level 0 on every
+        call, keeping only the level below."""
         self.paths_at(k)
-        at, paths = self._paths
-        if at > k:
-            at, paths = -1, []
         g = self.module.graph
-        for level in self._levels[at + 1 : k + 1]:
+        paths: list[Path] = []
+        for level in self._levels[: k + 1]:
             paths = [Path(g, (), base=g.vertices[v]) if p < 0 else paths[p].extend(g.edges[e].id)
                      for p, e, v in zip(level.parent.tolist(), level.edge.tolist(),
                                         level.range.tolist())]
-        self._paths = (k, paths)
         return paths
 
     @property

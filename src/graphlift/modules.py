@@ -85,16 +85,6 @@ class PythagoreanModule:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    @cached_property
-    def offsets(self) -> dict[str, int]:
-        """Start of each vertex block in the concatenated fiber ordering."""
-        table = {}
-        at = 0
-        for v in self.graph.vertices:
-            table[v] = at
-            at += self.dims[v]
-        return table
-
 
 @dataclass(frozen=True)
 class ModuleReport:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -107,7 +109,9 @@ def dense_generators(module: PythagoreanModule) -> list[np.ndarray]:
     """Reference only: vertex projections and edge operators as d x d matrices
     on the total fiber (the zero ones left out)."""
     d = module.total_dim
-    off = module.offsets
+    vertices = module.graph.vertices
+    off = dict(zip(vertices, itertools.accumulate((module.dims[v] for v in vertices),
+                                                  initial=0)))
     gens = []
     for v in module.graph.vertices:
         dv = module.dims[v]
@@ -233,6 +237,63 @@ def dense_ck_residuals(trunc: TruncatedLift) -> CkReport:
             emb.conj().T @ emb - np.eye(trunc.dimension_at(k)), "fro"))
     return CkReport(m, ortho, completeness, edge_isometry, vertex_sum,
                     embed_isometry)
+
+
+def reference_enumerate_paths(graph: Graph, length: int, source: str | None = None,
+                              range: str | None = None) -> list[Path]:
+    """Reference only: `enumerate_paths` by a recursive forward DFS from
+    each start vertex, one frame per edge."""
+    if length < 0:
+        raise GraphError("path length must be nonnegative")
+    if source is not None:
+        graph.require_vertex(source)
+    if range is not None:
+        graph.require_vertex(range)
+    starts = [source] if source is not None else list(graph.vertices)
+    found: list[Path] = []
+
+    def extend(start: str, at: str, acc: list[str]) -> None:
+        if len(acc) == length:
+            if range is None or at == range:
+                found.append(Path(graph, tuple(acc), base=start))
+            return
+        for e in graph.out_edges(at):
+            acc.append(e.id)
+            extend(start, e.range, acc)
+            acc.pop()
+
+    for start in starts:
+        extend(start, start, [])
+    found.sort(key=lambda p: p.edges)
+    return found
+
+
+def reference_maximal_paths(graph: Graph, v: str, m: int) -> list[Path]:
+    """Reference only: `maximal_paths` by a recursive backward DFS from v,
+    one frame per edge, emitting a path once it has length m or its source
+    receives no edge."""
+    graph.require_vertex(v)
+    if m < 0:
+        raise GraphError("level must be nonnegative")
+    found: list[Path] = []
+
+    def back(at: str, acc: list[str]) -> None:
+        # acc holds edge ids from the range end inward; reverse on emit
+        if len(acc) == m:
+            found.append(Path(graph, tuple(reversed(acc)), base=at))
+            return
+        incoming = graph.in_edges(at)
+        if not incoming:
+            found.append(Path(graph, tuple(reversed(acc)), base=at))
+            return
+        for e in incoming:
+            acc.append(e.id)
+            back(e.source, acc)
+            acc.pop()
+
+    back(v, [])
+    found.sort(key=lambda p: p.edges)
+    return found
 
 
 def reference_basis(module: PythagoreanModule, k: int):
@@ -538,10 +599,12 @@ def expand_class(trunc: TruncatedLift, path, xi: np.ndarray, level: int) -> np.n
 
 @st.composite
 def supported_graphs(draw):
-    """A graph in the supported class: at most one loop per vertex and an
-    acyclic rest, possibly with parallel edges. Vertices are listed in a
-    drawn order, and edge ids are drawn labels of different lengths, so
-    that neither the vertex order nor the id order follows the edges."""
+    """A graph whose only cycles are loops, at most one per vertex, possibly
+    with parallel edges. A loopless vertex may receive edges, so the draw
+    can fall outside the spectrum's supported class (see `spectrum_graphs`).
+    Vertices are listed in a drawn order, and edge ids are drawn labels of
+    different lengths, so that neither the vertex order nor the id order
+    follows the edges."""
     n = draw(st.integers(1, 4))
     names = draw(st.permutations([f"v{i}" for i in range(n)]))
     pairs = [(i, i) for i in range(n) if draw(st.booleans())]
@@ -553,6 +616,15 @@ def supported_graphs(draw):
     edges = [Edge(str(label), names[i], names[j])
              for label, (i, j) in zip(ids, pairs)]
     return Graph(tuple(names), tuple(draw(st.permutations(edges))))
+
+
+@st.composite
+def spectrum_graphs(draw):
+    """A graph in the spectrum's supported class: a `supported_graphs` draw
+    with the edges into its loopless vertices left out."""
+    g = draw(supported_graphs())
+    looped = {e.source for e in g.edges if e.source == e.range}
+    return Graph(g.vertices, tuple(e for e in g.edges if e.range in looped))
 
 
 @st.composite

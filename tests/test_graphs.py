@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlift import (
     Edge,
@@ -18,7 +20,15 @@ from graphlift import (
     sphere_odd_graph,
 )
 
-from helpers import compose_paths, relabel_graph, skew_product
+from helpers import (
+    compose_paths,
+    reference_enumerate_paths,
+    reference_maximal_paths,
+    relabel_graph,
+    skew_product,
+    small_multigraphs,
+    supported_graphs,
+)
 
 
 def two_vertex_graph() -> Graph:
@@ -184,6 +194,28 @@ class TestMaximalPaths:
         for v in g.vertices:
             for p in maximal_paths(g, v, 3):
                 assert p.length == 3 or not g.in_edges(p.source)
+
+
+class TestLevelGrowth:
+    """`enumerate_paths` and `maximal_paths` grow paths one level at a time."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.one_of(supported_graphs(), small_multigraphs()), st.integers(0, 5))
+    def test_match_the_recursive_walkers(self, g, length):
+        for v in g.vertices:
+            assert maximal_paths(g, v, length) == reference_maximal_paths(g, v, length)
+        for source in (None, *g.vertices):
+            for end in (None, *g.vertices):
+                got = enumerate_paths(g, length, source=source, range=end)
+                assert got == reference_enumerate_paths(g, length, source=source, range=end)
+
+    def test_levels_above_the_recursion_limit(self):
+        # one path per level, one edge longer than the one below
+        g = sphere_odd_graph(1)
+        path = Path(g, ("11",) * 1100)
+        assert enumerate_paths(g, 1100) == [path]
+        assert maximal_paths(g, "1", 1100) == [path]
+        assert power_graph(g, 1100).edges == (Edge(path.display, "1", "1"),)
 
 
 class TestLoopStructure:

@@ -36,6 +36,7 @@ from graphlift import modules
 from helpers import (
     compose_paths,
     dense_commutant_dim,
+    dense_generators,
     kron_graded_nullspace,
     kron_graded_system,
     orbit_span_dim,
@@ -172,7 +173,9 @@ class TestConstruction:
     def test_offsets_walk_vertex_order(self):
         g = sphere_odd_graph(3)
         m = random_module(g, {"1": 2, "2": 0, "3": 3}, 0)
-        assert m.offsets == {"1": 0, "2": 2, "3": 2}
+        projections = dense_generators(m)[:2]  # at "1" and "3"; "2" has none
+        blocks = [np.flatnonzero(np.diag(p)).tolist() for p in projections]
+        assert blocks == [[0, 1], [2, 3, 4]]
         assert m.total_dim == 5
 
 

@@ -34,7 +34,7 @@ from helpers import (
     one_dim_components,
     relabel_graph,
     small_multigraphs,
-    supported_graphs,
+    spectrum_graphs,
 )
 
 LENS_CASES = (
@@ -161,11 +161,14 @@ class TestMaximalTails:
         self.assert_tails(mutations)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(st.one_of(supported_graphs(), small_multigraphs()))
-    def test_classify_is_the_tails(self, g):
+    @given(st.one_of(spectrum_graphs().map(lambda g: (g, True)),
+                     small_multigraphs().map(lambda g: (g, False))))
+    def test_classify_is_the_tails(self, case):
+        g, supported = case
         try:
             desc = classify(g)
         except SpectrumError:
+            assert not supported
             return
         assert (desc.circles, desc.points) == maximal_tails(g) == one_dim_components(g)
 
