@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .graphs import Edge, Graph, GraphError, loop_structure, power_graph
+from .graphs import Edge, Graph, GraphError, loop_structure
 
 # Largest edge count the sphere and projective builders accept. The count is
 # known from n before anything is built, so a size a user types ends in a
@@ -65,10 +65,18 @@ def sphere_even_graph(n: int) -> Graph:
 
 
 def projective_graph(n: int) -> Graph:
-    """Power graph of the odd sphere: one edge per length-2 path, C(n+2, 3)
-    of them."""
+    """One edge per length-2 path of the odd sphere, C(n+2, 3) of them: the
+    path through edge `first`, then edge `second`, is an edge "second.first"
+    from first's source to second's range. Edges are ordered by the first
+    edge's id, then the second's."""
     _require_edges("projective", n, n * (n + 1) * (n + 2) // 6)
-    return power_graph(sphere_odd_graph(n), 2)
+    g = sphere_odd_graph(n)
+    edges = tuple(
+        Edge(f"{second.id}.{first.id}", first.source, second.range)
+        for first in sorted(g.edges, key=lambda e: e.id)
+        for second in g.out_edges(first.range)
+    )
+    return Graph(g.vertices, edges)
 
 
 @dataclass(frozen=True)

@@ -181,28 +181,6 @@ def _unwind(node) -> list[str]:
     return edges
 
 
-def enumerate_paths(graph: Graph, length: int, source: str | None = None,
-                    range: str | None = None) -> list[Path]:
-    """All paths of exactly `length`, optionally filtered by source and/or range
-    vertex, in lexicographic order of their traversed edge-id sequences."""
-    if length < 0:
-        raise GraphError("path length must be nonnegative")
-    if source is not None:
-        graph.require_vertex(source)
-    if range is not None:
-        graph.require_vertex(range)
-    starts = [source] if source is not None else list(graph.vertices)
-    # (source, range, node); each level's nodes grow at the range end
-    level = [(start, start, None) for start in starts]
-    for _ in itertools.repeat(None, length):  # `range` is a parameter here
-        level = [(start, e.range, (e.id, node)) for start, at, node in level
-                 for e in graph.out_edges(at)]
-    found = [Path(graph, _unwind(node)[::-1], base=start)
-             for start, at, node in level if range is None or at == range]
-    found.sort(key=lambda p: p.edges)
-    return found
-
-
 def maximal_paths(graph: Graph, v: str, m: int) -> list[Path]:
     """Paths with range v of length exactly m, plus shorter ones whose source
     vertex receives no edges (and hence cannot be extended), sorted
@@ -254,15 +232,6 @@ def loop_structure(graph: Graph) -> LoopStructure:
 def opposite(graph: Graph) -> Graph:
     """Same vertices and edge ids with every edge reversed."""
     return Graph(graph.vertices, tuple(Edge(e.id, e.range, e.source) for e in graph.edges))
-
-
-def power_graph(graph: Graph, k: int) -> Graph:
-    """One edge per length-k path; the edge id joins the constituent edge ids
-    with "." in display (right-to-left) order."""
-    if k < 1:
-        raise GraphError("power must be >= 1")
-    edges = tuple(Edge(p.display, p.source, p.range) for p in enumerate_paths(graph, k))
-    return Graph(graph.vertices, edges)
 
 
 _ISO_VERTEX_LIMIT = 9

@@ -241,8 +241,10 @@ def dense_ck_residuals(trunc: TruncatedLift) -> CkReport:
 
 def reference_enumerate_paths(graph: Graph, length: int, source: str | None = None,
                               range: str | None = None) -> list[Path]:
-    """Reference only: `enumerate_paths` by a recursive forward DFS from
-    each start vertex, one frame per edge."""
+    """Reference only: all paths of exactly `length`, optionally filtered by
+    source and/or range vertex, in lexicographic order of their traversed
+    edge ids, by a recursive forward DFS from each start vertex, one frame
+    per edge."""
     if length < 0:
         raise GraphError("path length must be nonnegative")
     if source is not None:
@@ -266,6 +268,13 @@ def reference_enumerate_paths(graph: Graph, length: int, source: str | None = No
         extend(start, start, [])
     found.sort(key=lambda p: p.edges)
     return found
+
+
+def reference_power_graph(graph: Graph, k: int) -> Graph:
+    """Reference only: one edge per length-k path, with the path's display as
+    its id, in `reference_enumerate_paths` order."""
+    paths = reference_enumerate_paths(graph, k)
+    return Graph(graph.vertices, tuple(Edge(p.display, p.source, p.range) for p in paths))
 
 
 def reference_maximal_paths(graph: Graph, v: str, m: int) -> list[Path]:
