@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 import numpy as np
@@ -19,7 +18,6 @@ from . import io
 from .families import (
     FAMILIES,
     LensParams,
-    lens_edge_provenance,
     lens_graph_coprime,
     projective_graph,
     sphere_even_graph,
@@ -56,11 +54,16 @@ _DATA_ERRORS = (
 )
 
 
-def _emit(doc: dict, out: str | None, fmt: str, summary: str) -> None:
+def _emit(pieces, out: str | None, fmt: str, summary: str) -> None:
+    """Write a document's text, given in pieces, to out as the pieces are
+    produced, and to stdout too in the json format; print the summary when
+    it goes to out only. Without out, the text goes to stdout."""
+    if out and fmt == "json":
+        pieces = list(pieces)
     if out:
-        io.write_json(out, doc)
+        io._write_text(out, pieces)
     if fmt == "json" or not out:
-        sys.stdout.write(io.dumps_json(doc))
+        sys.stdout.writelines(pieces)
     else:
         print(summary)
 
@@ -92,15 +95,10 @@ def _cmd_graph_make(args) -> int:
         graph = sphere_even_graph(args.n)
     else:
         graph = projective_graph(args.n)
-    doc = io.graph_to_dict(graph)
-    if args.family == "lens":
-        for entry in doc["edges"]:
-            entry["provenance"] = list(lens_edge_provenance(entry["id"]))
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(io.graph_to_dot(graph))
+        io._write_text(args.dot, [io.graph_to_dot(graph)])
     summary = f"{args.family}: {len(graph.vertices)} vertices, {len(graph.edges)} edges"
-    _emit(doc, args.out, args.format, summary)
+    _emit(io._graph_text(graph, args.family == "lens"), args.out, args.format, summary)
     return EXIT_OK
 
 
@@ -144,7 +142,7 @@ def _cmd_spectrum_module(args) -> int:
     graph = _load_graph(args.graph)
     z = io.parse_complex(args.z) if args.z is not None else None
     module = representative_module(graph, args.vertex, z)
-    _emit(io.module_to_dict(module), args.out, "text",
+    _emit(io._json_parts(io.module_to_dict(module)), args.out, "text",
           f"module at {args.vertex}: dims {module.dims}")
     return EXIT_OK
 
@@ -155,7 +153,7 @@ def _cmd_module_make(args) -> int:
         module = one_dim_module(graph, args.vertex, io.parse_complex(args.z))
     else:
         module = isolated_module(graph, args.vertex)
-    _emit(io.module_to_dict(module), args.out, "text",
+    _emit(io._json_parts(io.module_to_dict(module)), args.out, "text",
           f"module at {args.vertex}: total dimension {module.total_dim}")
     return EXIT_OK
 
@@ -168,7 +166,7 @@ def _cmd_module_random(args) -> int:
             f"/: --dims lists {len(values)} values for {len(graph.vertices)} vertices"
         )
     module = random_module(graph, dict(zip(graph.vertices, values)), args.seed)
-    _emit(io.module_to_dict(module), args.out, "text",
+    _emit(io._json_parts(io.module_to_dict(module)), args.out, "text",
           f"random module: seed {args.seed}, total dimension {module.total_dim}")
     return EXIT_OK
 
@@ -214,22 +212,10 @@ def _cmd_module_equivalent(args) -> int:
 
 
 def _cmd_lift_build(args) -> int:
-    """Write the lift document as its pieces are produced; a build that fails
-    part way removes its partial file, so it leaves no file."""
     module = _load_module(args.module)
     trunc = lift(module, args.level)
-    parts = io._lift_text(trunc)
-    if not args.out:
-        sys.stdout.writelines(parts)
-        return EXIT_OK
-    handle = open(args.out, "w", encoding="utf-8")
-    try:
-        with handle:
-            handle.writelines(parts)
-    except BaseException:
-        os.remove(args.out)
-        raise
-    print(f"lift at level {args.level}: dimension {trunc.dimension}")
+    _emit(io._lift_text(trunc), args.out, "text",
+          f"lift at level {args.level}: dimension {trunc.dimension}")
     return EXIT_OK
 
 
@@ -253,8 +239,6 @@ def _cmd_lift_check(args) -> int:
 
 def _cmd_lift_eigen(args) -> int:
     module = _load_module(args.module)
-    if args.level < 1:
-        raise LiftError("--level must be at least 1")
     value, residual = loop_eigenvalue(lift(module, args.level, validate=False),
                                       args.vertex)
     print(f"eigenvalue: {io.format_complex(value)}")

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import cmath
 import json
+import os
 import re
 from itertools import chain, repeat
-from operator import attrgetter, itemgetter
-from typing import Iterator, NoReturn
+from operator import attrgetter
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
+from .families import lens_edge_provenance
 from .graphs import Edge, Graph, GraphError
 from .lifting import MAX_LEVEL, TruncatedLift, lift
 from .modules import ModuleError, PythagoreanModule
@@ -56,6 +58,25 @@ def graph_to_dict(graph: Graph) -> dict:
             {"id": e.id, "source": e.source, "range": e.range} for e in graph.edges
         ],
     }
+
+
+def _graph_text(graph: Graph, provenance: bool) -> Iterator[str]:
+    """The text of `dumps_json(graph_to_dict(graph))`, in pieces, each edge
+    record formatted once and no per-edge dict built. With provenance, each
+    record also holds the edge's "provenance" list, its
+    `lens_edge_provenance`, as `graph make lens` writes."""
+    vertices = {v: _ESCAPE(v) for v in graph.vertices}
+    yield '{\n  "vertices": ' + _strings(list(graph.vertices), "\n  ") + ',\n  "edges": '
+    sep = "["
+    for e in graph.edges:
+        record = (f'{sep}\n    {{\n      "id": {_ESCAPE(e.id)},\n      "source": '
+                  f'{vertices[e.source]},\n      "range": {vertices[e.range]}')
+        if provenance:
+            record += (',\n      "provenance": '
+                       + _strings(lens_edge_provenance(e.id), "\n      "))
+        yield record + "\n    }"
+        sep = ","
+    yield "[]\n}\n" if sep == "[" else "\n  ]\n}\n"
 
 
 def _each(items, kind) -> bool:
@@ -387,37 +408,6 @@ def _strings(obj: list, pad: str) -> str:
     return "[" + inner + ("," + inner).join(map(_ESCAPE, obj)) + pad + "]"
 
 
-def _records(obj, pad: str) -> str | None:
-    """The JSON text of obj, a list of exact dicts, written column by column,
-    when they all have the same str keys in the same order and each key's
-    values are of one exact leaf type, or are all exact lists of exact strs
-    (as lens provenance is); None otherwise."""
-    shapes = set(map(tuple, obj))
-    if len(shapes) != 1:
-        return None
-    (keys,) = shapes
-    if not keys or not all(isinstance(key, str) for key in keys):
-        return None
-    inner = pad + "  "
-    field = "," + inner + "  "
-    columns = []
-    for key in keys:
-        column = list(map(itemgetter(key), obj))
-        kinds = set(map(type, column))
-        kind = kinds.pop() if len(kinds) == 1 else None
-        if kind is list and all(set(map(type, value)) <= {str} for value in column):
-            columns.append([_strings(value, field[1:]) for value in column])
-            continue
-        leaf = _LEAF.get(kind)
-        if leaf is None:
-            return None
-        columns.append(map(leaf, column))
-    # pad is a newline and spaces, so only the keys can hold a %
-    names = [_ESCAPE(key).replace("%", "%%") + ": %s" for key in keys]
-    record = "{" + field[1:] + field.join(names) + inner + "}"
-    return "[" + inner + ("," + inner).join(map(record.__mod__, zip(*columns))) + pad + "]"
-
-
 def _encode(obj, pad: str, parts: list) -> None:
     """Append the JSON text of obj to parts; pad is the newline and indent of
     the line obj starts on, and the contents go one level (2 spaces) deeper."""
@@ -429,15 +419,6 @@ def _encode(obj, pad: str, parts: list) -> None:
             parts.append("[]")
             return
         inner = pad + "  "
-        kinds = set(map(type, obj))
-        if kinds == {str}:
-            parts.append(_strings(obj, pad))
-            return
-        if kinds == {dict}:
-            text = _records(obj, pad)
-            if text is not None:
-                parts.append(text)
-                return
         sep = "[" + inner
         for value in obj:
             leaf = _LEAF.get(type(value))
@@ -479,13 +460,7 @@ def dumps_json(doc) -> str:
     """doc as 2-space-indented, ASCII-escaped JSON plus a newline: the same
     text as json.dumps(doc, indent=2) + "\n". Unlike json, a dict key that is
     not a str raises TypeError instead of being coerced; no graphlift
-    document has one.
-
-    A list of flat records (exact dicts with the same str keys in the same
-    order, each key's values of one exact leaf type or all lists of strs, as
-    in graph edges with their lens provenance) is written column by column
-    through one per-record template, and a list of strs in one join; the
-    bytes are the same as on the general path."""
+    document has one."""
     return "".join(_json_parts(doc))
 
 
@@ -500,6 +475,18 @@ def _json_parts(doc) -> list[str]:
 def write_json(path: str, doc):
     """Encode doc first, so a document that cannot be encoded leaves no file;
     the pieces are written as they are, never joined into one string."""
-    parts = _json_parts(doc)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(parts)
+    _write_text(path, _json_parts(doc))
+
+
+def _write_text(path: str, pieces: Iterable[str]) -> None:
+    """Write the pieces to path as they come. If producing or writing one
+    raises, the partial file is removed and the error re-raised; only a
+    regular file is removed, never a device such as /dev/null."""
+    handle = open(path, "w", encoding="utf-8")
+    try:
+        with handle:
+            handle.writelines(pieces)
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise

@@ -14,6 +14,7 @@ import graphlift
 from graphlift import (
     Edge,
     Graph,
+    GraphError,
     PythagoreanModule,
     cli,
     isolated_module,
@@ -25,6 +26,7 @@ from graphlift import (
     sphere_odd_graph,
     word_operator,
 )
+from graphlift import io
 from graphlift.io import (
     format_complex,
     graph_from_dict,
@@ -121,6 +123,27 @@ class TestGraphMake:
                          "--out", str(tmp_path / "g.json"), "--dot", str(dot))
         assert code == 0
         assert dot.read_text().startswith("digraph {")
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        """The file is written as the graph's text is produced; a failure
+        after the first edge removes what was written."""
+        out_path = tmp_path / "g.json"
+        text = io._graph_text
+        seen = []
+
+        def fail_after_one_edge(graph, provenance):
+            pieces = text(graph, provenance)
+            yield next(pieces)
+            yield next(pieces)
+            seen.append(out_path.exists())
+            raise GraphError("no more edges")
+
+        monkeypatch.setattr(io, "_graph_text", fail_after_one_edge)
+        code, out, err = run(capsys, "graph", "make", "sphere-odd", "--n", "3",
+                             "--out", str(out_path))
+        assert (code, out, err) == (2, "", "error: no more edges\n")
+        assert seen == [True]
+        assert not out_path.exists()
 
     def test_deterministic_output(self, capsys):
         first = run(capsys, "graph", "make", "projective", "--n", "3")
@@ -340,6 +363,24 @@ class TestLiftCommands:
         assert seen == [True]
         assert not out_path.exists()
 
+    def test_failed_build_never_removes_a_device(self, capsys, monkeypatch,
+                                                 phase_module_file):
+        """A build to a device that fails part way unlinks nothing."""
+        removed = []
+        images = TruncatedLift.edge_images
+
+        def fail_at_level_1(self, edge_id, k):
+            if k == 1:
+                raise LiftError("no images at level 1")
+            return images(self, edge_id, k)
+
+        monkeypatch.setattr(os, "remove", removed.append)
+        monkeypatch.setattr(TruncatedLift, "edge_images", fail_at_level_1)
+        code, out, err = run(capsys, "lift", "build", "--module", phase_module_file,
+                             "--level", "2", "--out", os.devnull)
+        assert (code, out, err) == (2, "", "error: no images at level 1\n")
+        assert removed == []
+
     def test_check_passes_for_valid_module(self, capsys, phase_module_file):
         code, out, _ = run(capsys, "lift", "check", "--module",
                            phase_module_file, "--level", "2")
@@ -368,7 +409,7 @@ class TestLiftCommands:
         code, _, err = run(capsys, "lift", "eigen", "--module",
                            phase_module_file, "--vertex", "1", "--level", "0")
         assert code == 2
-        assert "--level must be at least 1" in err
+        assert err == "error: the loop eigenvalue needs a lift of level at least 1\n"
 
     @pytest.mark.parametrize("command", [["build"], ["check"], ["eigen", "--vertex", "1"]])
     def test_level_above_the_cap_exits_2(self, capsys, phase_module_file, command):

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphlift import (
@@ -776,18 +776,19 @@ class TestEncoder:
         for doc in (records, {"k": records}, [records, records]):
             assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
 
-    def test_flat_records_are_written_by_column(self):
+    def test_flat_records_match_stdlib(self):
         records = [{"a%": "x\u00e9", "b": 1, "c": True, "d": None, "e": 0.5},
                    {"a%": "", "b": -2, "c": False, "d": None, "e": float("nan")}]
-        text = io._records(records, "\n")
-        assert text == json.dumps(records, indent=2)
+        for doc in (records, {"k": {"k": records}}):
+            assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
 
-    def test_string_list_columns_are_written_by_column(self):
+    def test_string_list_records_match_stdlib(self):
+        """Edge records with lens provenance, at the top and nested two
+        levels deep (each line indented by four more spaces)."""
         records = [{"id": "a", "provenance": ["x%s", "\u00e9", '"']},
                    {"id": "b", "provenance": []}]
-        for pad in ("\n", "\n    "):
-            text = io._records(records, pad)
-            assert text == json.dumps(records, indent=2).replace("\n", pad)
+        for doc in (records, {"k": {"k": records}}):
+            assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("records", [
         [{"a": 1}, {"a": True}],
@@ -811,7 +812,6 @@ class TestEncoder:
             "np-float64", "str-subclass", "int-subclass", "key-order", "key-names",
             "key-count", "empty-dicts"])
     def test_record_fallbacks(self, records):
-        assert io._records(records, "\n") is None
         assert dumps_json(records) == json.dumps(records, indent=2) + "\n"
 
     def test_dict_subclass_records_fall_back(self):
@@ -826,9 +826,36 @@ class TestEncoder:
             assert dumps_json(records) == json.dumps(records, indent=2) + "\n"
 
     def test_non_str_key_in_records_raises(self):
-        assert io._records([{1: "x"}, {1: "y"}], "\n") is None
         with pytest.raises(TypeError, match="keys must be str"):
             dumps_json({"a": [{1: "x"}, {1: "y"}]})
+
+
+@st.composite
+def _named_graphs(draw):
+    """Graphs whose vertex and edge ids are drawn from _STRINGS, edgeless
+    ones included."""
+    names = _STRINGS.filter(bool)
+    vertices = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    edges = draw(st.lists(
+        st.builds(Edge, names, st.sampled_from(vertices), st.sampled_from(vertices)),
+        max_size=6, unique_by=lambda e: e.id))
+    return Graph(tuple(vertices), tuple(edges))
+
+
+class TestGraphText:
+    """The graph writer against the stdlib text of graph_to_dict."""
+
+    @given(_named_graphs(), st.booleans())
+    @example(Graph(("v",)), False)
+    @example(Graph(("v", "\ud800")), True)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_matches_stdlib(self, graph, provenance):
+        doc = graph_to_dict(graph)
+        if provenance:
+            for entry in doc["edges"]:
+                entry["provenance"] = lens_edge_provenance(entry["id"])
+        assert "".join(io._graph_text(graph, provenance)) == (
+            json.dumps(doc, indent=2) + "\n")
 
 
 class TestCliOutputMatchesStdlib:
