@@ -2,9 +2,11 @@
 
 Decoders report failures with a JSON-pointer location and ignore unknown
 keys, so annotated documents (extra provenance fields and the like) still
-decode. A graph decoder checks each array of a document in one pass; only
-a document that fails that check is walked item by item, to name its first
-fault by JSON pointer, with the same message as an item-by-item decoder.
+decode. The graph decoder checks each array of a document in one pass, and
+the module decoder checks every operator's shape and entry types in one
+pass and converts all entries with one array call; only a document that
+fails those checks is walked item by item, to name its first fault by JSON
+pointer, with the same message as an item-by-item decoder.
 Complex entries in matrices are [re, im] pairs, row-major.
 """
 
@@ -14,7 +16,7 @@ import cmath
 import json
 import os
 import re
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, NoReturn
 
@@ -147,6 +149,35 @@ def _entries_to_matrix(doc, where: str, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
+def _operators(raw_ops: dict, graph: Graph, dims: dict[str, int]) -> dict | None:
+    """Every edge's operator, all converted by one array call; None when any
+    is missing, is not rows of [re, im] pairs in its edge's shape, holds a
+    leaf whose type is not exactly int or float, or holds an int beyond
+    float range. `module_from_dict` then walks the entries to locate the
+    first fault."""
+    shapes = [(dims[e.source], dims[e.range]) for e in graph.edges]
+    mats = [raw_ops.get(e.id) for e in graph.edges]
+    if not set(map(type, mats)) <= {list} or list(map(len, mats)) != [r for r, _ in shapes]:
+        return None
+    rows = list(chain.from_iterable(mats))
+    if (not set(map(type, rows)) <= {list}
+            or list(map(len, rows)) != [c for r, c in shapes for _ in range(r)]):
+        return None
+    pairs = list(chain.from_iterable(rows))
+    if not set(map(type, pairs)) <= {list} or not set(map(len, pairs)) <= {2}:
+        return None
+    leaves = list(chain.from_iterable(pairs))
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    try:
+        values = np.array(leaves, dtype=np.float64).view(np.complex128)
+    except OverflowError:
+        return None
+    ends = list(accumulate([r * c for r, c in shapes], initial=0))
+    return {e.id: values[a:b].reshape(shape)
+            for e, a, b, shape in zip(graph.edges, ends, ends[1:], shapes)}
+
+
 def module_to_dict(module: PythagoreanModule) -> dict:
     return {
         "graph": graph_to_dict(module.graph),
@@ -171,12 +202,14 @@ def module_from_dict(doc) -> PythagoreanModule:
     for eid in raw_ops:
         if eid not in graph.edge_by_id:
             _fail(f"/ops/{eid}", "unknown edge")
-    ops = {}
-    for e in graph.edges:
-        if e.id not in raw_ops:
-            _fail("/ops", f"missing operator for edge {e.id!r}")
-        shape = (dims[e.source], dims[e.range])
-        ops[e.id] = _entries_to_matrix(raw_ops[e.id], f"/ops/{e.id}", shape)
+    ops = _operators(raw_ops, graph, dims)
+    if ops is None:
+        ops = {}
+        for e in graph.edges:
+            if e.id not in raw_ops:
+                _fail("/ops", f"missing operator for edge {e.id!r}")
+            shape = (dims[e.source], dims[e.range])
+            ops[e.id] = _entries_to_matrix(raw_ops[e.id], f"/ops/{e.id}", shape)
     try:
         return PythagoreanModule(graph, dims, ops)
     except ModuleError as exc:

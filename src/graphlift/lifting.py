@@ -42,7 +42,10 @@ block (A_nu for its first edge nu, or the identity at a vertex that
 receives no edge) and the path of level k it reads. `embed_map` expands a
 placement into a `BlockMap`, the nonzeros of its blocks, for the callers
 that act on vectors, and so is each lifted intertwiner; the relation check
-reads the embedding Gram straight off the placement instead.
+reads the embedding Gram straight off the placements instead, for all
+levels in one pass: consecutive levels whose Gram terms fit a fixed budget
+are laid end to end and summed with one pair of bincounts, each level over
+its own slots, and a level over the budget goes alone.
 `edge_matrix`, `projection_matrix` and `embed_matrix` materialize dense
 matrices for callers that want them.
 """
@@ -66,9 +69,15 @@ INTERTWINER_TOL = 1e-9
 # Largest level `TruncatedLift` accepts. A lift builds every level below
 # its own, and a level can be empty or one path wide, so no size check
 # stops a level a user types; above the limit it ends in a LiftError
-# rather than a run that never returns. At the limit, `lift check` on a
-# module whose levels hold one path each takes seconds.
+# rather than a run that never returns. At the limit, `ck_residuals` on
+# the lift of `one_dim_module(sphere_odd_graph(1), "1", 1j)`, one path per
+# level, takes 0.45-0.49 s, almost all of it growing the levels (best of
+# 3, 2-CPU machine, Python 3.11.7).
 MAX_LEVEL = 10_000
+
+# Gram terms that `TruncatedLift._gram_residuals` takes in one run of
+# levels; a bound on the transient memory of every run but a lone level's
+_GRAM_TERMS_PER_RUN = 1 << 16
 
 
 class LiftError(ValueError):
@@ -107,6 +116,11 @@ def _ramps(size: np.ndarray) -> np.ndarray:
     at = np.arange(int(size.sum()))
     at -= (size.cumsum() - size).repeat(size)
     return at
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays end to end; a lone array as it is, not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _block_map(row0, col0, height, width, start, values, shape) -> BlockMap:
@@ -395,9 +409,14 @@ class TruncatedLift:
         reads (-1 for none), and the index of its block in `_blocks`."""
         high = self.paths_at(k + 1)
         path = high.order
-        block = np.where(high.length == k + 1, high.head,
-                         len(self._edge_index) + high.source)[path]
+        block = self._block_of(high.length[path], k + 1, high.head[path], high.source[path])
         return path, high.down[path], block
+
+    def _block_of(self, length, level, head, source) -> np.ndarray:
+        """The block in `_blocks` of each row path of an embedding, given its
+        length, its level, its first edge and its source: A_head for a path
+        as long as its level, else the identity at its source, the root."""
+        return np.where(length == level, head, len(self._edge_index) + source)
 
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """The embedding blocks, row-major in one array: A_e per edge, then
@@ -412,7 +431,7 @@ class TruncatedLift:
                 parts.append(np.arange(d * d) % (d + 1) == 0)
                 sizes[len(self._edge_index) + v] = d * d
             sizes = np.array(sizes, dtype=np.intp)
-            self._block_table = (np.concatenate(parts).astype(np.complex128),
+            self._block_table = (np.concatenate([*parts, np.zeros(0)]).astype(np.complex128),
                                  sizes.cumsum() - sizes)
         return self._block_table
 
@@ -439,9 +458,10 @@ class TruncatedLift:
                                 cell, count.cumsum() - count, count)
         return self._gram_table
 
-    def _gram_residual(self, k: int) -> float:
-        """Frobenius norm of M*M - I for the embedding M of level k, read off
-        the block placement of `embed_map` without expanding it.
+    def _gram_residuals(self) -> list[float]:
+        """Frobenius norm of M*M - I for the embedding M of each level
+        0..level, read off the block placements of `embed_map` without
+        expanding them.
 
         Each row of M reads the columns of one lower path, so M*M is block
         diagonal, with a w x w slot block for each lower path that receives
@@ -451,32 +471,85 @@ class TruncatedLift:
         parts and one for the imaginary parts, so each slot sums its terms
         row by row. A lower path that receives no row has a zero Gram block:
         its entries add 1 each. Slots are indexed by path, never by column,
-        and nothing is sorted."""
-        low = self.paths_at(k)
-        _, down, block = self._placement(k)
-        fed = down >= 0
-        down, block = down[fed], block[fed]
-        if not down.size:
-            return float(np.sqrt(low.dimension))
-        real, imag, cell, first, count = self._gram_terms()
-        side = np.zeros_like(low.source)  # slot block side per lower path
-        side[down] = self._fiber[low.source[down]]
-        side = side[low.order]
-        size = side * side
-        start = size.cumsum() - size
-        base = np.empty_like(size)
-        base[low.order] = start
+        and nothing is sorted.
+
+        Consecutive levels go through `_gram_run` together, as long as their
+        terms (at most rows times the largest block's term count) fit in
+        `_GRAM_TERMS_PER_RUN`; a level with more runs alone. A run lays its
+        levels' rows and slots out level after level, so each slot still
+        sums its own terms in row order and each level sums its own slots:
+        every residual is the one its level alone would give."""
+        self.paths_at(self.level + 1)
+        # at least 1, so that a run also holds at most the budget in rows
+        widest = max(int(self._gram_terms()[4].max(initial=0)), 1)
+        out: list[float] = []
+        first = terms = 0
+        for k in range(self.level + 1):
+            rows = self._levels[k + 1].order.size * widest  # bounds the level's terms
+            if k > first and terms + rows > _GRAM_TERMS_PER_RUN:
+                out += self._gram_run(first, k)
+                first, terms = k, 0
+            terms += rows
+        return out + self._gram_run(first, self.level + 1)
+
+    def _gram_run(self, first: int, stop: int) -> list[float]:
+        """The Gram residuals of levels first..stop-1, with one pair of
+        bincounts; see `_gram_residuals`."""
+        real, imag, cell, start, count = self._gram_terms()
+        down, block, side, ends, base, bounds = self._gram_layout(first, stop)
         count = count[block]
-        at = _ramps(count)  # the terms of each row path's block, in turn
-        at += first[block].repeat(count)
-        slot = cell[at]
+        term = _ramps(count)  # the terms of each row path's block, in turn
+        term += start[block].repeat(count)
+        slot = cell[term]
         slot += base[down].repeat(count)
-        slots = int(size.sum())
-        gram_re = np.bincount(slot, real[at], slots)
-        gram_im = np.bincount(slot, imag[at], slots)
-        gram_re[_ramps(side) * (side + 1).repeat(side) + start.repeat(side)] -= 1.0
-        unseen = low.dimension - int(side.sum())  # lower entries no row reads
-        return float(np.sqrt(np.sum(gram_re**2) + np.sum(gram_im**2) + unseen))
+        # a run with no terms has no slots, and bincount then gives ints
+        gram_re = np.bincount(slot, real[term], ends[-1]).astype(np.float64, copy=False)
+        gram_im = np.bincount(slot, imag[term], ends[-1]).astype(np.float64, copy=False)
+        gram_re[_ramps(side) * (side + 1).repeat(side) + ends[:-1].repeat(side)] -= 1.0
+        gram_re **= 2
+        gram_im **= 2
+        slots = ends[bounds].tolist()
+        seen = np.append(0, side.cumsum())[bounds].tolist()
+        dims = [level.dimension for level in self._levels[first:stop]]
+        # a lower entry that no row reads adds 1
+        return [float(np.sqrt(np.add.reduce(gram_re[a:b]) + np.add.reduce(gram_im[a:b])
+                              + (d - (s1 - s0))))
+                for a, b, s0, s1, d in zip(slots, slots[1:], seen, seen[1:], dims)]
+
+    def _gram_layout(self, first: int, stop: int) -> tuple[np.ndarray, ...]:
+        """The placements of levels first..stop-1 (see `_placement`) laid end
+        to end, lower paths numbered through levels first..stop-1 in turn.
+        Returns, for each row path that reads a lower path, level after
+        level in basis order, that lower path and its block; the side of
+        each lower path's slot block (0 where no row reads it), and where
+        the slot blocks start, then the slot count, both in basis order;
+        where each lower path's slot block starts, by path; and where each
+        level's lower paths start in basis order, then their count. Apart
+        from `_gram_run`, so that its path-sized temporaries are freed
+        before the terms are formed; a lone level's arrays are read, not
+        copied."""
+        low, high = self._levels[first:stop], self._levels[first + 1 : stop + 1]
+        n = np.array([level.order.size for level in self._levels[first : stop + 1]])
+        shift = n.cumsum() - n
+        # the rows, numbered through levels first+1..stop in turn
+        rows = _joined([level.order for level in high]) + (shift[1:] - n[0]).repeat(n[1:])
+        down = _joined([level.down for level in high])[rows]
+        fed = down >= 0
+        rows = rows[fed]
+        down = down[fed] + shift[:-1].repeat(n[1:])[fed]
+        block = self._block_of(_joined([level.length for level in high])[rows],
+                               np.arange(first + 1, stop + 1).repeat(n[1:])[fed],
+                               _joined([level.head for level in high])[rows],
+                               _joined([level.source for level in high])[rows])
+        lower = _joined([level.order for level in low]) + shift[:-1].repeat(n[:-1])
+        side = np.zeros_like(lower)
+        side[down] = self._fiber[_joined([level.source for level in low])[down]]
+        side = side[lower]
+        ends = np.zeros(side.size + 1, dtype=side.dtype)
+        np.cumsum(side * side, out=ends[1:])
+        base = np.empty_like(side)
+        base[lower] = ends[:-1]
+        return down, block, side, ends, base, shift
 
     def edge_matrix(self, edge_id: str, k: int) -> np.ndarray:
         """Matrix of the edge generator from W_k to W_{k+1}; entries 0 or 1."""
@@ -624,9 +697,10 @@ def ck_residuals(trunc: TruncatedLift) -> CkReport:
     Every residual is read off the vertex blocks and the stored maps, with
     work that follows their nonzeros: one sort of the level's edge images,
     and per level a per-path slot block of the embedding Gram, filled from
-    the block placement with no sort (`TruncatedLift._gram_residual`); no
-    embedding is expanded. No dense matrix and no per-vertex or per-edge
-    array as long as a level is formed.
+    the block placement with no sort, levels taken together in runs under
+    a term budget (`TruncatedLift._gram_residuals`); no embedding is
+    expanded. No dense matrix and no per-vertex or per-edge array as long
+    as a level is formed.
     P_v keeps the block of v, so the projector residuals follow from the
     block intervals: an entry covered c times adds (c - 1)^2 to
     completeness, and two blocks that share n entries give an orthogonality
@@ -639,7 +713,7 @@ def ck_residuals(trunc: TruncatedLift) -> CkReport:
     """
     g = trunc.module.graph
     m = trunc.level
-    embed_isometry = {k: trunc._gram_residual(k) for k in range(m + 1)}
+    embed_isometry = dict(enumerate(trunc._gram_residuals()))
     low, high = trunc.paths_at(m).bounds, trunc.paths_at(m + 1).bounds
     order = np.argsort(low[:-1], kind="stable")
     starts, stops = low[:-1][order], low[1:][order]

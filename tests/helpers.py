@@ -22,7 +22,8 @@ from graphlift import (
     sphere_odd_graph,
 )
 from graphlift import modules
-from graphlift.io import LIFT_FORMAT, CodecError, _need, _need_key, module_to_dict
+from graphlift.io import (LIFT_FORMAT, CodecError, _fail, _is_int, _need, _need_key,
+                          module_to_dict)
 
 
 def one_dim_components(graph: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -739,4 +740,55 @@ def reference_graph_from_dict(doc) -> Graph:
     try:
         return Graph(tuple(vertices), tuple(edges))
     except GraphError as exc:
+        raise CodecError(f"/: {exc}") from exc
+
+
+def _reference_entries_to_matrix(doc, where: str, shape: tuple[int, int]) -> np.ndarray:
+    rows, cols = shape
+    _need(doc, where, list, "array")
+    if len(doc) != rows:
+        _fail(where, f"expected {rows} rows, got {len(doc)}")
+    out = np.zeros(shape, dtype=np.complex128)
+    for i, row in enumerate(doc):
+        _need(row, f"{where}/{i}", list, "array")
+        if len(row) != cols:
+            _fail(f"{where}/{i}", f"expected {cols} entries, got {len(row)}")
+        for j, pair in enumerate(row):
+            _need(pair, f"{where}/{i}/{j}", list, "array")
+            if len(pair) != 2 or not all(_is_int(x) or isinstance(x, float) for x in pair):
+                _fail(f"{where}/{i}/{j}", "expected a [re, im] pair of numbers")
+            try:
+                out[i, j] = complex(pair[0], pair[1])
+            except OverflowError:  # an integer literal beyond float range
+                _fail(f"{where}/{i}/{j}", "number out of float range")
+    return out
+
+
+def reference_module_from_dict(doc) -> PythagoreanModule:
+    """Reference only: the module decoder that checks and converts every
+    operator entry by entry, raising at the first fault in edge order."""
+    _need(doc, "/", dict, "object")
+    graph = reference_graph_from_dict(_need_key(doc, "/", "graph"))
+    raw_dims = _need(_need_key(doc, "/", "dims"), "/dims", dict, "object")
+    dims = {}
+    for v, d in raw_dims.items():
+        if v not in graph.vertex_index:
+            _fail(f"/dims/{v}", "unknown vertex")
+        if not _is_int(d) or d < 0:
+            _fail(f"/dims/{v}", "expected a nonnegative integer")
+        dims[v] = d
+    dims = {v: dims.get(v, 0) for v in graph.vertices}
+    raw_ops = _need(_need_key(doc, "/", "ops"), "/ops", dict, "object")
+    for eid in raw_ops:
+        if eid not in graph.edge_by_id:
+            _fail(f"/ops/{eid}", "unknown edge")
+    ops = {}
+    for e in graph.edges:
+        if e.id not in raw_ops:
+            _fail("/ops", f"missing operator for edge {e.id!r}")
+        shape = (dims[e.source], dims[e.range])
+        ops[e.id] = _reference_entries_to_matrix(raw_ops[e.id], f"/ops/{e.id}", shape)
+    try:
+        return PythagoreanModule(graph, dims, ops)
+    except ModuleError as exc:
         raise CodecError(f"/: {exc}") from exc

@@ -50,6 +50,7 @@ from helpers import (
     reference_graph_from_dict,
     reference_lift_dict,
     reference_matrix_to_entries,
+    reference_module_from_dict,
     small_multigraphs,
     supported_graphs,
 )
@@ -327,6 +328,130 @@ class TestModuleCodec:
         leaves = [x for row in got for pair in row for x in pair]
         assert all(type(x) is float for x in leaves)
 
+
+
+# entry parts the decoders must carry bit for bit: signed zeros,
+# subnormals, ints above 2**53 (which round to a float), ordinary floats
+_ENTRY_PARTS = st.one_of(
+    st.sampled_from([0, 1, -3, 0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308]),
+    st.integers(2**53 + 1, 2**80), st.integers(-(2**80), -(2**53) - 1),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def module_docs(draw):
+    """A module document over a drawn graph with drawn fibers (0 to 3) and
+    drawn entries; the operators need not satisfy the module relation."""
+    graph = draw(st.one_of(supported_graphs(), small_multigraphs()))
+    dims = {v: draw(st.integers(0, 3)) for v in graph.vertices}
+    ops = {e.id: [[[draw(_ENTRY_PARTS), draw(_ENTRY_PARTS)] for _ in range(dims[e.range])]
+                  for _ in range(dims[e.source])]
+           for e in graph.edges}
+    return {"graph": graph_to_dict(graph), "dims": dims, "ops": ops}
+
+
+def _inject_op_fault(draw, doc):
+    """doc with one more change to its operators, made in place: a fault,
+    or np.float64 parts in one operator, which both decoders accept."""
+    ops = doc["ops"]
+    edges = [entry["id"] for entry in doc["graph"]["edges"]]
+    pairs = [(eid, i, j) for eid in edges if isinstance(ops.get(eid), list)
+             for i, row in enumerate(ops[eid]) if isinstance(row, list)
+             for j, pair in enumerate(row) if isinstance(pair, list) and pair]
+    rows = [row for eid in edges if isinstance(ops.get(eid), list)
+            for row in ops[eid] if isinstance(row, list)]
+    kinds = ["missing"] if edges else []
+    if pairs:
+        kinds += ["bool", "string", "null", "huge", "triple", "numpy",
+                  "malformed then missing", "number for pair", "null for pair"]
+    if rows:
+        kinds.append("ragged")
+    if not kinds:
+        return doc
+    kind = draw(st.sampled_from(kinds))
+    if kind == "missing":
+        ops.pop(draw(st.sampled_from(edges)), None)
+    elif kind == "ragged":
+        draw(st.sampled_from(rows)).append([0.0, 0.0])
+    elif kind == "numpy":
+        eid = draw(st.sampled_from(pairs))[0]
+        ops[eid] = [[[np.float64(x) if type(x) is float else x for x in pair]
+                     if isinstance(pair, list) else pair for pair in row]
+                    if isinstance(row, list) else row for row in ops[eid]]
+    else:
+        eid, i, j = draw(st.sampled_from(pairs))
+        pair = ops[eid][i][j]
+        if kind == "number for pair":
+            ops[eid][i][j] = draw(st.sampled_from([0.5, 0, -2]))
+        elif kind == "null for pair":
+            ops[eid][i][j] = None
+        elif kind == "triple":
+            pair.append(0.0)
+        elif kind == "malformed then missing":
+            pair[0] = True
+            later = edges[edges.index(eid) + 1:]
+            if later:
+                ops.pop(draw(st.sampled_from(later)), None)
+        else:
+            pair[draw(st.integers(0, len(pair) - 1))] = draw(st.sampled_from({
+                "bool": [True, False], "string": ["1.5", "0"], "null": [None],
+                "huge": [10**400, -10**400]}[kind]))
+    return doc
+
+
+class TestModuleDecoder:
+    """`module_from_dict` converts every operator in one array call, and walks
+    the entries only to locate a fault; it decodes as the entry-by-entry
+    reference does."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(module_docs(), st.integers(0, 2), st.data())
+    def test_decodes_as_reference_decoder(self, doc, faults, data):
+        for _ in range(faults):
+            doc = _inject_op_fault(data.draw, doc)
+        want = _decoded(reference_module_from_dict, doc)
+        got = _decoded(module_from_dict, doc)
+        if isinstance(want, tuple):
+            assert want[0] is CodecError
+            assert got == want
+            return
+        assert (got.graph, got.dims) == (want.graph, want.dims)
+        for eid, mat in want.ops.items():
+            assert got.ops[eid].shape == mat.shape
+            assert got.ops[eid].tobytes() == mat.tobytes(), eid
+
+    def test_well_formed_operators_are_not_walked(self, monkeypatch):
+        doc = module_to_dict(random_module(sphere_odd_graph(3), {"1": 2, "2": 0, "3": 3}, 4))
+        want = reference_module_from_dict(doc)
+
+        def refuse(*args):
+            raise AssertionError("entries walked")
+
+        monkeypatch.setattr(io, "_entries_to_matrix", refuse)
+        got = module_from_dict(doc)
+        assert all(got.ops[eid].tobytes() == mat.tobytes() for eid, mat in want.ops.items())
+
+    @pytest.mark.parametrize("row, message", [
+        ([0.5], "/ops/11/0/0: expected array, got float"),
+        ([None], "/ops/11/0/0: expected array, got NoneType"),
+    ])
+    def test_entry_that_is_not_a_pair(self, row, message):
+        doc = module_to_dict(one_dim_module(sphere_odd_graph(2), "1", 1j))
+        doc["ops"]["11"] = [row]
+        assert _decoded(reference_module_from_dict, doc) == (CodecError, message)
+        assert _decoded(module_from_dict, doc) == (CodecError, message)
+
+    @pytest.mark.parametrize("first, message", [
+        ([[True, 0.0]], r"/ops/11/0/0: expected a \[re, im\] pair of numbers"),
+        ([[10**400, 0.0]], "/ops/11/0/0: number out of float range"),
+    ])
+    def test_missing_operator_after_a_malformed_one(self, first, message):
+        doc = module_to_dict(one_dim_module(sphere_odd_graph(2), "1", 1j))
+        doc["ops"]["11"] = [first]
+        del doc["ops"]["22"]
+        with pytest.raises(CodecError, match=f"^{message}$"):
+            module_from_dict(doc)
 
 class TestSpectrumCodec:
     def test_round_trip(self):

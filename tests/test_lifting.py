@@ -3,6 +3,7 @@
 import cmath
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from graphlift import (
     validate_module,
     word_operator,
 )
+from graphlift import lifting
 from graphlift.lifting import MAX_LEVEL, _act
 
 from helpers import (
@@ -591,6 +593,84 @@ class TestGramFromPlacement:
         monkeypatch.setattr(TruncatedLift, "embed_map", refuse)
         report = ck_residuals(lift(module, 3, validate=False))
         assert [report.embed_isometry[k] for k in range(4)] == want
+
+
+_RUN_GRAPHS = st.one_of(
+    supported_graphs(),
+    st.sampled_from([LensParams(2, 3, (1, 1)), LensParams(3, 4, (1, 1, 3))]).map(
+        lens_graph_coprime),
+)
+
+
+def _run_spans(monkeypatch) -> list[tuple[int, int]]:
+    """The (first, stop) level span of every Gram run from now on."""
+    spans = []
+    gram_run = TruncatedLift._gram_run
+    monkeypatch.setattr(TruncatedLift, "_gram_run",
+                        lambda t, first, stop: spans.append((first, stop))
+                        or gram_run(t, first, stop))
+    return spans
+
+
+class TestGramRuns:
+    """`ck_residuals` takes the embedding Gram of consecutive levels in runs
+    under a term budget; each level's residual is bitwise the one the
+    expanded embedding of that level alone gives."""
+
+    @pytest.mark.parametrize("budget", [lifting._GRAM_TERMS_PER_RUN, 1, 64])
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(graph=_RUN_GRAPHS, level=st.integers(0, 6), seed=st.integers(0, 2**16),
+           kind=st.sampled_from(["valid", "perturbed", "any fibers"]), data=st.data())
+    def test_runs_match_the_one_level_reference(self, budget, graph, level, seed, kind, data):
+        rng = np.random.default_rng(seed)
+        if kind == "any fibers":  # a level may then have no row that reads a lower path
+            dims = {v: data.draw(st.integers(0, 3)) for v in graph.vertices}
+            module = PythagoreanModule(graph, dims, {
+                e.id: rng.standard_normal((dims[e.source], dims[e.range], 2)) @ [1, 1j]
+                for e in graph.edges})
+        else:
+            module = random_module(graph, random_feasible_dims(graph, rng, hi=3), seed)
+            live = [e.id for e in graph.edges if module.ops[e.id].size]
+            if kind == "perturbed" and live:
+                module = perturb_edge(module, live[seed % len(live)], 1e-3)
+        t = lift(module, level, validate=False)
+        with mock.patch.object(lifting, "_GRAM_TERMS_PER_RUN", budget):
+            report = ck_residuals(t)
+        assert list(report.embed_isometry) == list(range(level + 1))
+        for k in range(level + 1):
+            assert report.embed_isometry[k] == reference_gram_residual(t.embed_map(k)), k
+
+    @pytest.mark.parametrize("budget, spans", [
+        (None, [(0, 5)]),  # every level in one run
+        (20, [(0, 2), (2, 4), (4, 5)]),  # two levels of 8 terms per run
+        (5, [(k, k + 1) for k in range(5)]),  # 8 terms each: every level alone
+    ])
+    def test_levels_run_together_within_the_budget(self, monkeypatch, budget, spans):
+        # one vertex with a loop and fiber 2: one row per level, 8 terms a row
+        module = random_module(sphere_odd_graph(1), {"1": 2}, 3)
+        if budget is not None:
+            monkeypatch.setattr(lifting, "_GRAM_TERMS_PER_RUN", budget)
+        got = _run_spans(monkeypatch)
+        t = lift(module, 4, validate=False)
+        report = ck_residuals(t)
+        assert got == spans
+        assert [report.embed_isometry[k] for k in range(5)] == [
+            reference_gram_residual(t.embed_map(k)) for k in range(5)]
+
+    @pytest.mark.parametrize("module, level, want", [
+        (unfed_fiber_module(), 2, {0: np.sqrt(2), 1: 0.0, 2: 0.0}),
+        (PythagoreanModule(Graph(("v",), ()), {"v": 0}, {}), 1, {0: 0.0, 1: 0.0}),
+    ])
+    def test_run_without_terms_gives_float_slots(self, monkeypatch, module, level, want):
+        # no level of these lifts has a row that reads a lower path
+        got = _run_spans(monkeypatch)
+        report = ck_residuals(lift(module, level, validate=False))
+        assert got == [(0, level + 1)]
+        assert report.embed_isometry == want
+
+    def test_thin_lift_at_the_level_cap(self):
+        t = lift(one_dim_module(sphere_odd_graph(1), "1", 1j), MAX_LEVEL, validate=False)
+        assert ck_residuals(t).embed_isometry == dict.fromkeys(range(MAX_LEVEL + 1), 0.0)
 
 
 class TestWords:
