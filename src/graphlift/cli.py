@@ -260,24 +260,36 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
 
 
+def _add_command(sub, commands: dict, words: tuple[str, ...], text: str):
+    """Add the parser of the command named by `words` under `sub`, record
+    it in `commands` and return it. Its defaults set `command` (and
+    `subcommand` for two words), as the enclosing subparsers would."""
+    leaf = sub.add_parser(words[-1], help=text)
+    leaf.set_defaults(**dict(zip(("command", "subcommand"), words)))
+    commands[words] = leaf
+    return leaf
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The shared, process-wide parser, built on first use.
 
     A parse leaves the parser unchanged (set-up defaults only, no `append`
     actions, subparser results copied into a fresh Namespace), so every
-    `run` call reuses it.
+    `run` call reuses it. Its `commands` attribute maps the words of every
+    command, such as ("lift", "check"), to the parser that holds its flags.
     """
     parser = argparse.ArgumentParser(
         prog="graphlift",
         description="Graph families, Pythagorean modules, truncated lifts, "
         "and spectrum classification.",
     )
+    commands = {}
     top = parser.add_subparsers(dest="command", required=True)
 
     graph = top.add_parser("graph", help="graph construction and validation")
     graph_sub = graph.add_subparsers(dest="subcommand", required=True)
-    make = graph_sub.add_parser("make", help="build a family graph")
+    make = _add_command(graph_sub, commands, ("graph", "make"), "build a family graph")
     make.add_argument("family",
                       choices=("sphere-odd", "sphere-even", "projective", "lens"))
     make.add_argument("--n", type=int, required=True)
@@ -287,20 +299,22 @@ def build_parser() -> argparse.ArgumentParser:
     make.add_argument("--dot")
     _add_format(make)
     make.set_defaults(handler=_cmd_graph_make)
-    check = graph_sub.add_parser("check", help="validate family structure")
+    check = _add_command(graph_sub, commands, ("graph", "check"),
+                         "validate family structure")
     check.add_argument("file")
     check.add_argument("--family", choices=tuple(FAMILIES), required=True)
     _add_format(check)
     check.set_defaults(handler=_cmd_graph_check)
 
-    cls = top.add_parser("classify", help="classify the spectrum of a graph")
+    cls = _add_command(top, commands, ("classify",), "classify the spectrum of a graph")
     cls.add_argument("file")
     _add_format(cls, default="json")
     cls.set_defaults(handler=_cmd_classify)
 
     spectrum = top.add_parser("spectrum", help="spectrum components")
     spectrum_sub = spectrum.add_subparsers(dest="subcommand", required=True)
-    smod = spectrum_sub.add_parser("module", help="representative module")
+    smod = _add_command(spectrum_sub, commands, ("spectrum", "module"),
+                        "representative module")
     smod.add_argument("graph")
     smod.add_argument("--vertex", required=True)
     smod.add_argument("--z", help='phase "a+bi" or "exp(k/n)"; omit for a point')
@@ -309,62 +323,88 @@ def build_parser() -> argparse.ArgumentParser:
 
     module = top.add_parser("module", help="module construction and analysis")
     module_sub = module.add_subparsers(dest="subcommand", required=True)
-    mmake = module_sub.add_parser("make", help="one-dimensional module")
+    mmake = _add_command(module_sub, commands, ("module", "make"),
+                         "one-dimensional module")
     mmake.add_argument("--graph", required=True)
     mmake.add_argument("--vertex", required=True)
     mmake.add_argument("--z", help="loop phase; omit for an isolated point module")
     mmake.add_argument("--out")
     mmake.set_defaults(handler=_cmd_module_make)
-    mrand = module_sub.add_parser("random", help="seeded random module")
+    mrand = _add_command(module_sub, commands, ("module", "random"),
+                         "seeded random module")
     mrand.add_argument("--graph", required=True)
     mrand.add_argument("--dims", required=True,
                        help="comma-separated dimensions in vertex order")
     mrand.add_argument("--seed", type=int, default=0)
     mrand.add_argument("--out")
     mrand.set_defaults(handler=_cmd_module_random)
-    mcheck = module_sub.add_parser("check", help="defining-relation residuals")
+    mcheck = _add_command(module_sub, commands, ("module", "check"),
+                          "defining-relation residuals")
     mcheck.add_argument("file")
     mcheck.add_argument("--tol", type=_tolerance, default=1e-9)
     _add_format(mcheck)
     mcheck.set_defaults(handler=_cmd_module_check)
-    mirr = module_sub.add_parser("irreducible", help="Burnside irreducibility test")
+    mirr = _add_command(module_sub, commands, ("module", "irreducible"),
+                        "Burnside irreducibility test")
     mirr.add_argument("file")
     mirr.set_defaults(handler=_cmd_module_irreducible)
-    mint = module_sub.add_parser("intertwiners", help="intertwiner space dimension")
+    mint = _add_command(module_sub, commands, ("module", "intertwiners"),
+                        "intertwiner space dimension")
     mint.add_argument("source")
     mint.add_argument("target")
     mint.set_defaults(handler=_cmd_module_intertwiners)
-    meq = module_sub.add_parser("equivalent", help="decide module equivalence")
+    meq = _add_command(module_sub, commands, ("module", "equivalent"),
+                       "decide module equivalence")
     meq.add_argument("source")
     meq.add_argument("target")
     meq.set_defaults(handler=_cmd_module_equivalent)
 
     lft = top.add_parser("lift", help="truncated lifted representation")
     lift_sub = lft.add_subparsers(dest="subcommand", required=True)
-    lbuild = lift_sub.add_parser("build", help="bases and generator index maps")
+    lbuild = _add_command(lift_sub, commands, ("lift", "build"),
+                          "bases and generator index maps")
     lbuild.add_argument("--module", required=True)
     lbuild.add_argument("--level", type=int, required=True)
     lbuild.add_argument("--out")
     lbuild.set_defaults(handler=_cmd_lift_build)
-    lcheck = lift_sub.add_parser("check", help="generator relation residuals")
+    lcheck = _add_command(lift_sub, commands, ("lift", "check"),
+                          "generator relation residuals")
     lcheck.add_argument("--module", required=True)
     lcheck.add_argument("--level", type=int, required=True)
     lcheck.add_argument("--tol", type=_tolerance, default=1e-9)
     lcheck.set_defaults(handler=_cmd_lift_check)
-    leigen = lift_sub.add_parser("eigen", help="loop eigenvalue at a vertex class")
+    leigen = _add_command(lift_sub, commands, ("lift", "eigen"),
+                          "loop eigenvalue at a vertex class")
     leigen.add_argument("--module", required=True)
     leigen.add_argument("--vertex", required=True)
     leigen.add_argument("--level", type=int, required=True)
     leigen.add_argument("--tol", type=_tolerance, default=1e-9)
     leigen.set_defaults(handler=_cmd_lift_eigen)
 
+    parser.commands = commands
     return parser
 
 
-def run(argv=None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The Namespace that `build_parser().parse_args(argv)` gives, with the
+    same output and SystemExit. Argv whose first words name a command is
+    parsed by that command's parser alone, the parser the nested parse
+    hands its words to; leftover words get the top parser's error, as in
+    the nested parse. Any other argv goes through the whole tree."""
     parser = build_parser()
+    for n in (1, 2):
+        leaf = parser.commands.get(tuple(argv[:n]))
+        if leaf is not None:
+            args, extra = leaf.parse_known_args(argv[n:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            return args
+    return parser.parse_args(argv)
+
+
+def run(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

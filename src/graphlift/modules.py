@@ -19,6 +19,10 @@ import numpy as np
 from .graphs import Graph
 
 RANK_TOL = 1e-10
+# The most complex entries one dense array of a module verdict may hold
+# (4 GiB of complex128); a verdict that would need more is refused before
+# it allocates, since a fiber is any integer the decoder accepts.
+_MAX_ENTRIES = 2**28
 # seed of the one intertwiner combination that `are_equivalent` draws
 EQUIVALENCE_SEED = 0
 
@@ -59,6 +63,37 @@ def _as_operator(value, shape: tuple[int, int], label: str) -> np.ndarray:
     return a
 
 
+def _edge_operators(graph: Graph, dims: dict[str, int], given: dict) -> dict:
+    """Every edge's operator, in edge order, as `_as_operator` makes it.
+    The shapes are checked in one pass and finiteness once over all the
+    operators; only when a check fails are the edges walked one at a time,
+    so the error names the first bad edge in edge order, with the walk's
+    text."""
+    ops = {}
+    for e in graph.edges:
+        shape = (dims[e.source], dims[e.range])
+        try:
+            a = np.asarray(given[e.id], dtype=np.complex128)
+        except (KeyError, TypeError, ValueError):
+            break
+        if a.size == 0 and 0 in shape:
+            a = np.zeros(shape, dtype=np.complex128)
+        elif a.shape != shape:
+            break
+        ops[e.id] = a
+    else:
+        entries = [op.ravel() for op in ops.values()]
+        if not entries or np.isfinite(np.concatenate(entries)).all():
+            return ops
+    ops = {}
+    for e in graph.edges:
+        if e.id not in given:
+            raise ModuleError(f"missing operator for edge {e.id!r}")
+        ops[e.id] = _as_operator(given[e.id], (dims[e.source], dims[e.range]),
+                                 f"edge {e.id!r}")
+    return ops
+
+
 @dataclass(frozen=True, eq=False)
 class PythagoreanModule:
     """Vertex fiber dimensions plus one edge operator per edge."""
@@ -72,12 +107,7 @@ class PythagoreanModule:
         unknown = set(self.ops) - set(self.graph.edge_by_id)
         if unknown:
             raise ModuleError(f"ops name unknown edges {sorted(unknown, key=repr)}")
-        ops = {}
-        for e in self.graph.edges:
-            if e.id not in self.ops:
-                raise ModuleError(f"missing operator for edge {e.id!r}")
-            ops[e.id] = _as_operator(self.ops[e.id], (dims[e.source], dims[e.range]),
-                                     f"edge {e.id!r}")
+        ops = _edge_operators(self.graph, dims, self.ops)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "ops", ops)
 
@@ -211,6 +241,14 @@ def random_module(graph: Graph, dims: dict[str, int], seed: int) -> PythagoreanM
     return PythagoreanModule(graph, full, ops)
 
 
+def _require_entries(entries: int, what: str) -> None:
+    """A ModuleError that names `what` and its size when a verdict would
+    form a dense array of more than `_MAX_ENTRIES` entries."""
+    if entries > _MAX_ENTRIES:
+        raise ModuleError(f"{what} needs {entries} complex entries, more than "
+                          f"the {_MAX_ENTRIES} a module verdict may hold")
+
+
 def _rank(s: np.ndarray, scale: float) -> int:
     """The one rank rule: the count of singular values `s` above RANK_TOL
     times `scale`, or times 1 if that is smaller, so pure roundoff has rank 0."""
@@ -269,6 +307,9 @@ def _graded_nullspace(graph: Graph, dims_s: dict[str, int], dims_t: dict[str, in
         a_blocks.append(a)
         b_blocks.append(b)
         rows += m * n
+    # the system, and its SVD factors or the identity of `_nullspace`
+    _require_entries(max(rows, cols) * cols,
+                     f"a graded system of {rows} equations in {cols} unknowns")
     system = np.zeros((rows, cols), dtype=np.complex128)
     flat = system.reshape(-1)
     for (m, n, p, q), (heads, tails, a_blocks, b_blocks) in groups.items():
@@ -391,6 +432,9 @@ def is_irreducible(module: PythagoreanModule) -> bool:
     if not _support_reaches(module):
         return False
     dims = module.dims
+    # a block of d_u d_v rows of length d_u d_v, at most, and its candidates
+    widest = max(dims.values())
+    _require_entries(widest**4, f"an algebra block of fiber {widest}")
     return all(
         rank == dims[u] * dims[v]
         for v in module.graph.vertices if dims[v]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 
 import numpy as np
@@ -21,7 +23,7 @@ from graphlift import (
     opposite,
     sphere_odd_graph,
 )
-from graphlift import modules
+from graphlift import cli, modules
 from graphlift.io import (LIFT_FORMAT, CodecError, _fail, _is_int, _need, _need_key,
                           module_to_dict)
 
@@ -792,3 +794,33 @@ def reference_module_from_dict(doc) -> PythagoreanModule:
         return PythagoreanModule(graph, dims, ops)
     except ModuleError as exc:
         raise CodecError(f"/: {exc}") from exc
+
+
+def reference_edge_operators(graph: Graph, dims: dict[str, int], ops: dict) -> dict:
+    """Reference only: module operators checked one edge at a time, in edge
+    order, raising at the first missing or bad one."""
+    checked = {}
+    for e in graph.edges:
+        if e.id not in ops:
+            raise ModuleError(f"missing operator for edge {e.id!r}")
+        checked[e.id] = modules._as_operator(ops[e.id], (dims[e.source], dims[e.range]),
+                                             f"edge {e.id!r}")
+    return checked
+
+
+def nested_parse(argv: list[str]):
+    """Reference only: argv parsed through the whole parser tree, the top
+    parser, then the group parser, then the command's own."""
+    return cli.build_parser().parse_args(argv)
+
+
+def parse_outcome(parse, argv: list[str]) -> tuple:
+    """What `parse(argv)` gives: the vars of its Namespace, or its
+    SystemExit code, then the text it wrote to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphlift
 from graphlift import (
@@ -37,7 +39,7 @@ from graphlift.io import (
 )
 from graphlift.lifting import LiftError, TruncatedLift
 
-from helpers import overflow_module, unfed_fiber_module
+from helpers import nested_parse, overflow_module, parse_outcome, unfed_fiber_module
 
 
 def run(capsys, *argv):
@@ -552,15 +554,41 @@ class TestParserReuse:
             built.append(1)
             init(self, *args, **kwargs)
 
+        recorded = []
+        add_command = cli._add_command
+
+        def counting_add_command(*args):
+            recorded.append(1)
+            return add_command(*args)
+
         cli.build_parser.cache_clear()
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        per_call = []
+        monkeypatch.setattr(cli, "_add_command", counting_add_command)
+        per_call, tables = [], []
         for _ in range(5):
-            before = len(built)
+            before = len(built), len(recorded)
             run(capsys, "graph", "check", odd_graph_file, "--family", "sphere-odd")
-            per_call.append(len(built) - before)
-        assert per_call[0] > 0
-        assert per_call[1:] == [0, 0, 0, 0]
+            per_call.append((len(built) - before[0], len(recorded) - before[1]))
+            tables.append(cli.build_parser().commands)
+        assert per_call[0][0] > 0 and per_call[0][1] == len(tables[0])
+        assert per_call[1:] == [(0, 0)] * 4
+        assert all(table is tables[0] for table in tables)
+
+    def test_command_table_holds_every_leaf_parser(self):
+        def leaves(parser, words=()):
+            groups = [a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+            if not groups:
+                yield words, parser
+            for action in groups:
+                for name, child in action.choices.items():
+                    yield from leaves(child, words + (name,))
+
+        parser = cli.build_parser()
+        reachable = dict(leaves(parser))
+        assert len(reachable) == 13
+        assert reachable.keys() == parser.commands.keys()
+        assert all(parser.commands[words] is leaf for words, leaf in reachable.items())
 
 
 class TestBadNumbers:
@@ -584,6 +612,16 @@ class TestBadNumbers:
         code, out, err = run(capsys, *(a.format(nan_module_file) for a in argv))
         assert code == 2 and out == ""
         assert err == "error: /: edge '33': operator has non-finite entries\n"
+
+    def test_first_of_two_non_finite_edges_named(self, tmp_path, capsys,
+                                                 nan_module_file):
+        doc = read_json(nan_module_file)
+        doc["ops"]["21"][0][0][1] = float("inf")  # edge "21" precedes "33"
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "module", "check", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: /: edge '21': operator has non-finite entries\n"
 
     def test_nan_phase_refused(self, capsys, odd_graph_file):
         code, _, err = run(capsys, "module", "make", "--graph", odd_graph_file,
@@ -625,6 +663,170 @@ class TestBadNumbers:
         code, out, err = run(capsys, "module", "check", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: /dims/1: expected a nonnegative integer")
+
+
+# Hand-picked argv: help, abbreviations, `--`, `--flag=value`, unknown
+# flags, extra positionals, missing subcommands and bad numbers.
+PINNED_ARGV = (
+    "",
+    "-h",
+    "--help",
+    "--he",
+    "frobnicate",
+    "graph",
+    "lift",
+    "graph mak",
+    "graph -h",
+    "graph make -h",
+    "graph make --he",
+    "classify -h",
+    "classify",
+    "classify g.json",
+    "classify g.json --fo text",
+    "classify g.json --format=text",
+    "classify g.json extra",
+    "classify -- g.json",
+    "classify -- -h",
+    "graph make sphere-odd --n 2",
+    "graph make sphere-odd --n=2",
+    "graph make sphere-odd --n two",
+    "graph make sphere-odd",
+    "graph make torus --n 2",
+    "graph make lens --n 2 --p 3 --weights 1,1 --fo json",
+    "graph make sphere-odd --n 2 --bogus",
+    "graph make sphere-odd --n 2 extra junk",
+    "graph make -- sphere-odd --n 2",
+    "graph check g.json --family lens",
+    "graph check g.json --fam sphere-odd --format xml",
+    "module random --graph g.json --dims 1,1 --seed x",
+    "module check m.json --tol 0",
+    "module equivalent a.json",
+    "module intertwiners a.json b.json c.json",
+    "lift check --module m.json --level 2 --t 1e-3",
+    "lift eigen --module m.json --vertex 1 --level -1",
+    "lift build --module m.json --level 3 -x",
+    "spectrum module g.json --vertex 2 --z exp(1/8) --out",
+)
+
+_VALUES = ("1", "2", "0", "-1", "two", "1e-3", "nan", "1,1", "exp(1/8)", "g.json", "")
+_STRAYS = ("--", "-h", "--help", "--he", "--bogus", "-x", "extra", "graph", "make")
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """Argv that starts with a command's words, or with words that name no
+    command, followed by its flags (whole, abbreviated, or with `=value`),
+    values, `--`, help, unknown flags and stray words."""
+    commands = cli.build_parser().commands
+    heads = sorted(commands) + [(), ("graph",), ("lift",), ("graph", "mak"),
+                                ("frobnicate",), ("module", "--")]
+    words = draw(st.sampled_from(heads))
+    leaf = commands.get(words)
+    flags, values = ["--format", "--n", "--tol"], list(_VALUES)
+    if leaf:
+        flags = sorted(s for a in leaf._actions for s in a.option_strings)
+        values += [c for a in leaf._actions for c in a.choices or ()]
+    argv = list(words)
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(("flag", "value", "value", "stray")))
+        if kind == "flag":
+            flag = draw(st.sampled_from(flags))
+            if flag.startswith("--"):
+                flag = flag[:draw(st.integers(3, len(flag)))]
+            if draw(st.booleans()):
+                flag += "=" + draw(st.sampled_from(values))
+            argv.append(flag)
+        else:
+            argv.append(draw(st.sampled_from(values if kind == "value" else _STRAYS)))
+    return argv
+
+
+class TestParseOnce:
+    """`run` parses a command with that command's parser alone."""
+
+    @pytest.mark.parametrize("argv", PINNED_ARGV)
+    def test_pinned_argv_parse_as_nested(self, argv):
+        argv = argv.split()
+        assert parse_outcome(cli._parse, argv) == parse_outcome(nested_parse, argv)
+
+    @given(_argv())
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_any_argv_parses_as_nested(self, argv):
+        assert parse_outcome(cli._parse, argv) == parse_outcome(nested_parse, argv)
+
+    def test_extra_words_get_the_top_usage(self):
+        code, out, err = parse_outcome(cli._parse, ["classify", "g.json", "extra"])
+        assert code == ("exit", 2) and out == ""
+        assert err.startswith("usage: graphlift [-h]")
+        assert err.endswith("graphlift: error: unrecognized arguments: extra\n")
+
+    def test_each_command_parses_once(self, monkeypatch, capsys, tmp_path):
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        tour = (
+            ("graph make sphere-odd --n 3 --out sphere.json", 0),
+            ("graph check sphere.json --family sphere-odd", 0),
+            ("classify sphere.json", 0),
+            ("spectrum module sphere.json --vertex 2 --z exp(1/8) --out rep.json", 0),
+            ("module make --graph sphere.json --vertex 1 --z exp(1/8) --out mod.json", 0),
+            ("module random --graph sphere.json --dims 2,1,1 --seed 7 --out rand.json", 0),
+            ("module check rand.json", 0),
+            ("module irreducible mod.json", 0),
+            ("module intertwiners mod.json mod.json", 0),
+            ("module equivalent mod.json rand.json", 1),
+            ("lift build --module mod.json --level 3 --out lift.json", 0),
+            ("lift check --module mod.json --level 3", 0),
+            ("lift eigen --module mod.json --vertex 1 --level 2", 0),
+        )
+        covered = set()
+        for command, want in tour:
+            argv = command.split()
+            words = tuple(argv[:1] if argv[0] == "classify" else argv[:2])
+            covered.add(words)
+            del calls[:]
+            assert run(capsys, *argv)[0] == want
+            assert calls == ["graphlift " + " ".join(words)]
+        assert covered == set(cli.build_parser().commands)
+
+
+class TestFiberBeyondMemory:
+    """A fiber the decoder accepts but no verdict's arrays could hold."""
+
+    @pytest.fixture()
+    def huge_module_file(self, tmp_path):
+        doc = {"graph": {"vertices": ["1", "2"],
+                         "edges": [{"id": "11", "source": "1", "range": "1"}]},
+               "dims": {"1": 0, "2": 10**12}, "ops": {"11": []}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_relations_checked(self, capsys, huge_module_file):
+        code, out, _ = run(capsys, "module", "check", huge_module_file)
+        assert code == 0 and out.endswith("pass\n")
+
+    def test_irreducible_refused(self, capsys, huge_module_file):
+        code, out, err = run(capsys, "module", "irreducible", huge_module_file)
+        assert code == 2 and out == ""
+        assert err == (f"error: an algebra block of fiber {10**12} needs {10**48} "
+                       "complex entries, more than the 268435456 a module verdict "
+                       "may hold\n")
+
+    @pytest.mark.parametrize("command", ["intertwiners", "equivalent"])
+    def test_graded_system_refused(self, capsys, huge_module_file, command):
+        code, out, err = run(capsys, "module", command, huge_module_file,
+                             huge_module_file)
+        assert code == 2 and out == ""
+        assert err == (f"error: a graded system of 0 equations in {10**24} unknowns "
+                       f"needs {10**48} complex entries, more than the 268435456 "
+                       "a module verdict may hold\n")
 
 
 class TestUsageErrors:

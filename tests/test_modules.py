@@ -44,7 +44,9 @@ from helpers import (
     path_operator,
     perturb_edge,
     random_feasible_dims,
+    reference_edge_operators,
     reference_enumerate_paths,
+    small_multigraphs,
     supported_graphs,
 )
 
@@ -178,6 +180,110 @@ class TestConstruction:
         blocks = [np.flatnonzero(np.diag(p)).tolist() for p in projections]
         assert blocks == [[0, 1], [2, 3, 4]]
         assert m.total_dim == 5
+
+
+def _fault(kind: str, a: np.ndarray):
+    """Operator `a` changed by one kind of fault, or left valid in another
+    form; None stands for a missing operator."""
+    if kind in ("nan", "inf"):
+        bad = np.array(a, dtype=np.complex128)
+        bad.reshape(-1)[:1] = np.nan if kind == "nan" else complex(0, -np.inf)
+        return bad if bad.size else np.array([[np.nan]])
+    return {
+        "missing": None,
+        "shape": np.zeros((a.shape[0] + 1, a.shape[1])),
+        "ragged": [[1.0], [1.0, 2.0]],
+        "text": [["x"]],
+        "scalar": 1.0,
+        "list": a.tolist(),
+        "real": a.real.copy(),
+        "empty": [],
+    }[kind]
+
+
+def _operator_outcome(build):
+    """The operators `build` returns, as bytes per edge, or its error."""
+    try:
+        ops = build()
+    except Exception as exc:  # the one-pass check must raise what the walk does
+        return type(exc), str(exc)
+    return [(eid, a.dtype, a.shape, a.tobytes()) for eid, a in ops.items()]
+
+
+class TestOperatorCheck:
+    """The one-pass operator check of `PythagoreanModule` against the
+    per-edge walk: the same operators, or the same error at the same edge."""
+
+    @given(data=st.data())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_matches_walk(self, data):
+        g = data.draw(small_multigraphs())
+        dims = {v: data.draw(st.integers(0, 2)) for v in g.vertices}
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        ops = {}
+        for e in g.edges:
+            shape = (dims[e.source], dims[e.range])
+            ops[e.id] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kinds = ("nan", "inf", "missing", "shape", "ragged", "text", "scalar",
+                 "list", "real", "empty")
+        for _ in range(data.draw(st.integers(0, 2)) if g.edges else 0):
+            eid = data.draw(st.sampled_from([e.id for e in g.edges]))
+            if isinstance(ops.get(eid), np.ndarray):
+                ops[eid] = _fault(data.draw(st.sampled_from(kinds)), ops[eid])
+        ops = {eid: a for eid, a in ops.items() if a is not None}
+        got = _operator_outcome(lambda: PythagoreanModule(g, dims, ops).ops)
+        want = _operator_outcome(lambda: reference_edge_operators(g, dims, ops))
+        assert got == want
+
+    @pytest.mark.parametrize("later", [np.zeros((2, 1)), [[1.0], [1.0, 2.0]], [["x"]]],
+                             ids=["shape", "ragged", "text"])
+    def test_first_of_two_bad_edges_named(self, later):
+        g = sphere_odd_graph(3)
+        m = random_module(g, {"1": 1, "2": 1, "3": 1}, 0)
+        ops = dict(m.ops, **{"21": later, "11": np.array([[np.inf]]),
+                             "33": np.array([[np.nan]])})
+        with pytest.raises(ModuleError) as err:
+            PythagoreanModule(g, m.dims, ops)
+        assert str(err.value) == "edge '11': operator has non-finite entries"
+
+    def test_valid_arrays_kept(self):
+        m = random_module(sphere_odd_graph(3), {"1": 2, "2": 1, "3": 2}, 4)
+        again = PythagoreanModule(m.graph, m.dims, m.ops)
+        assert all(again.ops[eid] is a for eid, a in m.ops.items() if a.size)
+
+
+class TestVerdictSizeLimit:
+    """A verdict whose dense arrays would pass `_MAX_ENTRIES` is refused
+    before it allocates; one at the limit runs."""
+
+    @staticmethod
+    def edgeless(d: int) -> PythagoreanModule:
+        return PythagoreanModule(Graph(("v",), ()), {"v": d}, {})
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(modules, "_MAX_ENTRIES", 16)  # fiber 2: 2**4 entries
+        m = self.edgeless(2)
+        assert intertwiner_space(m, m).dimension == 4
+        assert is_irreducible(m) is False
+        assert is_indecomposable(m) is False
+        assert are_equivalent(m, m).verdict == EQUIVALENT
+
+    @pytest.mark.parametrize("verdict", [
+        lambda m: intertwiner_space(m, m),
+        is_irreducible,
+        is_indecomposable,
+        lambda m: are_equivalent(m, m),
+    ])
+    def test_over_limit_refused(self, monkeypatch, verdict):
+        monkeypatch.setattr(modules, "_MAX_ENTRIES", 16)
+        with pytest.raises(ModuleError, match="needs 81 complex entries, more than "
+                                              "the 16 a module verdict may hold"):
+            verdict(self.edgeless(3))
+
+    def test_fiber_of_a_trillion(self):
+        m = self.edgeless(10**12)
+        with pytest.raises(ModuleError, match=f"in {10**24} unknowns needs"):
+            is_indecomposable(m)
 
 
 class TestValidation:
