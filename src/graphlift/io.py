@@ -266,8 +266,11 @@ def _lift_text(trunc: TruncatedLift) -> Iterator[str]:
     escaped edge id on the left; each path's record text up to the fiber
     index is formatted once and joined with the fiber indices of its source.
     A level's bases come in pieces of a few thousand paths, so that besides
-    the trie only the displays of the level and one piece are held."""
+    the trie only the displays of the level and one piece are held. The
+    levels are grown first, so a level too large to hold is refused before
+    any text, the fiber indices of a huge source included, is formed."""
     m = trunc.level
+    trunc.paths_at(m + 1)
     g = trunc.module.graph
     vertices = [_ESCAPE(v) for v in g.vertices]
     names = [_ESCAPE(e.id) for e in g.edges]

@@ -24,14 +24,17 @@ than with dimension squared. The maximal paths of level k+1 at v are e.mu
 for each edge e into v and each level-k path mu at source(e), plus the
 length-0 path at v when v receives no edge, so each level is a path trie
 over the one below: a `PathLevel` of int arrays, a parent path and an edge
-per path, built from the level below in one vectorized step. One lexsort
-puts it in basis order, on the range and a key per path: the rank of the
-parent's traversal sequence in the level below and the appended edge, so
-the work per path does not grow with the level. `basis_at` builds
-`(Path, fiber)` tuples from the trie only when asked, each `Path` its
-parent's extended by one edge, keeping only the level below. Basis order is
-range-major, so the entries with range v form one block of W_k, the slice
-`block(v, k)`, and P_v keeps it.
+per path, built from the level below in one vectorized step, the children
+of its paths taken in their traversal order. When every live vertex
+receives an edge, every level from 2 on comes out in traversal order, and
+one stable argsort by range puts it in basis order. Level 1, and every
+level of a graph with a live vertex that receives no edge, is sorted by a
+key per path instead: the rank of the parent's traversal sequence in the
+level below and the appended edge. Either way the work per path does not
+grow with the level. `basis_at` builds `(Path, fiber)` tuples from the trie
+only when asked, each `Path` its parent's extended by one edge, keeping
+only the level below. Basis order is range-major, so the entries with range
+v form one block of W_k, the slice `block(v, k)`, and P_v keeps it.
 E_e maps the whole block of source(e) and nothing else, since each path has
 a child per out-edge of its range: a level stores just those images, edge by
 edge. `edge_images(e, k)` reads one edge's as they are stored (the index in
@@ -57,6 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import modules
 from .graphs import Path
 from .modules import (ModuleError, PythagoreanModule, _as_operator, _require_tolerance,
                       validate_module)
@@ -71,17 +75,32 @@ INTERTWINER_TOL = 1e-9
 # stops a level a user types; above the limit it ends in a LiftError
 # rather than a run that never returns. At the limit, `ck_residuals` on
 # the lift of `one_dim_module(sphere_odd_graph(1), "1", 1j)`, one path per
-# level, takes 0.45-0.49 s, almost all of it growing the levels (best of
-# 3, 2-CPU machine, Python 3.11.7).
+# level, takes 0.26-0.29 s, most of it growing the levels (best of 3, five
+# runs, 2-CPU machine, Python 3.11.7).
 MAX_LEVEL = 10_000
 
 # Gram terms that `TruncatedLift._gram_residuals` takes in one run of
 # levels; a bound on the transient memory of every run but a lone level's
 _GRAM_TERMS_PER_RUN = 1 << 16
 
+# Largest dimension of one lift level, so that an entry index fits in an
+# int32. A level above it is refused as soon as its dimension is known,
+# before any array with an item per entry is formed; so is a table of
+# embedding blocks or Gram terms of more than `modules._MAX_ENTRIES`
+# entries, before it is allocated.
+_MAX_DIMENSION = 2**31 - 1
+
 
 class LiftError(ValueError):
     """Raised for out-of-range levels, bad words, or invalid inputs."""
+
+
+def _require_entries(entries: int, what: str) -> None:
+    """A LiftError that names `what` and its size when a lift table would
+    hold more than `modules._MAX_ENTRIES` entries."""
+    if entries > modules._MAX_ENTRIES:
+        raise LiftError(f"{what} need {entries} entries, more than the "
+                        f"{modules._MAX_ENTRIES} a lift table may hold")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -141,13 +160,15 @@ class PathLevel(NamedTuple):
     level below, or the length-0 path at vertex range[i] when parent[i] is
     -1 (edge[i] is -1 then too). Only paths with a nonzero source fiber are
     stored, in build order: above level 0, the children of each path of the
-    level below in turn, then the length-0 paths. The children of path i
-    sit at build indices first[i], first[i] + 1, ... of the level above, one
-    per out-edge of range[i] in id order. `order` lists the paths in basis
-    order (range vertex, then traversed edge ids, a path before its
-    extensions), found from the order of the level below; the fiber
-    entries of path i in W_k start at offset[i], and those of the paths
-    with range v fill the block bounds[v]:bounds[v + 1].
+    level below, taken in that level's traversal order (by the sequence of
+    traversed edge ids, a path before its extensions), then the length-0
+    paths. The children of path i sit at build indices first[i],
+    first[i] + 1, ... of the level above, one per out-edge of range[i] in
+    id order. So when every live vertex receives an edge, every level from
+    2 on is stored in traversal order (see `TruncatedLift._grow`). `order`
+    lists the paths in basis order (range vertex, then traversal order);
+    the fiber entries of path i in W_k start at offset[i], and those of the
+    paths with range v fill the block bounds[v]:bounds[v + 1].
     For the level embedding, head[i] is the first traversed edge (-1 at
     length 0), and down[i] the build index of the path of the level below
     that embeds onto path i: at full length k its tail without head[i],
@@ -201,12 +222,21 @@ class TruncatedLift:
         self._out_rank[self._out_edges] = (
             np.arange(len(g.edges)) - self._out_start[self._edge_source[self._out_edges]])
         self._fiber = np.array([module.dims[v] for v in g.vertices], dtype=np.intp)
-        # length-0 paths above level 0, as (parent, edge, range, source,
-        # length) columns: one per live vertex that receives no edge
-        roots = [vid[v] for v in g.vertices if module.dims[v] and not g.in_edges(v)]
-        self._root_rows = np.array([[-1] * len(roots), [-1] * len(roots), roots,
-                                    roots, [0] * len(roots)], dtype=np.intp)
+        self._vertex_ends = np.arange(len(g.vertices) + 1)
+        # the live vertices that receive no edge, and the length-0 paths at
+        # them above level 0: their parent, edge, range, source, length, head
+        self._roots = np.array([vid[v] for v in g.vertices
+                                if module.dims[v] and not g.in_edges(v)], dtype=np.intp)
+        none = np.full(self._roots.size, -1, dtype=np.intp)
+        self._root_rows = (none, none, self._roots, self._roots,
+                           np.zeros_like(self._roots), none)
         self._levels: list[PathLevel] = []
+        # the traversal order of the last level as build indices (None when
+        # it is build order), and each path's rank in it; `_grow` sets both
+        # and reads the rank only on a level it keys, which a graph without
+        # roots never does after level 1
+        self._walk: np.ndarray | None = None
+        self._rank = np.zeros(0, dtype=np.intp)
         self._images: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._embeds: dict[int, BlockMap] = {}
         self._block_table: tuple[np.ndarray, np.ndarray] | None = None
@@ -233,75 +263,109 @@ class TruncatedLift:
         level lower.
 
         Basis order is range, then traversal sequence, a path before its
-        extensions. `_rank` holds the rank of each path's sequence among
-        the paths of the last level, so the order of level k+1 follows from
-        one key per path: rank(mu)·(|E|+1) + rank(e) + 1 for a new path
-        mu.e of length k+1, and rank(S)·(|E|+1) for any other path S, which
-        starts at a vertex that receives no edge and is its own `down` at
-        level k. This is exact. For k >= 1 the parents of new paths all
-        have length k, so distinct parents have distinct sequences and
-        neither is a prefix of the other; at k = 0 every parent is empty
-        and has rank 0, so the edge alone decides. A carried S compares with
-        mu.e as it compares with mu, and when S = mu, S comes first. The
-        length-0 paths of level 1 tie at key 0 and are ranked apart in build
-        order, which no later comparison sees: nothing else ranks between
-        them. Keys stay below paths·(|E|+1), far inside int64."""
+        extensions. The children blocks are laid out along the traversal
+        order of level k, each block in edge id order, so they come sorted
+        by the traversal order of the parent, then the appended edge. For
+        k >= 1 on a graph where every live vertex receives an edge, that is
+        the traversal order of level k+1: every path of level k has length
+        k, so distinct parents have distinct sequences and neither is a
+        prefix of the other. Such a level is stored in traversal order, and
+        its basis order is one stable argsort by range.
+
+        Level 1, and every level of a graph with a live vertex that receives
+        no edge, is put in traversal order by one key per path instead.
+        `_rank` holds the rank of each path's sequence among the paths of
+        the last level: the key is rank(mu)·(|E|+1) + rank(e) + 1 for a new
+        path mu.e of length k+1, and rank(S)·(|E|+1) for any other path S,
+        which starts at a vertex that receives no edge and is its own `down`
+        at level k. This is exact. For k >= 1 the parents of new paths all
+        have length k, as above; at k = 0 every parent is empty and has rank
+        0, so the edge alone decides. A carried S compares with mu.e as it
+        compares with mu, and when S = mu, S comes first. The length-0 paths
+        of level 1 tie at key 0 and are ranked apart in build order, which
+        no later comparison sees: nothing else ranks between them. Keys stay
+        below paths·(|E|+1), far inside int64."""
         k = len(self._levels) - 1
-        if k < 0:
+        if k < 0:  # every sequence is empty, so the paths tie at rank 0
             live = self._fiber.nonzero()[0]
-            table = np.empty((9, live.size), dtype=np.intp)
-            table[[0, 1, 7, 8]] = -1
-            table[2] = table[3] = live
-            table[4] = 0
-            self._rank = np.zeros(live.size, dtype=np.intp)  # all sequences empty
-            return self._level_from(table, np.arange(live.size))
+            none = np.full(live.size, -1, dtype=np.intp)
+            level = self._level_from(none, none, live, live, np.zeros_like(live), none, none,
+                                     None)
+            self._walk, self._rank = None, np.zeros(live.size, dtype=np.intp)
+            return level
         low = self._levels[k]
         count = self._out_degree[low.range]
-        parent = np.arange(count.size).repeat(count)
-        built = parent.size
-        step = np.arange(built)
-        table = np.empty((9, built + self._root_rows.shape[1]), dtype=np.intp)
-        table[:5, built:] = self._root_rows
-        table[7, built:] = -1
-        table[0, :built] = parent
-        table[1, :built] = edge = self._out_edges[
-            (self._out_start[low.range] - low.first).repeat(count) + step]
-        table[2, :built] = self._edge_range[edge]
-        table[3, :built] = low.source[parent]
-        length = low.length[parent]
-        np.add(length, 1, out=table[4, :built])
-        table[7, :built] = np.where(length == 0, edge, low.head[parent])
+        if self._walk is None:
+            parent = np.arange(count.size).repeat(count)
+        else:
+            parent = self._walk.repeat(count[self._walk])
+        edge = self._out_edges[(self._out_start[low.range] - low.first)[parent]
+                               + np.arange(parent.size)]
+        rng = self._edge_range[edge]
+        source = low.source[parent]
         if k == 0:  # paths of length <= 1 embed from their range vertex
-            index = np.empty(self._fiber.size, dtype=np.intp)
-            index.fill(-1)
+            index = np.full(self._fiber.size, -1, dtype=np.intp)
             index[low.range] = np.arange(low.range.size)
-            table[8] = index[table[2]]
-        else:  # length-0 paths embed from their own, the last of each level
+            down = index[rng]
+        else:
             tail = low.down[parent]
-            table[8, :built] = np.where(
-                tail >= 0, self._levels[k - 1].first[tail] + self._out_rank[edge], -1)
-            table[8, built:] = np.arange(low.range.size - self._root_rows.shape[1],
-                                         low.range.size)
+            down = np.where(tail >= 0, self._levels[k - 1].first[tail] + self._out_rank[edge],
+                            -1)
+        if k and not self._roots.size:  # already in traversal order
+            level = self._level_from(parent, edge, rng, source,
+                                     np.full(parent.size, k + 1, dtype=np.intp),
+                                     low.head[parent], down, None)
+            self._walk = None
+            return level
+        length = low.length[parent] + 1
+        head = np.where(length == 1, edge, low.head[parent])
+        if self._roots.size:
+            parent, edge, rng, source, length, head = (
+                np.concatenate(pair) for pair in
+                zip((parent, edge, rng, source, length, head), self._root_rows))
+            # length-0 paths embed from their own, the last of each level
+            down = np.concatenate((down, index[self._roots] if k == 0 else
+                                   np.arange(low.range.size - self._roots.size,
+                                             low.range.size)))
         # a new path sorts as its parent, then its last edge; any other as
         # the same path one level down, ahead of that path's extensions
-        new = table[4] == k + 1
-        key = self._rank[np.where(new, table[0], table[8])] * (self._edge_rank.size + 1)
-        key[new] += self._edge_rank[table[1, new]] + 1
-        self._rank = key.argsort(kind="stable").argsort()
-        return self._level_from(table, np.lexsort((key, table[2])))
+        new = length == k + 1
+        key = self._rank[np.where(new, parent, down)] * (self._edge_rank.size + 1)
+        key[new] += self._edge_rank[edge[new]] + 1
+        walk = key.argsort(kind="stable")
+        level = self._level_from(parent, edge, rng, source, length, head, down, walk)
+        self._walk, self._rank = walk, np.empty_like(walk)
+        self._rank[walk] = np.arange(walk.size)
+        return level
 
-    def _level_from(self, table: np.ndarray, order: np.ndarray) -> PathLevel:
-        """Fill in the entry offsets (row 5), the first-child build indices
-        (row 6) and the vertex blocks of a level whose other rows are set."""
+    def _level_from(self, parent, edge, rng, source, length, head, down,
+                    walk) -> PathLevel:
+        """The level of these paths, given in build order: add the basis
+        order, the entry offsets, the first-child indices laid out along
+        `walk`, the traversal order (build order when None), and the vertex
+        blocks. A level whose dimension passes `_MAX_DIMENSION` is refused."""
+        if walk is None:
+            order = rng.argsort(kind="stable")
+            count = self._out_degree[rng]
+            first = count.cumsum()
+            first -= count
+        else:
+            walked = rng[walk]
+            order = walk[walked.argsort(kind="stable")]
+            count = self._out_degree[walked]
+            first = np.empty_like(count)
+            first[walk] = count.cumsum() - count
         starts = np.zeros(order.size + 1, dtype=np.intp)
-        self._fiber[table[3, order]].cumsum(out=starts[1:])
-        table[5, order] = starts[:-1]
-        count = self._out_degree[table[2]]
-        count.cumsum(out=table[6])
-        table[6] -= count
-        table.flags.writeable = False
-        bounds = starts[np.searchsorted(table[2, order], np.arange(self._fiber.size + 1))]
-        return PathLevel(*table, _frozen(order), _frozen(bounds), int(starts[-1]))
+        self._fiber[source[order]].cumsum(out=starts[1:])
+        dimension = int(starts[-1])
+        if dimension > _MAX_DIMENSION:
+            raise LiftError(f"level {len(self._levels)} has dimension {dimension}, "
+                            f"more than the {_MAX_DIMENSION} a lift level may hold")
+        offset = np.empty_like(starts[:-1])
+        offset[order] = starts[:-1]
+        bounds = starts[np.searchsorted(rng[order], self._vertex_ends)]
+        return PathLevel(*map(_frozen, (parent, edge, rng, source, length, offset, first,
+                                        head, down, order, bounds)), dimension)
 
     def basis_at(self, k: int) -> tuple[BasisEntry, ...]:
         """Ordered basis of W_k: vertex order, then path order, then fiber.
@@ -425,11 +489,14 @@ class TruncatedLift:
         if self._block_table is None:
             parts = [self.module.ops[e.id].ravel() for e in self.module.graph.edges]
             sizes = [a.size for a in parts] + [0] * self._fiber.size
-            for v in self._root_rows[2].tolist():  # the only fibers fixed
+            roots = self._roots.tolist()  # the only fibers fixed
+            for v in roots:
+                sizes[len(parts) + v] = int(self._fiber[v]) ** 2
+            _require_entries(sum(sizes), "the embedding blocks")
+            for v in roots:
                 d = int(self._fiber[v])
                 # entry j of the d x d identity is 1 exactly when d + 1 divides j
                 parts.append(np.arange(d * d) % (d + 1) == 0)
-                sizes[len(self._edge_index) + v] = d * d
             sizes = np.array(sizes, dtype=np.intp)
             self._block_table = (np.concatenate([*parts, np.zeros(0)]).astype(np.complex128),
                                  sizes.cumsum() - sizes)
@@ -444,9 +511,11 @@ class TruncatedLift:
         if self._gram_table is None:
             values, starts = self._blocks()
             side = np.zeros_like(self._fiber)  # of the identity at each root
-            side[self._root_rows[2]] = self._fiber[self._root_rows[2]]
+            side[self._roots] = self._fiber[self._roots]
             height = np.concatenate((self._fiber[self._edge_source], side))
             width = np.concatenate((self._fiber[self._edge_range], side))
+            _require_entries(sum(h * w * w for h, w in zip(height.tolist(), width.tolist())),
+                             "the embedding Gram terms")
             count = height * width * width
             w = width.repeat(count)
             r, cell = np.divmod(_ramps(count), w * w)

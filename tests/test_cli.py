@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -28,7 +29,7 @@ from graphlift import (
     sphere_odd_graph,
     word_operator,
 )
-from graphlift import io
+from graphlift import io, modules
 from graphlift.io import (
     format_complex,
     graph_from_dict,
@@ -827,6 +828,40 @@ class TestFiberBeyondMemory:
         assert err == (f"error: a graded system of 0 equations in {10**24} unknowns "
                        f"needs {10**48} complex entries, more than the 268435456 "
                        "a module verdict may hold\n")
+
+    @pytest.mark.parametrize("command", ["check", "build"])
+    def test_lift_refused(self, tmp_path, huge_module_file, command):
+        # in a child under a 3 GB address-space limit, so that a regression
+        # dies of MemoryError instead of taking the machine's memory
+        out = tmp_path / "F.json"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(graphlift.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "graphlift", "lift", command, "--module",
+             huge_module_file, "--level", "1", *(["--out", str(out)] * (command == "build"))],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120, preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (3 << 30, 3 << 30)))
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == (f"error: level 0 has dimension {10**12}, more than the "
+                               "2147483647 a lift level may hold\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("limit, err", [
+        (9, "the embedding blocks need 10 entries"),  # A_11, then the 3 x 3 identity
+        (27, "the embedding Gram terms need 28 entries"),  # 1, then 3 x 3 x 3
+    ])
+    def test_lift_tables_refused(self, tmp_path, capsys, monkeypatch, limit, err):
+        graph = Graph(("1", "2"), (Edge("11", "1", "1"),))
+        module = PythagoreanModule(graph, {"1": 1, "2": 3}, {"11": np.ones((1, 1))})
+        path = tmp_path / "root3.json"
+        write_json(str(path), module_to_dict(module))
+        monkeypatch.setattr(modules, "_MAX_ENTRIES", limit)
+        code, out, got = run(capsys, "lift", "check", "--module", str(path), "--level", "1")
+        assert code == 2 and out == ""
+        assert got == f"error: {err}, more than the {limit} a lift table may hold\n"
+        monkeypatch.setattr(modules, "_MAX_ENTRIES", 28)  # the limit is inclusive
+        code, out, _ = run(capsys, "lift", "check", "--module", str(path), "--level", "1")
+        assert code == 0 and out.endswith("pass\n")
 
 
 class TestUsageErrors:

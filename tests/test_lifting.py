@@ -1124,7 +1124,9 @@ class TestTrieAgainstOracle:
         dims = random_feasible_dims(graph, np.random.default_rng(seed), hi=2)
         module = random_module(graph, dims, seed)
         t = lift(module, level, validate=False)
+        seqs: list[tuple[int, ...]] = []
         for k in range(level + 2):
+            seqs = self.check_fields(t, k, seqs)
             entries, index = reference_basis(module, k)
             assert t.basis_at(k) == tuple(entries)
             assert t.dimension_at(k) == len(entries)
@@ -1146,20 +1148,63 @@ class TestTrieAgainstOracle:
             assert np.array_equal(emb.cols, cols)
             assert np.array_equal(emb.vals, vals)
 
-    def test_deep_levels_follow_traversal_order(self):
+    @staticmethod
+    def check_fields(t: TruncatedLift, k: int, seqs: list[tuple[int, ...]]):
+        """Assert every `PathLevel` field of level k against the edge
+        sequence of each path, rebuilt from `parent` and `edge` on the
+        sequences of level k-1; return the sequences of level k."""
+        g = t.module.graph
+        vid = g.vertex_index
+        source = [vid[e.source] for e in g.edges]
+        target = [vid[e.range] for e in g.edges]
+        level = t.paths_at(k)
+        parent, edge = level.parent.tolist(), level.edge.tolist()
+        assert all((p < 0) == (e < 0) for p, e in zip(parent, edge)), k
+        seqs = [() if p < 0 else seqs[p] + (e,) for p, e in zip(parent, edge)]
+        for i, seq in enumerate(seqs):
+            assert all(target[a] == source[b] for a, b in zip(seq, seq[1:])), (k, i)
+            assert level.head[i] == (seq[0] if seq else -1), (k, i)
+            assert level.length[i] == len(seq), (k, i)
+            if seq:
+                assert level.source[i] == source[seq[0]], (k, i)
+                assert level.range[i] == target[seq[-1]], (k, i)
+            else:  # at every live vertex at level 0, above where no edge arrives
+                assert level.source[i] == level.range[i], (k, i)
+                assert k == 0 or not g.in_edges(g.vertices[level.range[i]]), (k, i)
+        if k <= t.level:  # the children of each path, one level up
+            up = t.paths_at(k + 1)
+            child = {(p, e): j for j, (p, e) in enumerate(zip(up.parent.tolist(),
+                                                              up.edge.tolist())) if p >= 0}
+            assert len(child) == sum(len(g.out_edges(g.vertices[v]))
+                                     for v in level.range.tolist()), k
+            for i, v in enumerate(level.range.tolist()):
+                out = sorted(g.out_edges(g.vertices[v]), key=lambda e: e.id)
+                for r, e in enumerate(out):
+                    assert child[i, t._edge_index[e.id]] == level.first[i] + r, (k, i, e.id)
+        return seqs
+
+    @pytest.mark.parametrize("g, top", [
+        (sphere_even_graph(2), 40),  # two vertices receive no edge
+        (sphere_odd_graph(3), 40),
+        (lens_graph_coprime(LensParams(3, 4, (1, 3, 1))), 12),
+    ])
+    def test_deep_levels_follow_traversal_order(self, g, top):
         # basis order checked directly, far past the oracle's levels: range,
         # then the sequence of edge ranks, a path before its extensions
-        g = sphere_even_graph(2)  # two vertices receive no edge
         module = random_module(g, {v: 1 for v in g.vertices}, 3)
-        t = lift(module, 40, validate=False)
+        t = lift(module, top, validate=False)
         rank = {eid: r for r, eid in enumerate(sorted(g.edge_by_id))}
+        rootless = all(g.in_edges(v) for v in g.vertices)
         seqs: list[tuple] = []
-        for k in range(41):
+        for k in range(top + 1):
             level = t.paths_at(k)
             seqs = [() if p < 0 else seqs[p] + (rank[g.edges[e].id],)
                     for p, e in zip(level.parent.tolist(), level.edge.tolist())]
             want = sorted(range(len(seqs)), key=lambda i: (level.range[i], seqs[i]))
             assert level.order.tolist() == want, k
+            if rootless and k >= 2:  # stored in traversal order
+                assert seqs == sorted(seqs), k
+                assert np.array_equal(level.order, level.range.argsort(kind="stable")), k
 
     def test_deep_trie_builds_quickly(self):
         # each level is ordered from the one below, so the work per path
