@@ -97,7 +97,7 @@ def _cmd_graph_make(args) -> int:
         graph = projective_graph(args.n)
     if args.dot:
         io._write_text(args.dot, [io.graph_to_dot(graph)])
-    summary = f"{args.family}: {len(graph.vertices)} vertices, {len(graph.edges)} edges"
+    summary = f"{args.family}: {len(graph.vertices)} vertices, {len(graph._ids)} edges"
     _emit(io._graph_text(graph, args.family == "lens"), args.out, args.format, summary)
     return EXIT_OK
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .graphs import Edge, Graph, GraphError, loop_structure
+from .graphs import Graph, GraphError, loop_structure
 
 # Largest edge count the sphere and projective builders accept. The count is
 # known from n before anything is built, so a size a user types ends in a
@@ -32,18 +32,20 @@ def _pair_id(head: int, tail: int) -> str:
     return f"{head}_{tail}"
 
 
+def _pair_graph(size: int, pairs: list[tuple[int, int]]) -> Graph:
+    """The graph on vertices 1..size with, for each (i, j) in order, an edge
+    i -> j with id "ji"; labels are 0-based in pairs."""
+    source, range_ = zip(*pairs)
+    return Graph._of(tuple(str(i) for i in range(1, size + 1)),
+                     [_pair_id(j + 1, i + 1) for i, j in pairs], source, range_)
+
+
 def sphere_odd_graph(n: int) -> Graph:
     """Vertices 1..n with a single edge i -> j (id "ji") for every i <= j."""
     if n < 1:
         raise GraphError("n must be >= 1")
     _require_edges("sphere-odd", n, n * (n + 1) // 2)
-    vertices = tuple(str(i) for i in range(1, n + 1))
-    edges = tuple(
-        Edge(_pair_id(j, i), str(i), str(j))
-        for j in range(1, n + 1)
-        for i in range(1, j + 1)
-    )
-    return Graph(vertices, edges)
+    return _pair_graph(n, [(i, j) for j in range(n) for i in range(j + 1)])
 
 
 def sphere_even_graph(n: int) -> Graph:
@@ -52,16 +54,10 @@ def sphere_even_graph(n: int) -> Graph:
     if n < 1:
         raise GraphError("n must be >= 1")
     _require_edges("sphere-even", n, n * (n + 1) // 2 + 2 * n)
-    vertices = tuple(str(i) for i in range(1, n + 3))
-    edges = [Edge(_pair_id(i, i), str(i), str(i)) for i in range(1, n + 1)]
-    edges += [
-        Edge(_pair_id(j, i), str(i), str(j))
-        for j in range(2, n + 1)
-        for i in range(1, j)
-    ]
-    for extra in (n + 1, n + 2):
-        edges += [Edge(_pair_id(i, extra), str(extra), str(i)) for i in range(1, n + 1)]
-    return Graph(vertices, tuple(edges))
+    pairs = [(i, i) for i in range(n)]
+    pairs += [(i, j) for j in range(1, n) for i in range(j)]
+    pairs += [(extra, i) for extra in (n, n + 1) for i in range(n)]
+    return _pair_graph(n + 2, pairs)
 
 
 def projective_graph(n: int) -> Graph:
@@ -71,12 +67,14 @@ def projective_graph(n: int) -> Graph:
     edge's id, then the second's."""
     _require_edges("projective", n, n * (n + 1) * (n + 2) // 6)
     g = sphere_odd_graph(n)
-    edges = tuple(
-        Edge(f"{second.id}.{first.id}", first.source, second.range)
-        for first in sorted(g.edges, key=lambda e: e.id)
-        for second in g.out_edges(first.range)
-    )
-    return Graph(g.vertices, edges)
+    ids, source, range_ = g._ids, g._source, g._range
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    out: list[list[int]] = [[] for _ in g.vertices]  # edges out of each vertex, in id order
+    for b in by_id:
+        out[source[b]].append(b)
+    pairs = [(a, b) for a in by_id for b in out[range_[a]]]
+    return Graph._of(g.vertices, [f"{ids[b]}.{ids[a]}" for a, b in pairs],
+                     [source[a] for a, _ in pairs], [range_[b] for _, b in pairs])
 
 
 @dataclass(frozen=True)
@@ -211,9 +209,9 @@ def lens_graph_coprime(params: LensParams) -> Graph:
     if _admissible_count(params, MAX_EDGES + 1) > MAX_EDGES:
         raise GraphError(f"lens graph with n={n}, p={p} has more than "
                          f"MAX_EDGES={MAX_EDGES} edges")
-    vertices = tuple(str(i) for i in range(1, n + 1))
     found = sorted((i, k, eid) for i in range(n) for eid, k in _admissible_paths(params, i))
-    return Graph(vertices, tuple(Edge(eid, vertices[i], vertices[k]) for i, k, eid in found))
+    source, range_, ids = zip(*found)
+    return Graph._of(tuple(str(i) for i in range(1, n + 1)), ids, source, range_)
 
 
 def lens_edge_provenance(edge_id: str) -> list[str]:
@@ -269,7 +267,8 @@ def validate_quantum_graph(graph: Graph, family: str) -> FamilyReport:
             )
         )
         loopless = [v for v, c in structure.loops_per_vertex.items() if c == 0]
-        receiving = [v for v in loopless if graph.in_edges(v)]
+        received = set(map(graph.vertices.__getitem__, graph._range))
+        receiving = [v for v in loopless if v in received]
         checks.append(
             FamilyCheck(
                 "loopless-are-sources",
@@ -296,12 +295,9 @@ def validate_quantum_graph(graph: Graph, family: str) -> FamilyReport:
     )
 
     if family in _ONE_LOOP_FAMILIES:
-        bad = []
-        present = {(e.source, e.range) for e in graph.edges}
-        for a, i in ((v, graph.vertex_index[v]) for v in graph.vertices):
-            for b, j in ((v, graph.vertex_index[v]) for v in graph.vertices):
-                if ((a, b) in present) != (i <= j):
-                    bad.append(f"{a}->{b}")
+        present = set(zip(graph._source, graph._range))
+        bad = [f"{a}->{b}" for i, a in enumerate(graph.vertices)
+               for j, b in enumerate(graph.vertices) if ((i, j) in present) != (i <= j)]
         checks.append(
             FamilyCheck(
                 "edge-pattern",

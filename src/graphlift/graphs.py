@@ -7,7 +7,6 @@ and then edge "32" displays as "32.21".
 
 from __future__ import annotations
 
-import graphlib
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,40 +25,39 @@ class Edge:
     range: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Finite directed multigraph with ordered, uniquely named vertices and edges."""
+    """Finite directed multigraph with ordered, uniquely named vertices and edges,
+    stored as the edge ids and each edge's source and range vertex index, in edge
+    order. The `Edge` views (`edges`, `edge_by_id`, ...) are built on first use."""
 
     vertices: tuple[str, ...]
-    edges: tuple[Edge, ...] = ()
+    _ids: tuple[str, ...]
+    _source: tuple[int, ...]
+    _range: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if not self.vertices:
-            raise GraphError("a graph needs at least one vertex")
-        seen = set()
-        for v in self.vertices:
-            if not isinstance(v, str) or not v:
-                raise GraphError(f"bad vertex id {v!r}")
-            if v in seen:
-                raise GraphError(f"duplicate vertex id {v!r}")
-            seen.add(v)
-        ids = set()
-        for e in self.edges:
-            if not isinstance(e.id, str) or not e.id:
-                raise GraphError(f"bad edge id {e.id!r}")
-            if e.id in ids:
-                raise GraphError(f"duplicate edge id {e.id!r}")
-            ids.add(e.id)
-            if e.source not in seen:
-                raise GraphError(f"edge {e.id!r}: unknown source vertex {e.source!r}")
-            if e.range not in seen:
-                raise GraphError(f"edge {e.id!r}: unknown range vertex {e.range!r}")
+    def __init__(self, vertices, edges=()):
+        edges = tuple(edges)
+        self.__dict__.update(_checked(vertices, [e.id for e in edges], [e.source for e in edges],
+                                      [e.range for e in edges]).__dict__, edges=edges)
+
+    @classmethod
+    def _of(cls, vertices, ids, source, range_) -> Graph:
+        """The graph whose edge i is ids[i], from vertex source[i] to vertex range_[i];
+        the arrays are taken as valid, as the family builders and `_checked` make them."""
+        graph = object.__new__(cls)
+        graph.__dict__.update(vertices=tuple(vertices), _ids=tuple(ids), _source=tuple(source),
+                              _range=tuple(range_))
+        return graph
 
     @cached_property
     def vertex_index(self) -> dict[str, int]:
         return {v: k for k, v in enumerate(self.vertices)}
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        name = self.vertices.__getitem__
+        return tuple(map(Edge, self._ids, map(name, self._source), map(name, self._range)))
 
     @cached_property
     def edge_by_id(self) -> dict[str, Edge]:
@@ -92,6 +90,38 @@ class Graph:
         """Edges with range v, sorted by id."""
         self.require_vertex(v)
         return self._incoming[v]
+
+
+def _checked(vertices, ids, sources, ranges) -> Graph:
+    """The graph of these vertex ids, edge ids and endpoint vertex ids, checked: the
+    vertices one by one, the edges in bulk for unique non-empty str ids and known
+    endpoints. A failing graph's edges are walked for the first fault, id first."""
+    vertices, ids = tuple(vertices), tuple(ids)
+    if not vertices:
+        raise GraphError("a graph needs at least one vertex")
+    index: dict[str, int] = {}
+    for v in vertices:
+        if not isinstance(v, str) or not v:
+            raise GraphError(f"bad vertex id {v!r}")
+        if v in index:
+            raise GraphError(f"duplicate vertex id {v!r}")
+        index[v] = len(index)
+    source, range_ = (tuple(map(index.get, ends, itertools.repeat(-1)))
+                      for ends in (sources, ranges))
+    if (all(map(isinstance, ids, itertools.repeat(str))) and all(ids)
+            and len(set(ids)) == len(ids) and -1 not in source and -1 not in range_):
+        return Graph._of(vertices, ids, source, range_)
+    seen = set()
+    for eid, s, r in zip(ids, sources, ranges):
+        if not isinstance(eid, str) or not eid:
+            raise GraphError(f"bad edge id {eid!r}")
+        if eid in seen:
+            raise GraphError(f"duplicate edge id {eid!r}")
+        seen.add(eid)
+        if s not in index:
+            raise GraphError(f"edge {eid!r}: unknown source vertex {s!r}")
+        if r not in index:
+            raise GraphError(f"edge {eid!r}: unknown range vertex {r!r}")
 
 
 @dataclass(frozen=True)
@@ -214,24 +244,37 @@ class LoopStructure:
 
 
 def loop_structure(graph: Graph) -> LoopStructure:
-    """Loop count per vertex and acyclicity of the graph with loops removed."""
-    loops = {v: 0 for v in graph.vertices}
-    preds: dict[str, set[str]] = {v: set() for v in graph.vertices}
-    for e in graph.edges:
-        if e.source == e.range:
-            loops[e.source] += 1
+    """Loop count per vertex and acyclicity of the graph with loops removed, with
+    a closed cycle v0 -> ... -> v0 along its edges if any, by one depth-first search."""
+    loops = [0] * len(graph.vertices)
+    succ: list[list[int]] = [[] for _ in graph.vertices]
+    for s, r in zip(graph._source, graph._range):
+        if s == r:
+            loops[s] += 1
         else:
-            preds[e.range].add(e.source)
-    try:
-        graphlib.TopologicalSorter(preds).prepare()
-    except graphlib.CycleError as err:
-        return LoopStructure(loops, False, tuple(err.args[1]))
-    return LoopStructure(loops, True, None)
+            succ[s].append(r)
+    counts = dict(zip(graph.vertices, loops))
+    state = [0] * len(succ)  # 0 unseen, 1 on the search path, 2 done
+    path, nexts = [], [iter(range(len(succ)))]  # below a root that reaches every vertex
+    while nexts:
+        w = next(nexts[-1], None)
+        if w is None:
+            nexts.pop()
+            if path:
+                state[path.pop()] = 2
+        elif state[w] == 1:
+            cycle = path[path.index(w):] + [w]
+            return LoopStructure(counts, False, tuple(graph.vertices[u] for u in cycle))
+        elif not state[w]:
+            state[w] = 1
+            path.append(w)
+            nexts.append(iter(set(succ[w])))  # parallel edges once
+    return LoopStructure(counts, True, None)
 
 
 def opposite(graph: Graph) -> Graph:
     """Same vertices and edge ids with every edge reversed."""
-    return Graph(graph.vertices, tuple(Edge(e.id, e.range, e.source) for e in graph.edges))
+    return Graph._of(graph.vertices, graph._ids, graph._range, graph._source)
 
 
 _ISO_VERTEX_LIMIT = 9
@@ -239,10 +282,9 @@ _ISO_VERTEX_LIMIT = 9
 
 def _multiplicity(graph: Graph) -> list[list[int]]:
     n = len(graph.vertices)
-    idx = graph.vertex_index
     table = [[0] * n for _ in range(n)]
-    for e in graph.edges:
-        table[idx[e.source]][idx[e.range]] += 1
+    for s, r in zip(graph._source, graph._range):
+        table[s][r] += 1
     return table
 
 
@@ -254,7 +296,7 @@ def is_isomorphic(g1: Graph, g2: Graph) -> dict[str, str] | None:
     """
     if len(g1.vertices) > _ISO_VERTEX_LIMIT or len(g2.vertices) > _ISO_VERTEX_LIMIT:
         raise GraphError(f"isomorphism search is limited to {_ISO_VERTEX_LIMIT} vertices")
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+    if len(g1.vertices) != len(g2.vertices) or len(g1._ids) != len(g2._ids):
         return None
     m1, m2 = _multiplicity(g1), _multiplicity(g2)
     n = len(g1.vertices)

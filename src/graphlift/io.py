@@ -17,13 +17,13 @@ import json
 import os
 import re
 from itertools import accumulate, chain, repeat
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
 from .families import lens_edge_provenance
-from .graphs import Edge, Graph, GraphError
+from .graphs import Graph, GraphError, _checked
 from .lifting import MAX_LEVEL, TruncatedLift, lift
 from .modules import ModuleError, PythagoreanModule
 from .spectrum import SpectrumDescription
@@ -54,11 +54,11 @@ def _need_key(obj: dict, where: str, key: str):
 
 
 def graph_to_dict(graph: Graph) -> dict:
+    name = graph.vertices.__getitem__
     return {
         "vertices": list(graph.vertices),
-        "edges": [
-            {"id": e.id, "source": e.source, "range": e.range} for e in graph.edges
-        ],
+        "edges": [{"id": eid, "source": name(s), "range": name(r)}
+                  for eid, s, r in zip(graph._ids, graph._source, graph._range)],
     }
 
 
@@ -67,15 +67,15 @@ def _graph_text(graph: Graph, provenance: bool) -> Iterator[str]:
     record formatted once and no per-edge dict built. With provenance, each
     record also holds the edge's "provenance" list, its
     `lens_edge_provenance`, as `graph make lens` writes."""
-    vertices = {v: _ESCAPE(v) for v in graph.vertices}
+    vertices = list(map(_ESCAPE, graph.vertices))
     yield '{\n  "vertices": ' + _strings(list(graph.vertices), "\n  ") + ',\n  "edges": '
     sep = "["
-    for e in graph.edges:
-        record = (f'{sep}\n    {{\n      "id": {_ESCAPE(e.id)},\n      "source": '
-                  f'{vertices[e.source]},\n      "range": {vertices[e.range]}')
+    for eid, s, r in zip(graph._ids, graph._source, graph._range):
+        record = (f'{sep}\n    {{\n      "id": {_ESCAPE(eid)},\n      "source": '
+                  f'{vertices[s]},\n      "range": {vertices[r]}')
         if provenance:
             record += (',\n      "provenance": '
-                       + _strings(lens_edge_provenance(e.id), "\n      "))
+                       + _strings(lens_edge_provenance(eid), "\n      "))
         yield record + "\n    }"
         sep = ","
     yield "[]\n}\n" if sep == "[" else "\n  ]\n}\n"
@@ -86,23 +86,21 @@ def _each(items, kind) -> bool:
     return all(map(isinstance, items, repeat(kind)))
 
 
-_EDGE_FIELDS = attrgetter("id", "source", "range")
-
-
 def graph_from_dict(doc) -> Graph:
-    vertices = records = edges = None
+    vertices = records = ids = None
     if isinstance(doc, dict) and "vertices" in doc and "edges" in doc:
         vertices, records = doc["vertices"], doc["edges"]
     if (isinstance(vertices, list) and _each(vertices, str)
             and isinstance(records, list) and _each(records, dict)):
         try:
-            edges = tuple([Edge(r["id"], r["source"], r["range"]) for r in records])
+            ids, sources, ranges = (list(map(itemgetter(key), records))
+                                    for key in ("id", "source", "range"))
         except KeyError:
             pass
-    if edges is None or not _each(chain.from_iterable(map(_EDGE_FIELDS, edges)), str):
+    if ids is None or not all(_each(a, str) for a in (ids, sources, ranges)):
         _graph_fault(doc)
     try:
-        return Graph(tuple(vertices), edges)
+        return _checked(vertices, ids, sources, ranges)
     except GraphError as exc:
         raise CodecError(f"/: {exc}") from exc
 
@@ -273,7 +271,7 @@ def _lift_text(trunc: TruncatedLift) -> Iterator[str]:
     trunc.paths_at(m + 1)
     g = trunc.module.graph
     vertices = [_ESCAPE(v) for v in g.vertices]
-    names = [_ESCAPE(e.id) for e in g.edges]
+    names = list(map(_ESCAPE, g._ids))
     bare_vertices = [v[1:-1] for v in vertices]
     bare_names = [name[1:-1] for name in names]
     sources = [f',\n        "source": {v}' for v in vertices]
@@ -313,8 +311,8 @@ def _lift_text(trunc: TruncatedLift) -> Iterator[str]:
     for k in range(m + 1):
         yield f'{"," if k else ""}\n    "{k}": '
         yield from _members(
-            f"\n      {name}: " + _ints(trunc.edge_images(e.id, k).tolist())
-            for e, name in zip(g.edges, names))
+            f"\n      {name}: " + _ints(trunc.edge_images(eid, k).tolist())
+            for eid, name in zip(g._ids, names))
     yield '\n  },\n  "projections": {'
     for k in range(m + 1):
         bounds = trunc.paths_at(k).bounds.tolist()
@@ -369,8 +367,8 @@ def graph_to_dot(graph: Graph) -> str:
     lines = ["digraph {"]
     for v in graph.vertices:
         lines.append(f"  {q(v)};")
-    for e in graph.edges:
-        lines.append(f"  {q(e.source)} -> {q(e.range)} [label={q(e.id)}];")
+    for eid, s, r in zip(graph._ids, graph._source, graph._range):
+        lines.append(f"  {q(graph.vertices[s])} -> {q(graph.vertices[r])} [label={q(eid)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

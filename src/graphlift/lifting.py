@@ -90,6 +90,13 @@ _GRAM_TERMS_PER_RUN = 1 << 16
 # entries, before it is allocated.
 _MAX_DIMENSION = 2**31 - 1
 
+# The most memory a lift may take for its paths, all levels together, at
+# `_PATH_BYTES` a path: `lift check` on one vertex with two loops, fiber 1, peaks at
+# 136 bytes a path above the maxrss of `graphlift --help` at levels 19 and 20 (2.1
+# and 4.2 million paths; 2-CPU machine, Python 3.11.7, numpy 2.4.6).
+_PATH_BYTES = 136
+_LIFT_BYTES = 1 << 29
+
 
 class LiftError(ValueError):
     """Raised for out-of-range levels, bad words, or invalid inputs."""
@@ -208,11 +215,10 @@ class TruncatedLift:
         self.module = module
         self.level = int(level)
         g = module.graph
-        vid = g.vertex_index
-        self._edge_index = {e.id: i for i, e in enumerate(g.edges)}
-        self._edge_range = np.array([vid[e.range] for e in g.edges], dtype=np.intp)
-        self._edge_source = np.array([vid[e.source] for e in g.edges], dtype=np.intp)
-        by_id = sorted(range(len(g.edges)), key=lambda i: g.edges[i].id)
+        self._edge_index = {eid: i for i, eid in enumerate(g._ids)}
+        self._edge_range = np.array(g._range, dtype=np.intp)
+        self._edge_source = np.array(g._source, dtype=np.intp)
+        by_id = sorted(range(len(g._ids)), key=g._ids.__getitem__)
         self._edge_rank = np.argsort(by_id).astype(np.int32)
         # out-edges grouped by source vertex, each group in id order
         self._out_edges = np.lexsort((self._edge_rank, self._edge_source))
@@ -220,17 +226,19 @@ class TruncatedLift:
         self._out_start = self._out_degree.cumsum() - self._out_degree
         self._out_rank = np.empty_like(self._out_edges)  # position in its group
         self._out_rank[self._out_edges] = (
-            np.arange(len(g.edges)) - self._out_start[self._edge_source[self._out_edges]])
+            np.arange(len(g._ids)) - self._out_start[self._edge_source[self._out_edges]])
         self._fiber = np.array([module.dims[v] for v in g.vertices], dtype=np.intp)
         self._vertex_ends = np.arange(len(g.vertices) + 1)
         # the live vertices that receive no edge, and the length-0 paths at
         # them above level 0: their parent, edge, range, source, length, head
-        self._roots = np.array([vid[v] for v in g.vertices
-                                if module.dims[v] and not g.in_edges(v)], dtype=np.intp)
+        self._roots = np.flatnonzero((self._fiber > 0) & (np.bincount(
+            self._edge_range, minlength=self._fiber.size) == 0))
         none = np.full(self._roots.size, -1, dtype=np.intp)
         self._root_rows = (none, none, self._roots, self._roots,
                            np.zeros_like(self._roots), none)
         self._levels: list[PathLevel] = []
+        # the paths of the levels held and of the next one, checked by `_grow`
+        self._paths = int(np.count_nonzero(self._fiber))
         # the traversal order of the last level as build indices (None when
         # it is build order), and each path's rank in it; `_grow` sets both
         # and reads the rank only on a level it keys, which a graph without
@@ -286,6 +294,10 @@ class TruncatedLift:
         no later comparison sees: nothing else ranks between them. Keys stay
         below paths·(|E|+1), far inside int64."""
         k = len(self._levels) - 1
+        if self._paths * _PATH_BYTES > _LIFT_BYTES:
+            raise LiftError(f"level {k + 1} would bring the lift to {self._paths} paths, "
+                            f"{self._paths * _PATH_BYTES} bytes at {_PATH_BYTES} bytes a path, "
+                            f"more than the {_LIFT_BYTES} bytes a lift may hold")
         if k < 0:  # every sequence is empty, so the paths tie at rank 0
             live = self._fiber.nonzero()[0]
             none = np.full(live.size, -1, dtype=np.intp)
@@ -343,18 +355,20 @@ class TruncatedLift:
         """The level of these paths, given in build order: add the basis
         order, the entry offsets, the first-child indices laid out along
         `walk`, the traversal order (build order when None), and the vertex
-        blocks. A level whose dimension passes `_MAX_DIMENSION` is refused."""
+        blocks, and count the next level's paths. A level whose dimension
+        passes `_MAX_DIMENSION` is refused."""
         if walk is None:
             order = rng.argsort(kind="stable")
             count = self._out_degree[rng]
-            first = count.cumsum()
-            first -= count
+            ends = count.cumsum()
+            first = ends - count
         else:
             walked = rng[walk]
             order = walk[walked.argsort(kind="stable")]
             count = self._out_degree[walked]
+            ends = count.cumsum()
             first = np.empty_like(count)
-            first[walk] = count.cumsum() - count
+            first[walk] = ends - count
         starts = np.zeros(order.size + 1, dtype=np.intp)
         self._fiber[source[order]].cumsum(out=starts[1:])
         dimension = int(starts[-1])
@@ -364,6 +378,8 @@ class TruncatedLift:
         offset = np.empty_like(starts[:-1])
         offset[order] = starts[:-1]
         bounds = starts[np.searchsorted(rng[order], self._vertex_ends)]
+        # the next level holds a child per out-edge of each path, and the roots
+        self._paths += self._roots.size + (int(ends[-1]) if ends.size else 0)
         return PathLevel(*map(_frozen, (parent, edge, rng, source, length, offset, first,
                                         head, down, order, bounds)), dimension)
 
@@ -383,7 +399,7 @@ class TruncatedLift:
         g = self.module.graph
         paths: list[Path] = []
         for level in self._levels[: k + 1]:
-            paths = [Path(g, (), base=g.vertices[v]) if p < 0 else paths[p].extend(g.edges[e].id)
+            paths = [Path(g, (), base=g.vertices[v]) if p < 0 else paths[p].extend(g._ids[e])
                      for p, e, v in zip(level.parent.tolist(), level.edge.tolist(),
                                         level.range.tolist())]
         return paths
@@ -422,7 +438,7 @@ class TruncatedLift:
         start + j of W_k, where start:stop = `paths_at(k).bounds` at the
         edge's source vertex. Every other entry of W_k maps to zero."""
         k = self._check_level(k, self.level)
-        if edge_id not in self.module.graph.edge_by_id:
+        if edge_id not in self._edge_index:
             raise LiftError(f"unknown edge {edge_id!r}")
         if k not in self._images:
             low, high = self.paths_at(k), self.paths_at(k + 1)
@@ -487,7 +503,7 @@ class TruncatedLift:
         the identity on the fiber of each vertex that receives no edge; and
         where the block of each edge and of each vertex starts."""
         if self._block_table is None:
-            parts = [self.module.ops[e.id].ravel() for e in self.module.graph.edges]
+            parts = [self.module.ops[eid].ravel() for eid in self.module.graph._ids]
             sizes = [a.size for a in parts] + [0] * self._fiber.size
             roots = self._roots.tolist()  # the only fibers fixed
             for v in roots:
@@ -795,12 +811,12 @@ def ck_residuals(trunc: TruncatedLift) -> CkReport:
              - np.searchsorted(np.sort(stops), ends[:-1], "right"))
     completeness = float(np.sqrt(int(np.sum(np.diff(ends) * (cover - 1) ** 2))))
     # every image of the level, with its edge and the vertex that edge enters
-    n_edges, n_vertices = len(g.edges), len(g.vertices)
-    images = [trunc.edge_images(e.id, m) for e in g.edges]
+    n_edges, n_vertices = len(g._ids), len(g.vertices)
+    images = [trunc.edge_images(eid, m) for eid in g._ids]
     edge = np.arange(n_edges).repeat([a.size for a in images])
     images = np.concatenate([*images, np.zeros(0, dtype=np.intp)])
     hit = images >= 0
-    into = np.array([g.vertex_index[e.range] for e in g.edges], dtype=np.intp)
+    into = trunc._edge_range
     upper = trunc.dimension_at(m + 1)
     # one sort groups the hits by receiving vertex, then row, then edge
     key = np.sort((into[edge[hit]] * upper + images[hit]) * n_edges + edge[hit])
@@ -812,7 +828,7 @@ def ck_residuals(trunc: TruncatedLift) -> CkReport:
     inside = (row >= high[w]) & (row < high[w + 1])
     off = (np.bincount(w, (hits - inside) ** 2, n_vertices)
            + np.diff(high) - np.bincount(w, inside, n_vertices))
-    edge_isometry = {e.id: float(np.sqrt(wrong[i])) for i, e in enumerate(g.edges)}
+    edge_isometry = {eid: float(np.sqrt(wrong[i])) for i, eid in enumerate(g._ids)}
     receiving = set(into.tolist())
     vertex_sum = {v: float(np.sqrt(off[i])) for i, v in enumerate(g.vertices)
                   if i in receiving}

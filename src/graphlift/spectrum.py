@@ -85,7 +85,8 @@ def _check_hypotheses(graph: Graph, structure: LoopStructure) -> HypothesisRepor
     if multi:
         diagnostics.append(f"more than one loop at: {', '.join(multi)}")
     loopless = [v for v in graph.vertices if structure.loops_per_vertex[v] == 0]
-    receiving = [v for v in loopless if graph.in_edges(v)]
+    received = set(map(graph.vertices.__getitem__, graph._range))
+    receiving = [v for v in loopless if v in received]
     if receiving:
         diagnostics.append(f"loopless vertices receiving edges: {', '.join(receiving)}")
     if not structure.loops_removed_acyclic:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import graphlib
 import io
 import itertools
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from graphlift import (
     Graph,
     GraphError,
     LensParams,
+    LoopStructure,
     ModuleError,
     Path,
     PythagoreanModule,
@@ -240,6 +244,78 @@ def dense_ck_residuals(trunc: TruncatedLift) -> CkReport:
             emb.conj().T @ emb - np.eye(trunc.dimension_at(k)), "fro"))
     return CkReport(m, ortho, completeness, edge_isometry, vertex_sum,
                     embed_isometry)
+
+
+@dataclass(frozen=True)
+class ReferenceEdge:
+    """Reference only: the frozen-dataclass edge that `Graph` stored, one
+    per edge, before graphs were stored as index arrays."""
+
+    id: str
+    source: str
+    range: str
+
+
+@dataclass(frozen=True)
+class ReferenceGraph:
+    """Reference only: `Graph` as a tuple of `ReferenceEdge`, validated by
+    one pass over the vertices and one over the edges, raising at the first
+    fault."""
+
+    vertices: tuple[str, ...]
+    edges: tuple[ReferenceEdge, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", tuple(self.edges))
+        if not self.vertices:
+            raise GraphError("a graph needs at least one vertex")
+        seen = set()
+        for v in self.vertices:
+            if not isinstance(v, str) or not v:
+                raise GraphError(f"bad vertex id {v!r}")
+            if v in seen:
+                raise GraphError(f"duplicate vertex id {v!r}")
+            seen.add(v)
+        ids = set()
+        for e in self.edges:
+            if not isinstance(e.id, str) or not e.id:
+                raise GraphError(f"bad edge id {e.id!r}")
+            if e.id in ids:
+                raise GraphError(f"duplicate edge id {e.id!r}")
+            ids.add(e.id)
+            if e.source not in seen:
+                raise GraphError(f"edge {e.id!r}: unknown source vertex {e.source!r}")
+            if e.range not in seen:
+                raise GraphError(f"edge {e.id!r}: unknown range vertex {e.range!r}")
+
+    @cached_property
+    def edge_by_id(self) -> dict[str, ReferenceEdge]:
+        return {e.id: e for e in self.edges}
+
+    def out_edges(self, v: str) -> tuple[ReferenceEdge, ...]:
+        return tuple(sorted((e for e in self.edges if e.source == v), key=lambda e: e.id))
+
+    def in_edges(self, v: str) -> tuple[ReferenceEdge, ...]:
+        return tuple(sorted((e for e in self.edges if e.range == v), key=lambda e: e.id))
+
+
+def reference_loop_structure(graph: ReferenceGraph) -> LoopStructure:
+    """Reference only: `loop_structure` through graphlib. Its cycle, when
+    there is one, follows the graph's edges but depends on the order in
+    which sets of str iterate, so it is not compared as is."""
+    loops = {v: 0 for v in graph.vertices}
+    preds: dict[str, set[str]] = {v: set() for v in graph.vertices}
+    for e in graph.edges:
+        if e.source == e.range:
+            loops[e.source] += 1
+        else:
+            preds[e.range].add(e.source)
+    try:
+        graphlib.TopologicalSorter(preds).prepare()
+    except graphlib.CycleError as err:
+        return LoopStructure(loops, False, tuple(err.args[1]))
+    return LoopStructure(loops, True, None)
 
 
 def reference_enumerate_paths(graph: Graph, length: int, source: str | None = None,

@@ -212,6 +212,37 @@ class TestClassify:
         assert err.startswith("error:")
 
 
+class TestGraphCommandsBuildNoEdge:
+    """`graph make`, `graph check` and `classify` read the graph's index
+    arrays: none of them builds an `Edge`, on a sphere file or a lens file,
+    passing or failing."""
+
+    @pytest.mark.parametrize("family, flags, other", [
+        ("sphere-even", ["--n", "3"], "sphere-odd"),
+        ("lens", ["--n", "3", "--p", "4", "--weights", "1,3,1"], "sphere-even"),
+    ])
+    def test_no_edge_built(self, tmp_path, capsys, monkeypatch, family, flags, other):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an Edge was built")
+
+        monkeypatch.setattr(Edge, "__init__", refuse)
+        path, cyclic = str(tmp_path / "g.json"), str(tmp_path / "cyclic.json")
+        write_json(cyclic, {"vertices": ["1", "2"], "edges": [
+            {"id": "a", "source": "1", "range": "2"}, {"id": "b", "source": "2", "range": "1"}]})
+        for argv, want in (
+                (["graph", "make", family, *flags, "--out", path,
+                  "--dot", str(tmp_path / "g.dot")], 0),
+                (["graph", "make", family, *flags, "--format", "json"], 0),
+                (["graph", "check", path, "--family", family], 0),
+                (["graph", "check", path, "--family", other], 1),
+                (["graph", "check", cyclic, "--family", family, "--format", "json"], 1),
+                (["classify", path], 0),
+                (["classify", path, "--format", "text"], 0),
+                (["classify", cyclic], 2)):
+            code, _, err = run(capsys, *argv)
+            assert code == want and "an Edge was built" not in err, argv
+
+
 class TestModuleCommands:
     def test_make_and_check_pass(self, capsys, phase_module_file):
         code, out, _ = run(capsys, "module", "check", phase_module_file)
@@ -862,6 +893,30 @@ class TestFiberBeyondMemory:
         monkeypatch.setattr(modules, "_MAX_ENTRIES", 28)  # the limit is inclusive
         code, out, _ = run(capsys, "lift", "check", "--module", str(path), "--level", "1")
         assert code == 0 and out.endswith("pass\n")
+
+
+class TestLiftBudget:
+    """Levels that are each small but add up to more than a lift may hold."""
+
+    def test_refused_under_the_memory_limit(self, tmp_path):
+        # one vertex with two loops doubles its paths every level; at level
+        # 40 a lift with no budget dies of MemoryError at 2^24 paths a level
+        # under this 3 GB address-space limit
+        g = Graph(("1",), (Edge("a", "1", "1"), Edge("b", "1", "1")))
+        path = tmp_path / "two-loops.json"
+        write_json(str(path), module_to_dict(PythagoreanModule(
+            g, {"1": 1}, {"a": np.array([[0.6]]), "b": np.array([[0.8]])})))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(graphlift.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "graphlift", "lift", "check", "--module", str(path),
+             "--level", "40"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120, preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (3 << 30, 3 << 30)))
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == (
+            "error: level 21 would bring the lift to 4194303 paths, 570425208 bytes at "
+            "136 bytes a path, more than the 536870912 bytes a lift may hold\n")
 
 
 class TestUsageErrors:

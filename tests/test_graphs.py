@@ -1,15 +1,20 @@
 """Graph, path, and construction tests."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphlift import (
+    CodecError,
     Edge,
     Graph,
     GraphError,
     Path,
+    graph_from_dict,
+    graph_to_dict,
     is_isomorphic,
     loop_structure,
     maximal_paths,
@@ -19,8 +24,11 @@ from graphlift import (
 )
 
 from helpers import (
+    ReferenceEdge,
+    ReferenceGraph,
     compose_paths,
     reference_enumerate_paths,
+    reference_loop_structure,
     reference_maximal_paths,
     reference_power_graph,
     relabel_graph,
@@ -62,6 +70,99 @@ class TestGraphValidation:
         g = two_vertex_graph()
         assert [e.id for e in g.in_edges("2")] == ["21", "22"]
         assert [e.id for e in g.out_edges("1")] == ["11", "21"]
+
+
+@st.composite
+def graph_inputs(draw):
+    """Vertex ids and (id, source, range) edge triples for `Graph`: those of
+    a `small_multigraphs` draw with up to three faults drawn in, so several
+    can meet in one graph: a bad or repeated vertex id, a bad or repeated
+    edge id, an unknown source or range, or no vertex at all."""
+    g = draw(small_multigraphs())
+    vertices = list(g.vertices)
+    triples = [[e.id, e.source, e.range] for e in g.edges]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["vertex", "vertex", "id", "id", "end", "end", "end",
+                                     "none"]))
+        if kind == "vertex" and vertices:
+            at = draw(st.integers(0, len(vertices) - 1))
+            vertices[at] = draw(st.sampled_from(["", 3, None, []] + vertices))
+        elif kind == "none":
+            vertices = []
+        elif kind != "vertex" and triples:
+            edge = draw(st.sampled_from(triples))
+            if kind == "id":
+                edge[0] = draw(st.sampled_from(["", 5, None, []] + [t[0] for t in triples]))
+            else:
+                edge[draw(st.integers(1, 2))] = draw(st.sampled_from(["", "zz", 4, None]))
+    return vertices, [tuple(t) for t in triples]
+
+
+def _built(make):
+    """What make() returns, or the text of the GraphError it raises."""
+    try:
+        return make()
+    except GraphError as exc:
+        return str(exc)
+
+
+def _fields(edges) -> list[tuple]:
+    return [(e.id, e.source, e.range) for e in edges]
+
+
+class TestRepresentation:
+    """`Graph` stores index arrays; its validation, `Edge` views, equality
+    and loop structure agree with the edge-tuple graph it replaced."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(graph_inputs(), st.randoms(use_true_random=False))
+    def test_matches_the_edge_tuple_oracle(self, drawn, rnd):
+        vertices, triples = drawn
+        got = _built(lambda: Graph(vertices, [Edge(*t) for t in triples]))
+        want = _built(lambda: ReferenceGraph(vertices, [ReferenceEdge(*t) for t in triples]))
+        if isinstance(want, str):
+            assert got == want
+            if all(isinstance(x, str) for t in [vertices, *triples] for x in t):
+                doc = {"vertices": vertices, "edges": [dict(zip(("id", "source", "range"), t))
+                                                       for t in triples]}
+                with pytest.raises(CodecError) as caught:
+                    graph_from_dict(doc)
+                assert str(caught.value) == f"/: {want}"
+            return
+        assert got.vertices == want.vertices
+        assert _fields(got.edges) == _fields(want.edges)
+        assert ({k: _fields([e]) for k, e in got.edge_by_id.items()}
+                == {k: _fields([e]) for k, e in want.edge_by_id.items()})
+        for v in want.vertices:
+            assert _fields(got.out_edges(v)) == _fields(want.out_edges(v))
+            assert _fields(got.in_edges(v)) == _fields(want.in_edges(v))
+        report, oracle = loop_structure(got), reference_loop_structure(want)
+        assert report.loops_per_vertex == oracle.loops_per_vertex
+        assert report.loops_removed_acyclic == oracle.loops_removed_acyclic
+        if report.cycle is not None:  # a closed cycle through distinct vertices
+            cycle = report.cycle
+            assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1 >= 2
+            assert set(zip(cycle, cycle[1:])) <= {(e.source, e.range) for e in want.edges}
+        # graphs built from arrays and from edges compare and hash alike
+        for twin in (graph_from_dict(graph_to_dict(got)), opposite(opposite(got))):
+            assert twin == got and hash(twin) == hash(got)
+        shuffled = list(triples)
+        rnd.shuffle(shuffled)
+        for other, reference in (
+                (Graph(vertices, [Edge(*t) for t in shuffled]),
+                 ReferenceGraph(vertices, [ReferenceEdge(*t) for t in shuffled])),
+                (opposite(got), ReferenceGraph(vertices, [ReferenceEdge(i, r, s)
+                                                          for i, s, r in triples]))):
+            assert (other == got) == (reference == want)
+            assert other != got or hash(other) == hash(got)
+
+    def test_immutable(self):
+        g = two_vertex_graph()
+        for name in ("vertices", "edges", "_ids", "_source", "_range"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(g, name, ())
+        with pytest.raises(FrozenInstanceError):
+            del g.vertices
 
 
 class TestPaths:

@@ -108,6 +108,36 @@ class TestLevelCap:
                 lift(m, level)
 
 
+class TestPathBudget:
+    """A lift counts the paths of the levels it holds and of the next one,
+    and refuses to grow a level that would take the count past its budget."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.one_of(supported_graphs(), small_multigraphs()), st.integers(0, 2**32 - 1))
+    def test_count_is_exact(self, graph, seed):
+        dims = random_feasible_dims(graph, np.random.default_rng(seed), hi=2)
+        module = random_module(graph, dims, seed)
+        sizes = [lift(module, 4, validate=False).paths_at(k).order.size for k in range(6)]
+        t = lift(module, 4, validate=False)
+        for k in range(5):
+            t.paths_at(k)
+            assert t._paths == sum(sizes[: k + 2])
+
+    def test_refused_before_the_level_is_grown(self, monkeypatch):
+        g = Graph(("1",), (Edge("a", "1", "1"), Edge("b", "1", "1")))
+        module = PythagoreanModule(g, {"1": 1}, {"a": np.array([[0.6]]), "b": np.array([[0.8]])})
+        # levels 0..3 hold 1 + 2 + 4 + 8 paths; the budget is inclusive
+        monkeypatch.setattr(lifting, "_LIFT_BYTES", 15 * lifting._PATH_BYTES)
+        t = lift(module, 3)
+        assert t.dimension_at(3) == 8
+        with pytest.raises(LiftError) as caught:
+            t.paths_at(4)
+        assert str(caught.value) == (
+            "level 4 would bring the lift to 31 paths, 4216 bytes at 136 bytes a path, "
+            "more than the 2040 bytes a lift may hold")
+        assert len(t._levels) == 4
+
+
 class TestBasis:
     def test_level_two_paths_in_display_order(self):
         t = phase_lift("1", Z8, 2)
