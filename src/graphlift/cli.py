@@ -142,7 +142,7 @@ def _cmd_spectrum_module(args) -> int:
     graph = _load_graph(args.graph)
     z = io.parse_complex(args.z) if args.z is not None else None
     module = representative_module(graph, args.vertex, z)
-    _emit(io._json_parts(io.module_to_dict(module)), args.out, "text",
+    _emit([io._module_text(module, "\n"), "\n"], args.out, "text",
           f"module at {args.vertex}: dims {module.dims}")
     return EXIT_OK
 
@@ -153,7 +153,7 @@ def _cmd_module_make(args) -> int:
         module = one_dim_module(graph, args.vertex, io.parse_complex(args.z))
     else:
         module = isolated_module(graph, args.vertex)
-    _emit(io._json_parts(io.module_to_dict(module)), args.out, "text",
+    _emit([io._module_text(module, "\n"), "\n"], args.out, "text",
           f"module at {args.vertex}: total dimension {module.total_dim}")
     return EXIT_OK
 
@@ -166,7 +166,7 @@ def _cmd_module_random(args) -> int:
             f"/: --dims lists {len(values)} values for {len(graph.vertices)} vertices"
         )
     module = random_module(graph, dict(zip(graph.vertices, values)), args.seed)
-    _emit(io._json_parts(io.module_to_dict(module)), args.out, "text",
+    _emit([io._module_text(module, "\n"), "\n"], args.out, "text",
           f"random module: seed {args.seed}, total dimension {module.total_dim}")
     return EXIT_OK
 

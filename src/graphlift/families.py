@@ -18,6 +18,15 @@ from .graphs import Graph, GraphError, loop_structure
 # the limit is sphere_odd_graph(1413), with 998,991 edges.
 MAX_EDGES = 1_000_000
 
+# The most memory a lens graph may take, at `_PIECE_BYTES` for each leveled
+# edge its edge ids name (the pieces "ji@l" of an id): `graph make lens
+# --format json --out F`, which holds the whole document, peaks at 31-35
+# bytes a piece above the maxrss of `graphlift --help` for (n, p) = (5, 41),
+# (3, 300), (4, 101) and (2, 5000), 6.7 to 25 million pieces; writing to a
+# file or stdout as the text is made takes 7-11 (2-CPU machine, Python 3.11.7).
+_PIECE_BYTES = 36
+_LENS_BYTES = 1 << 30
+
 
 def _require_edges(family: str, n: int, count: int) -> None:
     if count > MAX_EDGES:
@@ -107,41 +116,59 @@ def require_coprime(params: LensParams) -> None:
         raise GraphError(f"weights must be coprime to p: {detail}")
 
 
-def _admissible_count(params: LensParams, cap: int) -> int:
-    """The number of admissible paths, so of lens edges, saturated at `cap`,
-    from one pass over the (vertex, level) states; nothing is enumerated.
+def _admissible_count(params: LensParams, cap: int) -> tuple[int, int]:
+    """The number of admissible paths, so of lens edges, and the number of
+    leveled edges they hold, so of pieces in the lens edge ids, each
+    saturated at `cap`, from one pass over the (vertex, level) states;
+    nothing is enumerated.
 
     A state (j, l) with l != 0 is the end of a path that must go on. Its
     completions take one base edge j -> k (k >= j) to level l' = l + steps[j]:
-    landing on level 0 closes the path (one completion), elsewhere the path
-    goes on from (k, l'). As steps[j] is coprime to p, the loop at j walks
-    every level, -steps[j], -2 steps[j], ... up to 0, so the states at j are
-    settled in that order from the counts of the vertices above j. A path out of (i, 0) is counted
-    as its first edge, an admissible path on its own, plus its completions,
-    less the one completion that returns to the start (loops at i only).
+    landing on level 0 closes the path (one completion, of no edges),
+    elsewhere the path goes on from (k, l'). As steps[j] is coprime to p,
+    the loop at j walks every level, -steps[j], -2 steps[j], ... up to 0, so
+    the states at j are settled in that order from the counts of the
+    vertices above j. Landing at (j, l) has one completion by loops alone, t
+    edges for the t-th level of that walk; the others leave j, and are
+    counted with their edges apart from it, so every count is a sum and
+    saturates exactly. A path out of (i, 0) is its first edge, an admissible
+    path on its own, plus that edge followed by each completion, less the
+    completion by loops alone when the first edge is the loop, as that one
+    returns to the start.
     """
     n, p = params.n, params.p
     # an edge out of vertex j (0-based) at level l lands at l + steps[j] mod p
     steps = [w % p for w in params.weights]
-    total = 0
-    # above[l]: completions summed over the vertices k above j on landing at
-    # level l, where landing on level 0 is one completion
-    above = [0] * p
+    paths = pieces = 0
+    # above[l], above_edges[l]: the completions summed over the vertices k
+    # above j on landing at level l, and their edges
+    above, above_edges = [0] * p, [0] * p
     for j in reversed(range(n)):
         step = steps[j]
-        # here[l]: the same on landing at (j, l)
-        here = [1] + [0] * (p - 1)
+        # here[l], here_edges[l]: the same on landing at (j, l), for the
+        # completions that leave j; none leave the top vertex
+        here, here_edges = [0] * p, [0] * p
         level = 0
-        for _ in range(p - 1):
+        for _ in range(p - 1 if j < n - 1 else 0):
             below = (level - step) % p
             here[below] = min(cap, above[level] + here[level])
+            here_edges[below] = min(cap, above_edges[level] + above[level]
+                                    + here_edges[level] + here[level])
             level = below
-        # out of (j, 0): the loop, whose own path stands in for its one
-        # completion back to the start, and each edge to k > j as a path
-        # plus its completions
-        total = min(cap, total + here[step] + (n - 1 - j) + above[step])
-        above = [min(cap, a + h) for a, h in zip(above, here)]
-    return total
+        # out of (j, 0): the loop, then the completions that leave j; each
+        # edge to k > j, then every completion
+        paths = min(cap, paths + 1 + here[step] + (n - 1 - j) + above[step])
+        pieces = min(cap, pieces + 1 + here[step] + here_edges[step]
+                     + (n - 1 - j) + above[step] + above_edges[step])
+        if j:
+            # level l is t = -l / step loops away from 0, the edges of the
+            # completion by loops alone
+            inverse = pow(step, -1, p)
+            loops = [(p - l) * inverse % p for l in range(p)]
+            above = [min(cap, a + h + 1) for a, h in zip(above, here)]
+            above_edges = [min(cap, a + h + t)
+                           for a, h, t in zip(above_edges, here_edges, loops)]
+    return paths, pieces
 
 
 def _admissible_paths(params: LensParams, i: int) -> list[tuple[str, int]]:
@@ -197,8 +224,10 @@ def lens_graph_coprime(params: LensParams) -> Graph:
 
     The leveled sphere (the odd sphere's skew product over Z/p: each vertex
     and edge once per level) has p n(n+1)/2 edges, and the admissible paths
-    are counted before any is enumerated: a GraphError refuses either count
-    above MAX_EDGES, so a size a user types never runs out of time or memory.
+    and the leveled edges they hold are counted before any is enumerated: a
+    GraphError refuses either edge count above MAX_EDGES, or ids whose
+    leveled edges would take more than `_LENS_BYTES`, so a size a user types
+    never runs out of time or memory.
     """
     require_coprime(params)
     n, p = params.n, params.p
@@ -206,9 +235,16 @@ def lens_graph_coprime(params: LensParams) -> Graph:
     if leveled > MAX_EDGES:
         raise GraphError(f"lens graph with n={n}, p={p} needs a leveled sphere of "
                          f"{leveled} edges, more than MAX_EDGES={MAX_EDGES}")
-    if _admissible_count(params, MAX_EDGES + 1) > MAX_EDGES:
+    # a path repeats no (vertex, level) state, of which there are at most
+    # n p <= MAX_EDGES, so where the edges pass, their pieces count exactly
+    edges, pieces = _admissible_count(params, MAX_EDGES**2)
+    if edges > MAX_EDGES:
         raise GraphError(f"lens graph with n={n}, p={p} has more than "
                          f"MAX_EDGES={MAX_EDGES} edges")
+    if pieces * _PIECE_BYTES > _LENS_BYTES:
+        raise GraphError(f"lens graph with n={n}, p={p} has edge ids of {pieces} leveled "
+                         f"edges, {pieces * _PIECE_BYTES} bytes at {_PIECE_BYTES} bytes each, "
+                         f"more than the {_LENS_BYTES} bytes a lens graph may take")
     found = sorted((i, k, eid) for i in range(n) for eid, k in _admissible_paths(params, i))
     source, range_, ids = zip(*found)
     return Graph._of(tuple(str(i) for i in range(1, n + 1)), ids, source, range_)

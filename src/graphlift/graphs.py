@@ -72,10 +72,17 @@ class Graph:
 
     @cached_property
     def _incoming(self) -> dict[str, tuple[Edge, ...]]:
-        table: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            table[e.range].append(e)
-        return {v: tuple(sorted(es, key=lambda e: e.id)) for v, es in table.items()}
+        edges = self.edges
+        return {v: tuple(edges[i] for i in into) for v, into in zip(self.vertices, self._into)}
+
+    @cached_property
+    def _into(self) -> tuple[tuple[int, ...], ...]:
+        """The edges with range v, for each vertex v in order, as edge indices
+        sorted by id; read from the arrays, with no `Edge` built."""
+        table: list[list[int]] = [[] for _ in self.vertices]
+        for i in sorted(range(len(self._ids)), key=self._ids.__getitem__):
+            table[self._range[i]].append(i)
+        return tuple(map(tuple, table))
 
     def require_vertex(self, v: str) -> None:
         if v not in self.vertex_index:

@@ -4,10 +4,12 @@ Decoders report failures with a JSON-pointer location and ignore unknown
 keys, so annotated documents (extra provenance fields and the like) still
 decode. The graph decoder checks each array of a document in one pass, and
 the module decoder checks every operator's shape and entry types in one
-pass and converts all entries with one array call; only a document that
-fails those checks is walked item by item, to name its first fault by JSON
-pointer, with the same message as an item-by-item decoder.
-Complex entries in matrices are [re, im] pairs, row-major.
+pass, converts all entries with one array call and checks them finite
+once, then builds the module without checking it again; only a document
+that fails those checks is walked item by item, to name its first fault by
+JSON pointer, with the same message as an item-by-item decoder.
+Complex entries in matrices are [re, im] pairs, row-major. Graph, module
+and lift documents are written from their arrays, with no per-entry object.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ import json
 import os
 import re
 from itertools import accumulate, chain, repeat
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
-from .families import lens_edge_provenance
 from .graphs import Graph, GraphError, _checked
 from .lifting import MAX_LEVEL, TruncatedLift, lift
 from .modules import ModuleError, PythagoreanModule
@@ -67,18 +68,30 @@ def _graph_text(graph: Graph, provenance: bool) -> Iterator[str]:
     record formatted once and no per-edge dict built. With provenance, each
     record also holds the edge's "provenance" list, its
     `lens_edge_provenance`, as `graph make lens` writes."""
+    yield from _graph_pieces(graph, provenance, "\n")
+    yield "\n"
+
+
+def _graph_pieces(graph: Graph, provenance: bool, pad: str) -> Iterator[str]:
+    """The JSON text of the graph of `_graph_text` on a line indented by pad,
+    as `_encode` writes it. `_ESCAPE` escapes each character on its own and
+    never writes ".", so the text of the provenance list is the escaped id
+    split at its dots, reversed and joined once."""
+    inner, record, field = pad + "  ", pad + "    ", pad + "      "
     vertices = list(map(_ESCAPE, graph.vertices))
-    yield '{\n  "vertices": ' + _strings(list(graph.vertices), "\n  ") + ',\n  "edges": '
+    yield ("{" + inner + '"vertices": ' + _strings(list(graph.vertices), inner) + ","
+           + inner + '"edges": ')
     sep = "["
     for eid, s, r in zip(graph._ids, graph._source, graph._range):
-        record = (f'{sep}\n    {{\n      "id": {_ESCAPE(eid)},\n      "source": '
-                  f'{vertices[s]},\n      "range": {vertices[r]}')
+        name = _ESCAPE(eid)
+        text = (f'{sep}{record}{{{field}"id": {name},{field}"source": {vertices[s]},'
+                f'{field}"range": {vertices[r]}')
         if provenance:
-            record += (',\n      "provenance": '
-                       + _strings(lens_edge_provenance(eid), "\n      "))
-        yield record + "\n    }"
+            text += (f',{field}"provenance": [{field}  "'
+                     + f'",{field}  "'.join(name[1:-1].split(".")[::-1]) + f'"{field}]')
+        yield text + record + "}"
         sep = ","
-    yield "[]\n}\n" if sep == "[" else "\n  ]\n}\n"
+    yield ("[]" if sep == "[" else inner + "]") + pad + "}"
 
 
 def _each(items, kind) -> bool:
@@ -148,18 +161,20 @@ def _entries_to_matrix(doc, where: str, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _operators(raw_ops: dict, graph: Graph, dims: dict[str, int]) -> dict | None:
-    """Every edge's operator, all converted by one array call; None when any
-    is missing, is not rows of [re, im] pairs in its edge's shape, holds a
-    leaf whose type is not exactly int or float, or holds an int beyond
-    float range. `module_from_dict` then walks the entries to locate the
-    first fault."""
-    shapes = [(dims[e.source], dims[e.range]) for e in graph.edges]
-    mats = [raw_ops.get(e.id) for e in graph.edges]
-    if not set(map(type, mats)) <= {list} or list(map(len, mats)) != [r for r, _ in shapes]:
+    """Every edge's operator, all converted by one array call and checked
+    finite once; None when any is missing, is not rows of [re, im] pairs in
+    its edge's shape, holds a leaf whose type is not exactly int or float,
+    an int beyond float range, or a part that is not finite.
+    `module_from_dict` then walks the entries to locate the first fault."""
+    fiber = list(dims.values())  # in vertex order
+    heights = list(map(fiber.__getitem__, graph._source))
+    widths = list(map(fiber.__getitem__, graph._range))
+    mats = list(map(raw_ops.get, graph._ids))
+    if not set(map(type, mats)) <= {list} or list(map(len, mats)) != heights:
         return None
     rows = list(chain.from_iterable(mats))
     if (not set(map(type, rows)) <= {list}
-            or list(map(len, rows)) != [c for r, c in shapes for _ in range(r)]):
+            or list(map(len, rows)) != list(chain.from_iterable(map(repeat, widths, heights)))):
         return None
     pairs = list(chain.from_iterable(rows))
     if not set(map(type, pairs)) <= {list} or not set(map(len, pairs)) <= {2}:
@@ -168,12 +183,15 @@ def _operators(raw_ops: dict, graph: Graph, dims: dict[str, int]) -> dict | None
     if not set(map(type, leaves)) <= {int, float}:
         return None
     try:
-        values = np.array(leaves, dtype=np.float64).view(np.complex128)
+        parts = np.array(leaves, dtype=np.float64)
     except OverflowError:
         return None
-    ends = list(accumulate([r * c for r, c in shapes], initial=0))
-    return {e.id: values[a:b].reshape(shape)
-            for e, a, b, shape in zip(graph.edges, ends, ends[1:], shapes)}
+    if not np.isfinite(parts).all():
+        return None
+    values = parts.view(np.complex128)
+    ends = list(accumulate(map(mul, heights, widths), initial=0))
+    return {eid: values[a:b].reshape(h, w)
+            for eid, a, b, h, w in zip(graph._ids, ends, ends[1:], heights, widths)}
 
 
 def module_to_dict(module: PythagoreanModule) -> dict:
@@ -182,6 +200,34 @@ def module_to_dict(module: PythagoreanModule) -> dict:
         "dims": dict(module.dims),
         "ops": {eid: _matrix_to_entries(mat) for eid, mat in module.ops.items()},
     }
+
+
+def _module_text(module: PythagoreanModule, pad: str) -> str:
+    """The JSON text of `module_to_dict(module)` on a line indented by pad, as
+    `_encode` writes it: the graph by `_graph_pieces`, and the operators from
+    one `tolist` of all their parts end to end, each [re, im] pair formatted
+    by one `str.format` and each row joined once."""
+    p1, p2, p3, p4, p5 = (pad + "  " * i for i in range(1, 6))
+    dims = ("," + p2).join(f"{_ESCAPE(v)}: {d}" for v, d in module.dims.items())
+    ops = module.ops
+    parts = np.concatenate([*(op.ravel() for op in ops.values()),
+                            np.zeros(0, dtype=np.complex128)]).view(np.float64)
+    number = float.__repr__ if np.isfinite(parts).all() else _float_text
+    parts = list(map(number, parts.tolist()))
+    pairs = list(map(f"[{p5}{{}},{p5}{{}}{p4}]".format, parts[::2], parts[1::2]))
+    members = []
+    at = 0
+    for eid, op in ops.items():
+        height, width = op.shape
+        rows = (["[" + p4 + ("," + p4).join(pairs[i : i + width]) + p3 + "]"
+                 for i in range(at, at + op.size, width)] if width else ["[]"] * height)
+        at += op.size
+        members.append(_ESCAPE(eid) + ": "
+                       + ("[" + p3 + ("," + p3).join(rows) + p2 + "]" if rows else "[]"))
+    return ("{" + p1 + '"graph": ' + "".join(_graph_pieces(module.graph, False, p1))
+            + "," + p1 + '"dims": {' + p2 + dims + p1 + "}," + p1 + '"ops": '
+            + ("{" + p2 + ("," + p2).join(members) + p1 + "}" if members else "{}")
+            + pad + "}")
 
 
 def module_from_dict(doc) -> PythagoreanModule:
@@ -197,17 +243,19 @@ def module_from_dict(doc) -> PythagoreanModule:
         dims[v] = d
     dims = {v: dims.get(v, 0) for v in graph.vertices}
     raw_ops = _need(_need_key(doc, "/", "ops"), "/ops", dict, "object")
+    ids = set(graph._ids)
     for eid in raw_ops:
-        if eid not in graph.edge_by_id:
+        if eid not in ids:
             _fail(f"/ops/{eid}", "unknown edge")
     ops = _operators(raw_ops, graph, dims)
-    if ops is None:
-        ops = {}
-        for e in graph.edges:
-            if e.id not in raw_ops:
-                _fail("/ops", f"missing operator for edge {e.id!r}")
-            shape = (dims[e.source], dims[e.range])
-            ops[e.id] = _entries_to_matrix(raw_ops[e.id], f"/ops/{e.id}", shape)
+    if ops is not None:
+        return PythagoreanModule._of(graph, dims, ops)
+    ops = {}
+    fiber = list(dims.values())
+    for eid, s, r in zip(graph._ids, graph._source, graph._range):
+        if eid not in raw_ops:
+            _fail("/ops", f"missing operator for edge {eid!r}")
+        ops[eid] = _entries_to_matrix(raw_ops[eid], f"/ops/{eid}", (fiber[s], fiber[r]))
     try:
         return PythagoreanModule(graph, dims, ops)
     except ModuleError as exc:
@@ -280,9 +328,8 @@ def _lift_text(trunc: TruncatedLift) -> Iterator[str]:
     # the path's source, gives its records, each led by the comma before it
     dims = [trunc.module.dims[v] for v in g.vertices]
     fibers = [["", *(f',\n        "fiber": {b}\n      }}' for b in range(d))] for d in dims]
-    parts: list[str] = []
-    _encode(module_to_dict(trunc.module), "\n  ", parts)
-    yield f'{{\n  "format": {_ESCAPE(LIFT_FORMAT)},\n  "module": ' + "".join(parts)
+    yield (f'{{\n  "format": {_ESCAPE(LIFT_FORMAT)},\n  "module": '
+           + _module_text(trunc.module, "\n  "))
     yield f',\n  "level": {m},\n  "bases": {{'
     shown: list[str] = []  # escaped displays without quotes, in build order
     for k in range(m + 2):
@@ -309,10 +356,7 @@ def _lift_text(trunc: TruncatedLift) -> Iterator[str]:
         yield "\n    ]"
     yield '\n  },\n  "edges": {'
     for k in range(m + 1):
-        yield f'{"," if k else ""}\n    "{k}": '
-        yield from _members(
-            f"\n      {name}: " + _ints(trunc.edge_images(eid, k).tolist())
-            for eid, name in zip(g._ids, names))
+        yield f'{"," if k else ""}\n    "{k}": ' + _edge_maps(names, *trunc._level_images(k))
     yield '\n  },\n  "projections": {'
     for k in range(m + 1):
         bounds = trunc.paths_at(k).bounds.tolist()
@@ -323,11 +367,27 @@ def _lift_text(trunc: TruncatedLift) -> Iterator[str]:
     yield "\n  }\n}\n"
 
 
-def _ints(values: list) -> str:
-    """The JSON text of a list of ints at the indent of a lift map's entries."""
-    if not values:
-        return "[]"
-    return "[\n        " + ",\n        ".join(map(int.__repr__, values)) + "\n      ]"
+def _edge_maps(names: list[str], images: np.ndarray, ends: np.ndarray) -> str:
+    """The JSON object of one level's edge images: member i is names[i], an
+    escaped edge id, with the ints images[ends[i]:ends[i + 1]] at the indent
+    of a lift map's entries; from one `tolist` and one join."""
+    if not names:
+        return "{}"
+    values = images.tolist()
+    # each value, led by the text before it; an edge's first value is led by
+    # the close of the last list, the edges between with no images, and its key
+    parts = [",\n        "] * (2 * len(values))
+    parts[1::2] = map(int.__repr__, values)
+    lead = "{"
+    ends = ends.tolist()
+    for i, (name, a, b) in enumerate(zip(names, ends, ends[1:])):
+        lead += f'{"," if i else ""}\n      {name}: '
+        if a == b:
+            lead += "[]"
+        else:
+            parts[2 * a] = lead + "[\n        "
+            lead = "\n      ]"
+    return "".join(parts) + lead + "\n    }"
 
 
 def _members(texts: Iterator[str]) -> Iterator[str]:

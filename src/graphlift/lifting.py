@@ -37,12 +37,13 @@ only the level below. Basis order is range-major, so the entries with range
 v form one block of W_k, the slice `block(v, k)`, and P_v keeps it.
 E_e maps the whole block of source(e) and nothing else, since each path has
 a child per out-edge of its range: a level stores just those images, edge by
-edge. `edge_images(e, k)` reads one edge's as they are stored (the index in
-W_{k+1} of the image of each entry of the source block), which is all that
-callers acting on vectors, the relation check and the "edge-images" lift file
-need. Each embedding is a block placement: per path of level k+1, its
-block (A_nu for its first edge nu, or the identity at a vertex that
-receives no edge) and the path of level k it reads. `embed_map` expands a
+edge, in one array. `edge_images(e, k)` reads one edge's as they are stored
+(the index in W_{k+1} of the image of each entry of the source block), which
+is all that callers acting on vectors and the relation check need; the
+"edge-images" lift file reads a level's array whole. Each embedding is a
+block placement: per path of level k+1, its block (A_nu for its first edge
+nu, or the identity at a vertex that receives no edge) and the path of
+level k it reads. `embed_map` expands a
 placement into a `BlockMap`, the nonzeros of its blocks, for the callers
 that act on vectors, and so is each lifted intertwiner; the relation check
 reads the embedding Gram straight off the placements instead, for all
@@ -420,12 +421,11 @@ class TruncatedLift:
         the trie up from the path's length-0 start."""
         g = self.module.graph
         start = k - path.length
-        if (start < 0 or not self.module.dims[path.source]
-                or (start and g.in_edges(path.source))):
+        u = g.vertex_index[path.source]
+        if start < 0 or not self.module.dims[path.source] or (start and g._into[u]):
             raise LiftError(f"{path.display} is not a basis path of level {k}")
         level = self.paths_at(start)
-        at = int(np.flatnonzero((level.parent < 0)
-                                & (level.range == g.vertex_index[path.source]))[0])
+        at = int(np.flatnonzero((level.parent < 0) & (level.range == u))[0])
         for eid in path.edges:
             at = int(level.first[at] + self._out_rank[self._edge_index[eid]])
             start += 1
@@ -440,6 +440,13 @@ class TruncatedLift:
         k = self._check_level(k, self.level)
         if edge_id not in self._edge_index:
             raise LiftError(f"unknown edge {edge_id!r}")
+        images, ends = self._level_images(k)
+        i = self._edge_index[edge_id]
+        return images[ends[i] : ends[i + 1]]
+
+    def _level_images(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The `edge_images` of every edge out of level k, a valid level, end
+        to end in edge order, and where each edge's start, then their end."""
         if k not in self._images:
             low, high = self.paths_at(k), self.paths_at(k + 1)
             start = low.bounds[self._edge_source]  # each edge acts on this block
@@ -451,9 +458,7 @@ class TruncatedLift:
             child = low.first[path] + self._out_rank.repeat(size)
             self._images[k] = (_frozen(high.offset[child] + col - low.offset[path]),
                                _frozen(ends))
-        images, ends = self._images[k]
-        i = self._edge_index[edge_id]
-        return images[ends[i] : ends[i + 1]]
+        return self._images[k]
 
     def block(self, v: str, k: int) -> slice:
         """The entries of W_k whose path has range v, one block of the basis:
@@ -846,19 +851,22 @@ def _act(trunc: TruncatedLift, token: str, x: np.ndarray, k: int) -> tuple[np.nd
     """One symbol of a word (see `word_operator`) applied to x, a vector on W_k
     or a matrix with rows indexed by W_k; returns the result and its level."""
     g = trunc.module.graph
-    if token.endswith("*") and token[:-1] in g.edge_by_id:
+    edge = trunc._edge_index
+    if token.endswith("*") and token[:-1] in edge:
         if k == 0:
             raise LiftError(f"level underflow applying {token!r}")
         k -= 1
         out = np.zeros((trunc.dimension_at(k),) + x.shape[1:], dtype=np.complex128)
         # E* gathers: entry j of the source block reads entry t_j
-        out[trunc.block(g.edge_by_id[token[:-1]].source, k)] = x[trunc.edge_images(token[:-1], k)]
-    elif token in g.edge_by_id:
+        source = g.vertices[g._source[edge[token[:-1]]]]
+        out[trunc.block(source, k)] = x[trunc.edge_images(token[:-1], k)]
+    elif token in edge:
         if k == trunc.level:
             raise LiftError(f"level overflow applying {token!r} at level {k}")
         out = np.zeros((trunc.dimension_at(k + 1),) + x.shape[1:], dtype=np.complex128)
         # E scatters entry j of the source block to entry t_j (all distinct)
-        out[trunc.edge_images(token, k)] = x[trunc.block(g.edge_by_id[token].source, k)]
+        source = g.vertices[g._source[edge[token]]]
+        out[trunc.edge_images(token, k)] = x[trunc.block(source, k)]
         k += 1
     elif token in g.vertex_index:
         keep = trunc.block(token, k)
@@ -889,14 +897,17 @@ def loop_eigenvalue(trunc: TruncatedLift, v: str) -> tuple[complex, float]:
     """The loop at v applied to the class of (v, e_0) at level m - 1 of a lift
     of level m >= 1, against that class at level m: the Rayleigh quotient and
     the residual. A one-dimensional module of loop phase z gives conj(z), 0."""
-    loops = [e for e in trunc.module.graph.out_edges(v) if e.range == v]
+    g = trunc.module.graph
+    g.require_vertex(v)
+    u = g.vertex_index[v]
+    loops = [eid for eid, s, r in zip(g._ids, g._source, g._range) if s == r == u]
     if len(loops) != 1:
         raise LiftError(f"vertex {v!r} carries {len(loops)} loops, need one")
     if trunc.level < 1:
         raise LiftError("the loop eigenvalue needs a lift of level at least 1")
     below = trunc.reduce_class(v, np.arange(trunc.module.dims[v]) == 0,
                                trunc.level - 1).coeffs
-    image, _ = _act(trunc, loops[0].id, below, trunc.level - 1)
+    image, _ = _act(trunc, loops[0], below, trunc.level - 1)
     top = trunc.embed_map(trunc.level - 1).apply(below)
     weight = complex(np.vdot(top, top))
     if abs(weight) < 1e-30:

@@ -69,28 +69,28 @@ def _edge_operators(graph: Graph, dims: dict[str, int], given: dict) -> dict:
     operators; only when a check fails are the edges walked one at a time,
     so the error names the first bad edge in edge order, with the walk's
     text."""
+    fiber = list(map(dims.__getitem__, graph.vertices))
+    shapes = [(fiber[s], fiber[r]) for s, r in zip(graph._source, graph._range)]
     ops = {}
-    for e in graph.edges:
-        shape = (dims[e.source], dims[e.range])
+    for eid, shape in zip(graph._ids, shapes):
         try:
-            a = np.asarray(given[e.id], dtype=np.complex128)
+            a = np.asarray(given[eid], dtype=np.complex128)
         except (KeyError, TypeError, ValueError):
             break
         if a.size == 0 and 0 in shape:
             a = np.zeros(shape, dtype=np.complex128)
         elif a.shape != shape:
             break
-        ops[e.id] = a
+        ops[eid] = a
     else:
         entries = [op.ravel() for op in ops.values()]
         if not entries or np.isfinite(np.concatenate(entries)).all():
             return ops
     ops = {}
-    for e in graph.edges:
-        if e.id not in given:
-            raise ModuleError(f"missing operator for edge {e.id!r}")
-        ops[e.id] = _as_operator(given[e.id], (dims[e.source], dims[e.range]),
-                                 f"edge {e.id!r}")
+    for eid, shape in zip(graph._ids, shapes):
+        if eid not in given:
+            raise ModuleError(f"missing operator for edge {eid!r}")
+        ops[eid] = _as_operator(given[eid], shape, f"edge {eid!r}")
     return ops
 
 
@@ -104,12 +104,23 @@ class PythagoreanModule:
 
     def __post_init__(self):
         dims = _full_dims(self.graph, self.dims)
-        unknown = set(self.ops) - set(self.graph.edge_by_id)
+        unknown = set(self.ops).difference(self.graph._ids)
         if unknown:
             raise ModuleError(f"ops name unknown edges {sorted(unknown, key=repr)}")
         ops = _edge_operators(self.graph, dims, self.ops)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "ops", ops)
+
+    @classmethod
+    def _of(cls, graph: Graph, dims: dict[str, int],
+            ops: dict[str, np.ndarray]) -> PythagoreanModule:
+        """The module of these fibers and operators, taken as checked: dims
+        holds every vertex's int fiber in vertex order, and ops every edge's
+        finite complex128 operator of its shape, in edge order, as
+        `__post_init__` makes them."""
+        module = object.__new__(cls)
+        module.__dict__.update(graph=graph, dims=dims, ops=ops)
+        return module
 
     @cached_property
     def total_dim(self) -> int:
@@ -145,16 +156,17 @@ def validate_module(module: PythagoreanModule, tol: float = 1e-9) -> ModuleRepor
     """Check sum of A_g* A_g over incoming edges against the identity at every
     vertex; vertices with no incoming edges or a zero fiber are exempt."""
     tol = _require_tolerance(tol)
+    g = module.graph
     residuals = {}
     exempt = []
-    for w in module.graph.vertices:
-        incoming = module.graph.in_edges(w)
-        if not incoming or module.dims[w] == 0:
+    for w, into in zip(g.vertices, g._into):  # each vertex's edges in id order
+        d = module.dims[w]
+        if not into or d == 0:
             exempt.append(w)
             continue
-        stacked = np.vstack([module.ops[e.id] for e in incoming])
+        stacked = np.vstack([module.ops[g._ids[i]] for i in into])
         gram = stacked.conj().T @ stacked
-        residuals[w] = float(np.linalg.norm(gram - np.eye(module.dims[w]), "fro"))
+        residuals[w] = float(np.linalg.norm(gram - np.eye(d), "fro"))
     return ModuleReport(residuals, tuple(exempt), tol)
 
 

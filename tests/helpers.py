@@ -884,6 +884,21 @@ def reference_edge_operators(graph: Graph, dims: dict[str, int], ops: dict) -> d
     return checked
 
 
+def reference_validate_residuals(module: PythagoreanModule) -> tuple[dict, tuple]:
+    """Reference only: `validate_module`'s residuals and exempt vertices,
+    from each vertex's `in_edges` views."""
+    residuals, exempt = {}, []
+    for w in module.graph.vertices:
+        incoming = module.graph.in_edges(w)
+        if not incoming or module.dims[w] == 0:
+            exempt.append(w)
+            continue
+        stacked = np.vstack([module.ops[e.id] for e in incoming])
+        gram = stacked.conj().T @ stacked
+        residuals[w] = float(np.linalg.norm(gram - np.eye(module.dims[w]), "fro"))
+    return residuals, tuple(exempt)
+
+
 def nested_parse(argv: list[str]):
     """Reference only: argv parsed through the whole parser tree, the top
     parser, then the group parser, then the command's own."""

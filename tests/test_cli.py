@@ -243,6 +243,48 @@ class TestGraphCommandsBuildNoEdge:
             assert code == want and "an Edge was built" not in err, argv
 
 
+class TestLiftCommandsBuildNoEdge:
+    """`module check`, `lift build`, `lift check` and `lift eigen` decode the
+    module and act on its lift through the graph's index arrays: none of
+    them builds an `Edge`, on a sphere module or a lens module, passing or
+    failing."""
+
+    @pytest.mark.parametrize("graph", [
+        sphere_odd_graph(3), graphlift.lens_graph_coprime(graphlift.LensParams(3, 4, (1, 3, 1)))],
+        ids=["sphere-odd", "lens"])
+    def test_no_edge_built(self, tmp_path, capsys, monkeypatch, graph):
+        good, bad, broken, phase, out = (str(tmp_path / f"{name}.json") for name in
+                                         ("good", "bad", "broken", "phase", "lift"))
+        doc = module_to_dict(random_module(graph, dict.fromkeys(graph.vertices, 2), 1))
+        write_json(good, doc)
+        first = graph._ids[0]
+        doc["ops"][first][0][0][0] += 0.5
+        write_json(bad, doc)
+        doc["ops"][first][0][0][0] = float("nan")
+        write_json(broken, doc)
+        write_json(phase, module_to_dict(one_dim_module(graph, "1", 1j)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an Edge was built")
+
+        monkeypatch.setattr(Edge, "__init__", refuse)
+        for argv, want in (
+                (["module", "check", good], 0),
+                (["module", "check", good, "--format", "json"], 0),
+                (["module", "check", bad], 1),
+                (["module", "check", broken], 2),
+                (["lift", "build", "--module", good, "--level", "2", "--out", out], 0),
+                (["lift", "build", "--module", phase, "--level", "1"], 0),
+                (["lift", "build", "--module", bad, "--level", "1"], 2),
+                (["lift", "check", "--module", good, "--level", "3"], 0),
+                (["lift", "check", "--module", bad, "--level", "3"], 1),
+                (["lift", "eigen", "--module", phase, "--vertex", "1", "--level", "2"], 0),
+                (["lift", "eigen", "--module", phase, "--vertex", "2", "--level", "2"], 2),
+                (["lift", "eigen", "--module", phase, "--vertex", "9", "--level", "2"], 2)):
+            code, _, err = run(capsys, *argv)
+            assert code == want and "an Edge was built" not in err, argv
+
+
 class TestModuleCommands:
     def test_make_and_check_pass(self, capsys, phase_module_file):
         code, out, _ = run(capsys, "module", "check", phase_module_file)
@@ -381,16 +423,16 @@ class TestLiftCommands:
         """The file is written as the document is produced; a failure after
         the bases and the level-0 edges removes what was written."""
         out_path = tmp_path / "lift.json"
-        images = TruncatedLift.edge_images
+        images = TruncatedLift._level_images
         seen = []
 
-        def fail_at_level_1(self, edge_id, k):
+        def fail_at_level_1(self, k):
             if k == 1:
                 seen.append(out_path.exists())
                 raise LiftError("no images at level 1")
-            return images(self, edge_id, k)
+            return images(self, k)
 
-        monkeypatch.setattr(TruncatedLift, "edge_images", fail_at_level_1)
+        monkeypatch.setattr(TruncatedLift, "_level_images", fail_at_level_1)
         code, out, err = run(capsys, "lift", "build", "--module", phase_module_file,
                              "--level", "2", "--out", str(out_path))
         assert (code, out, err) == (2, "", "error: no images at level 1\n")
@@ -401,15 +443,15 @@ class TestLiftCommands:
                                                  phase_module_file):
         """A build to a device that fails part way unlinks nothing."""
         removed = []
-        images = TruncatedLift.edge_images
+        images = TruncatedLift._level_images
 
-        def fail_at_level_1(self, edge_id, k):
+        def fail_at_level_1(self, k):
             if k == 1:
                 raise LiftError("no images at level 1")
-            return images(self, edge_id, k)
+            return images(self, k)
 
         monkeypatch.setattr(os, "remove", removed.append)
-        monkeypatch.setattr(TruncatedLift, "edge_images", fail_at_level_1)
+        monkeypatch.setattr(TruncatedLift, "_level_images", fail_at_level_1)
         code, out, err = run(capsys, "lift", "build", "--module", phase_module_file,
                              "--level", "2", "--out", os.devnull)
         assert (code, out, err) == (2, "", "error: no images at level 1\n")

@@ -1,6 +1,10 @@
 """Family constructors and their structural validators."""
 
 import itertools
+import os
+import resource
+import subprocess
+import sys
 import time
 from math import gcd
 
@@ -20,8 +24,10 @@ from graphlift import (
     sphere_odd_graph,
     validate_quantum_graph,
 )
+import graphlift
 from graphlift import cli
-from graphlift.families import MAX_EDGES, _admissible_count, _admissible_paths
+from graphlift.families import (MAX_EDGES, _LENS_BYTES, _PIECE_BYTES, _admissible_count,
+                                _admissible_paths)
 from helpers import reference_lens_graph, reference_power_graph
 
 LENS_CASES = (
@@ -214,15 +220,19 @@ class TestLensSize:
             for n in range(1, 5):
                 for weights in itertools.product(units, repeat=n):
                     params = LensParams(n, p, weights)
-                    found = sum(len(_admissible_paths(params, i)) for i in range(n))
+                    ids = [eid for i in range(n) for eid, _ in _admissible_paths(params, i)]
+                    found = (len(ids), sum(len(lens_edge_provenance(eid)) for eid in ids))
                     assert _admissible_count(params, 10**12) == found, params
+                    for cap in (1, found[0], found[1]):  # both saturate exactly
+                        assert _admissible_count(params, cap) == (
+                            min(found[0], cap), min(found[1], cap)), (params, cap)
 
     @pytest.mark.parametrize("n, p, count", [(4, 50, 24_810), (16, 5, 54_384),
                                              (4, 200, 1_394_210), (6, 50, 3_819_831)])
     def test_count_of_wide_lenses(self, n, p, count):
         params = LensParams(n, p, (1,) * n)
-        assert _admissible_count(params, 10**12) == count
-        assert _admissible_count(params, MAX_EDGES + 1) == min(count, MAX_EDGES + 1)
+        assert _admissible_count(params, 10**12)[0] == count
+        assert _admissible_count(params, MAX_EDGES + 1)[0] == min(count, MAX_EDGES + 1)
 
     @pytest.mark.parametrize("params", LENS_CASES + (
         LensParams(1, 2, (1,)),
@@ -263,6 +273,36 @@ class TestLensSize:
         with pytest.raises(GraphError, match="of 1000002 edges"):
             lens_graph_coprime(LensParams(2, 333_334, (1, 1)))
         assert time.perf_counter() - start < 1.0
+
+
+class TestLensIdBudget:
+    """Lens graphs with few enough edges whose ids name too many leveled edges."""
+
+    def test_refused_under_the_memory_limit(self):
+        # 499,503 edges whose ids hold 497,998,515 leveled edges, about 3 GB of
+        # id strings; in a child under a 3 GB address-space limit, so that a
+        # regression dies of MemoryError instead of taking the machine's memory
+        src = os.path.dirname(os.path.dirname(os.path.abspath(graphlift.__file__)))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "graphlift", "graph", "make", "lens", "--n", "3",
+             "--p", "997", "--weights", "1,1,1"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120, preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (3 << 30, 3 << 30)))
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == (
+            "error: lens graph with n=3, p=997 has edge ids of 497998515 leveled edges, "
+            "17927946540 bytes at 36 bytes each, more than the 1073741824 bytes a lens "
+            "graph may take\n")
+
+    def test_largest_measured_lenses_fit(self):
+        # the sizes the budget was measured on still build
+        for n, p, pieces in [(5, 41, 6_690_395), (3, 300, 13_725_006),
+                             (4, 101, 18_933_066), (2, 5000, 25_000_003)]:
+            assert _admissible_count(LensParams(n, p, (1,) * n), MAX_EDGES**2)[1] == pieces
+            assert pieces * _PIECE_BYTES <= _LENS_BYTES
 
 
 class TestValidator:

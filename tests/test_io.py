@@ -13,6 +13,8 @@ from graphlift import (
     CodecError,
     Edge,
     Graph,
+    ModuleError,
+    PythagoreanModule,
     cli,
     LensParams,
     classify,
@@ -23,6 +25,7 @@ from graphlift import (
     random_module,
     sphere_even_graph,
     sphere_odd_graph,
+    validate_module,
     validate_quantum_graph,
 )
 from graphlift import io
@@ -51,6 +54,7 @@ from helpers import (
     reference_lift_dict,
     reference_matrix_to_entries,
     reference_module_from_dict,
+    reference_validate_residuals,
     small_multigraphs,
     supported_graphs,
 )
@@ -452,6 +456,57 @@ class TestModuleDecoder:
         del doc["ops"]["22"]
         with pytest.raises(CodecError, match=f"^{message}$"):
             module_from_dict(doc)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_first_non_finite_operator_named(self, tmp_path, text):
+        m = random_module(sphere_odd_graph(3), {"1": 1, "2": 2, "3": 1}, 3)
+        raw = dumps_json(module_to_dict(m))
+        doc = json.loads(raw)
+        # parts of edges 11 and 22, in that edge order, read as non-finite
+        for eid in ("22", "11"):
+            doc["ops"][eid][0][0][1] = 1234.5
+        path = tmp_path / "bad.json"
+        path.write_text(dumps_json(doc).replace("1234.5", text))
+        doc = read_json(str(path))
+        message = "/: edge '11': operator has non-finite entries"
+        assert _decoded(reference_module_from_dict, doc) == (CodecError, message)
+        assert _decoded(module_from_dict, doc) == (CodecError, message)
+
+
+class TestDecodedModule:
+    """A module decoded from `module_to_dict(m)` is m: the decoder builds it
+    without the public constructor's second check, and `validate_module`
+    reads the graph's index arrays."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(small_multigraphs(), st.data())
+    def test_equals_public_module(self, g, data):
+        dims = {v: data.draw(st.integers(0, 2), label=f"dim {v}") for v in g.vertices}
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        m = None
+        if data.draw(st.booleans(), label="valid"):  # residuals near 0 too
+            try:
+                m = random_module(g, dims, seed)
+            except ModuleError:  # the fibers allow no valid module
+                pass
+        if m is None:
+            rng = np.random.default_rng(seed)
+            shapes = {e.id: (dims[e.source], dims[e.range]) for e in g.edges}
+            m = PythagoreanModule(g, dims, {
+                eid: rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                for eid, s in shapes.items()})
+        got = module_from_dict(json.loads(dumps_json(module_to_dict(m))))
+        assert got.graph == m.graph
+        assert list(got.dims.items()) == list(m.dims.items())
+        assert ([(eid, a.dtype, a.shape, a.tobytes()) for eid, a in got.ops.items()]
+                == [(eid, a.dtype, a.shape, a.tobytes()) for eid, a in m.ops.items()])
+        want, exempt = reference_validate_residuals(m)
+        for module in (got, m):
+            report = validate_module(module)
+            assert report.exempt == exempt
+            assert ({w: r.hex() for w, r in report.residuals.items()}
+                    == {w: r.hex() for w, r in want.items()})
+
 
 class TestSpectrumCodec:
     def test_round_trip(self):
@@ -983,6 +1038,32 @@ class TestGraphText:
             json.dumps(doc, indent=2) + "\n")
 
 
+class TestModuleText:
+    """The module writer against the stdlib text of module_to_dict."""
+
+    @given(small_multigraphs(), st.data())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_matches_stdlib(self, graph, data):
+        dims = {v: data.draw(st.integers(0, 2), label=f"dim {v}") for v in graph.vertices}
+        parts = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 1e300, 0.1, 5e-324])
+        ops = {}
+        for e in graph.edges:
+            shape = (dims[e.source], dims[e.range])
+            ops[e.id] = np.array(
+                data.draw(st.lists(parts, min_size=2 * shape[0] * shape[1],
+                                   max_size=2 * shape[0] * shape[1]), label=e.id),
+                dtype=np.float64).view(np.complex128).reshape(shape)
+        module = PythagoreanModule(graph, dims, ops)
+        if data.draw(st.booleans(), label="non-finite") and graph.edges:
+            # operators are arrays a caller can still write to
+            op = module.ops[graph.edges[0].id]
+            if op.size:
+                op[0, 0] = complex(float("nan"), float("-inf"))
+        want = json.dumps(module_to_dict(module), indent=2)
+        assert io._module_text(module, "\n") == want
+        assert io._module_text(module, "\n    ") == want.replace("\n", "\n    ")
+
+
 class TestCliOutputMatchesStdlib:
     """Whole CLI documents on stdout against json.dumps(doc, indent=2)."""
 
@@ -1004,6 +1085,23 @@ class TestCliOutputMatchesStdlib:
                "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                           for c in report.checks]}
         assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv, build", [
+        (["module", "random", "--dims", "2,0,1", "--seed", "7"],
+         lambda g: random_module(g, {"1": 2, "2": 0, "3": 1}, 7)),
+        (["module", "make", "--vertex", "2", "--z", "exp(1/3)"],
+         lambda g: one_dim_module(g, "2", cmath.exp(2j * cmath.pi / 3))),
+        (["spectrum", "module", "--vertex", "3", "--z", "0.6+0.8i"],
+         lambda g: one_dim_module(g, "3", 0.6 + 0.8j)),
+    ], ids=["random", "make", "spectrum"])
+    def test_module_files(self, tmp_path, capsys, argv, build):
+        graph = sphere_odd_graph(3)
+        path, out = str(tmp_path / "odd3.json"), tmp_path / "m.json"
+        write_json(path, graph_to_dict(graph))
+        where = ["--graph", path] if argv[0] == "module" else [path]
+        assert cli.run([*argv[:2], *where, *argv[2:], "--out", str(out)]) == 0
+        want = json.dumps(module_to_dict(build(graph)), indent=2) + "\n"
+        assert out.read_text() == want
 
     def test_lift_build_to_stdout(self, tmp_path, capsys):
         lens = lens_graph_coprime(LensParams(3, 4, (1, 3, 1)))

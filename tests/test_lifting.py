@@ -304,6 +304,17 @@ class TestReduce:
         with pytest.raises(LiftError, match="zero-dimensional"):
             t.reduce_class("2", [], 1)
 
+    def test_offset_of_a_path_outside_the_basis_rejected(self):
+        # W_2 of the even 2-sphere holds the length-0 paths at its roots 3 and
+        # 4, and no short path at 1, which receives edges
+        g = sphere_even_graph(2)
+        t = lift(random_module(g, {"1": 1, "2": 1, "3": 1, "4": 0}, 3), 2)
+        assert t.basis_at(2)[t._offset(2, Path(g, (), base="3"))] == (Path(g, (), base="3"), 0)
+        for k, path in [(2, Path(g, (), base="1")), (2, Path(g, ("21",))),
+                        (2, Path(g, (), base="4")), (1, Path(g, ("11", "11")))]:
+            with pytest.raises(LiftError, match="is not a basis path of level"):
+                t._offset(k, path)
+
 
 class TestGenerators:
     def test_edge_matrices_are_exact_binary_isometries(self):
