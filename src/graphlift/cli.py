@@ -58,14 +58,20 @@ def _emit(pieces, out: str | None, fmt: str, summary: str) -> None:
     """Write a document's text, given in pieces, to out as the pieces are
     produced, and to stdout too in the json format; print the summary when
     it goes to out only. Without out, the text goes to stdout."""
-    if out and fmt == "json":
-        pieces = list(pieces)
-    if out:
-        io._write_text(out, pieces)
-    if fmt == "json" or not out:
+    if not out:
         sys.stdout.writelines(pieces)
+    elif fmt == "json":
+        io._write_text(out, _echoed(pieces))
     else:
+        io._write_text(out, pieces)
         print(summary)
+
+
+def _echoed(pieces):
+    """The pieces, each written to stdout as it is produced."""
+    for piece in pieces:
+        sys.stdout.write(piece)
+        yield piece
 
 
 def _load_graph(path: str):
@@ -96,7 +102,7 @@ def _cmd_graph_make(args) -> int:
     else:
         graph = projective_graph(args.n)
     if args.dot:
-        io._write_text(args.dot, [io.graph_to_dot(graph)])
+        io._write_text(args.dot, io._dot_lines(graph))
     summary = f"{args.family}: {len(graph.vertices)} vertices, {len(graph._ids)} edges"
     _emit(io._graph_text(graph, args.family == "lens"), args.out, args.format, summary)
     return EXIT_OK

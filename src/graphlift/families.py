@@ -19,11 +19,12 @@ from .graphs import Graph, GraphError, loop_structure
 MAX_EDGES = 1_000_000
 
 # The most memory a lens graph may take, at `_PIECE_BYTES` for each leveled
-# edge its edge ids name (the pieces "ji@l" of an id): `graph make lens
-# --format json --out F`, which holds the whole document, peaks at 31-35
+# edge its edge ids name (the pieces "ji@l" of an id). It was set when
+# `graph make lens --format json --out F` held the whole document, at 31-35
 # bytes a piece above the maxrss of `graphlift --help` for (n, p) = (5, 41),
-# (3, 300), (4, 101) and (2, 5000), 6.7 to 25 million pieces; writing to a
-# file or stdout as the text is made takes 7-11 (2-CPU machine, Python 3.11.7).
+# (3, 300), (4, 101) and (2, 5000), 6.7 to 25 million pieces. Every output
+# mode now writes the text as it is made, which takes 7-11 bytes a piece
+# for (5, 41), (3, 300) and (4, 101) (2-CPU machine, Python 3.11.7).
 _PIECE_BYTES = 36
 _LENS_BYTES = 1 << 30
 

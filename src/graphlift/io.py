@@ -9,7 +9,8 @@ once, then builds the module without checking it again; only a document
 that fails those checks is walked item by item, to name its first fault by
 JSON pointer, with the same message as an item-by-item decoder.
 Complex entries in matrices are [re, im] pairs, row-major. Graph, module
-and lift documents are written from their arrays, with no per-entry object.
+and lift documents are written from their arrays, with no per-entry object;
+the small reports and `write_json` use the stdlib's indented `json.dumps`.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _graph_text(graph: Graph, provenance: bool) -> Iterator[str]:
 
 def _graph_pieces(graph: Graph, provenance: bool, pad: str) -> Iterator[str]:
     """The JSON text of the graph of `_graph_text` on a line indented by pad,
-    as `_encode` writes it. `_ESCAPE` escapes each character on its own and
+    as `dumps_json` writes it. `_ESCAPE` escapes each character on its own and
     never writes ".", so the text of the provenance list is the escaped id
     split at its dots, reversed and joined once."""
     inner, record, field = pad + "  ", pad + "    ", pad + "      "
@@ -204,7 +205,7 @@ def module_to_dict(module: PythagoreanModule) -> dict:
 
 def _module_text(module: PythagoreanModule, pad: str) -> str:
     """The JSON text of `module_to_dict(module)` on a line indented by pad, as
-    `_encode` writes it: the graph by `_graph_pieces`, and the operators from
+    `dumps_json` writes it: the graph by `_graph_pieces`, and the operators from
     one `tolist` of all their parts end to end, each [re, im] pair formatted
     by one `str.format` and each row joined once."""
     p1, p2, p3, p4, p5 = (pad + "  " * i for i in range(1, 6))
@@ -212,7 +213,7 @@ def _module_text(module: PythagoreanModule, pad: str) -> str:
     ops = module.ops
     parts = np.concatenate([*(op.ravel() for op in ops.values()),
                             np.zeros(0, dtype=np.complex128)]).view(np.float64)
-    number = float.__repr__ if np.isfinite(parts).all() else _float_text
+    number = float.__repr__ if np.isfinite(parts).all() else json.dumps
     parts = list(map(number, parts.tolist()))
     pairs = list(map(f"[{p5}{{}},{p5}{{}}{p4}]".format, parts[::2], parts[1::2]))
     members = []
@@ -423,14 +424,18 @@ def _dot_quote(text: str) -> str:
 
 def graph_to_dot(graph: Graph) -> str:
     """The graph in DOT, every id a quoted string with `"` and `\\` escaped."""
+    return "".join(_dot_lines(graph))
+
+
+def _dot_lines(graph: Graph) -> Iterator[str]:
+    """The lines of `graph_to_dot(graph)`, each with its newline."""
     q = _dot_quote
-    lines = ["digraph {"]
+    yield "digraph {\n"
     for v in graph.vertices:
-        lines.append(f"  {q(v)};")
+        yield f"  {q(v)};\n"
     for eid, s, r in zip(graph._ids, graph._source, graph._range):
-        lines.append(f"  {q(graph.vertices[s])} -> {q(graph.vertices[r])} [label={q(eid)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  {q(graph.vertices[s])} -> {q(graph.vertices[r])} [label={q(eid)}];\n"
+    yield "}\n"
 
 
 _PHASE = re.compile(r"^exp\((-?\d+)/(\d+)\)$")
@@ -469,29 +474,7 @@ def read_json(path: str):
             raise CodecError(f"/: invalid JSON in {path}: {exc}") from exc
 
 
-_INF = float("inf")
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 _ESCAPE = json.encoder.encode_basestring_ascii
-# JSON text of the leaf types, by exact type; subclasses (np.float64 and the
-# like) take the isinstance path of _encode
-_LEAF = {
-    str: _ESCAPE,
-    int: int.__repr__,
-    float: _float_text,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
 
 
 def _strings(obj: list, pad: str) -> str:
@@ -502,74 +485,15 @@ def _strings(obj: list, pad: str) -> str:
     return "[" + inner + ("," + inner).join(map(_ESCAPE, obj)) + pad + "]"
 
 
-def _encode(obj, pad: str, parts: list) -> None:
-    """Append the JSON text of obj to parts; pad is the newline and indent of
-    the line obj starts on, and the contents go one level (2 spaces) deeper."""
-    leaf = _LEAF.get(type(obj))
-    if leaf is not None:
-        parts.append(leaf(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        inner = pad + "  "
-        sep = "[" + inner
-        for value in obj:
-            leaf = _LEAF.get(type(value))
-            if leaf is not None:
-                parts.append(sep + leaf(value))
-            else:
-                parts.append(sep)
-                _encode(value, inner, parts)
-            sep = "," + inner
-        parts += (pad, "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{" + inner
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            leaf = _LEAF.get(type(value))
-            if leaf is not None:
-                parts.append(f"{sep}{_ESCAPE(key)}: {leaf(value)}")
-            else:
-                parts.append(f"{sep}{_ESCAPE(key)}: ")
-                _encode(value, inner, parts)
-            sep = "," + inner
-        parts += (pad, "}")
-    elif isinstance(obj, str):
-        parts.append(_ESCAPE(obj))
-    elif isinstance(obj, int):
-        parts.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        parts.append(_float_text(obj))
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def dumps_json(doc) -> str:
-    """doc as 2-space-indented, ASCII-escaped JSON plus a newline: the same
-    text as json.dumps(doc, indent=2) + "\n". Unlike json, a dict key that is
-    not a str raises TypeError instead of being coerced; no graphlift
-    document has one."""
-    return "".join(_json_parts(doc))
-
-
-def _json_parts(doc) -> list[str]:
-    """The text of `dumps_json(doc)` as the pieces that join to it."""
-    parts: list[str] = []
-    _encode(doc, "\n", parts)
-    parts.append("\n")
-    return parts
+    """doc as 2-space-indented, ASCII-escaped JSON plus a newline: the text of
+    json.dumps(doc, indent=2) + "\n", a non-str dict key coerced as json does."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def write_json(path: str, doc):
-    """Encode doc first, so a document that cannot be encoded leaves no file;
-    the pieces are written as they are, never joined into one string."""
-    _write_text(path, _json_parts(doc))
+    """Encode doc first, so a document that cannot be encoded leaves no file."""
+    _write_text(path, [dumps_json(doc)])
 
 
 def _write_text(path: str, pieces: Iterable[str]) -> None:

@@ -63,37 +63,6 @@ def _as_operator(value, shape: tuple[int, int], label: str) -> np.ndarray:
     return a
 
 
-def _edge_operators(graph: Graph, dims: dict[str, int], given: dict) -> dict:
-    """Every edge's operator, in edge order, as `_as_operator` makes it.
-    The shapes are checked in one pass and finiteness once over all the
-    operators; only when a check fails are the edges walked one at a time,
-    so the error names the first bad edge in edge order, with the walk's
-    text."""
-    fiber = list(map(dims.__getitem__, graph.vertices))
-    shapes = [(fiber[s], fiber[r]) for s, r in zip(graph._source, graph._range)]
-    ops = {}
-    for eid, shape in zip(graph._ids, shapes):
-        try:
-            a = np.asarray(given[eid], dtype=np.complex128)
-        except (KeyError, TypeError, ValueError):
-            break
-        if a.size == 0 and 0 in shape:
-            a = np.zeros(shape, dtype=np.complex128)
-        elif a.shape != shape:
-            break
-        ops[eid] = a
-    else:
-        entries = [op.ravel() for op in ops.values()]
-        if not entries or np.isfinite(np.concatenate(entries)).all():
-            return ops
-    ops = {}
-    for eid, shape in zip(graph._ids, shapes):
-        if eid not in given:
-            raise ModuleError(f"missing operator for edge {eid!r}")
-        ops[eid] = _as_operator(given[eid], shape, f"edge {eid!r}")
-    return ops
-
-
 @dataclass(frozen=True, eq=False)
 class PythagoreanModule:
     """Vertex fiber dimensions plus one edge operator per edge."""
@@ -107,7 +76,12 @@ class PythagoreanModule:
         unknown = set(self.ops).difference(self.graph._ids)
         if unknown:
             raise ModuleError(f"ops name unknown edges {sorted(unknown, key=repr)}")
-        ops = _edge_operators(self.graph, dims, self.ops)
+        fiber = list(dims.values())  # in vertex order
+        ops = {}
+        for eid, s, r in zip(self.graph._ids, self.graph._source, self.graph._range):
+            if eid not in self.ops:
+                raise ModuleError(f"missing operator for edge {eid!r}")
+            ops[eid] = _as_operator(self.ops[eid], (fiber[s], fiber[r]), f"edge {eid!r}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "ops", ops)
 
@@ -178,7 +152,7 @@ def one_dim_module(graph: Graph, v: str, z: complex) -> PythagoreanModule:
     if len(loops) != 1:
         raise ModuleError(f"vertex {v!r} carries {len(loops)} loops, need exactly one")
     z = complex(z)
-    if abs(abs(z) - 1.0) > 1e-12:
+    if not abs(abs(z) - 1.0) <= 1e-12:
         raise ModuleError(f"loop scalar must have modulus 1, got |z| = {abs(z)!r}")
     dims = {u: (1 if u == v else 0) for u in graph.vertices}
     ops = {}

@@ -148,6 +148,63 @@ class TestGraphMake:
         assert seen == [True]
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("family, flags", [
+        ("sphere-odd", ["--n", "3"]),
+        ("lens", ["--n", "3", "--p", "4", "--weights", "1,3,1"]),
+    ])
+    def test_json_out_and_dot_bytes(self, tmp_path, capsys, family, flags):
+        """With --format json --out, stdout and the file hold the bytes that
+        stdout holds without --out; the DOT file holds `graph_to_dot`."""
+        code, text, _ = run(capsys, "graph", "make", family, *flags)
+        assert code == 0
+        path, dot = tmp_path / "g.json", tmp_path / "g.dot"
+        code, out, err = run(capsys, "graph", "make", family, *flags, "--format", "json",
+                             "--out", str(path), "--dot", str(dot))
+        assert (code, out, err) == (0, text, "")
+        assert path.read_bytes() == text.encode("ascii")
+        graph = graph_from_dict(json.loads(text))
+        assert dot.read_bytes() == io.graph_to_dot(graph).encode("utf-8")
+
+    def test_json_out_written_as_produced(self, tmp_path, capsys, monkeypatch):
+        """With --format json --out, each piece reaches the file and stdout
+        as it is produced; a failure removes the file, and stdout keeps the
+        text written before it, as without --out."""
+        out_path = tmp_path / "g.json"
+        text = io._graph_text
+        seen = []
+
+        def fail_after_one_edge(graph, provenance):
+            pieces = text(graph, provenance)
+            first = next(pieces) + next(pieces)
+            yield first
+            seen.append((out_path.exists(), capsys.readouterr().out == first))
+            raise GraphError("no more edges")
+
+        monkeypatch.setattr(io, "_graph_text", fail_after_one_edge)
+        code, out, err = run(capsys, "graph", "make", "sphere-odd", "--n", "3",
+                             "--format", "json", "--out", str(out_path))
+        assert (code, out, err) == (2, "", "error: no more edges\n")
+        assert seen == [(True, True)]
+        assert not out_path.exists()
+
+    def test_dot_written_as_produced(self, tmp_path, capsys, monkeypatch):
+        """The DOT file is written line by line; a failure removes it."""
+        dot = tmp_path / "g.dot"
+        lines = io._dot_lines
+        seen = []
+
+        def fail_after_one_line(graph):
+            yield next(lines(graph))
+            seen.append(dot.exists())
+            raise GraphError("no more lines")
+
+        monkeypatch.setattr(io, "_dot_lines", fail_after_one_line)
+        code, out, err = run(capsys, "graph", "make", "sphere-odd", "--n", "3",
+                             "--out", str(tmp_path / "g.json"), "--dot", str(dot))
+        assert (code, out, err) == (2, "", "error: no more lines\n")
+        assert seen == [True]
+        assert not dot.exists()
+
     def test_deterministic_output(self, capsys):
         first = run(capsys, "graph", "make", "projective", "--n", "3")
         second = run(capsys, "graph", "make", "projective", "--n", "3")
@@ -404,6 +461,41 @@ class TestSpectrumCommand:
                            "--vertex", "9", *phase)
         assert code == 2
         assert err == "error: unknown vertex '9'\n"
+
+
+class TestJsonReportBytes:
+    """`classify`, `graph check --format json` and `module check --format
+    json` print the stdlib's indented text of their documents."""
+
+    @pytest.mark.parametrize("family, flags", [
+        ("sphere-odd", ["--n", "3"]),
+        ("sphere-even", ["--n", "3"]),
+        ("lens", ["--n", "3", "--p", "4", "--weights", "1,3,1"]),
+    ])
+    def test_reports_match_stdlib(self, tmp_path, capsys, family, flags):
+        def dumps(doc):
+            return json.dumps(doc, indent=2) + "\n"
+
+        path, mod = str(tmp_path / "g.json"), str(tmp_path / "m.json")
+        assert run(capsys, "graph", "make", family, *flags, "--out", path)[0] == 0
+        graph = graph_from_dict(read_json(path))
+        assert run(capsys, "classify", path) == (0, dumps(io.spectrum_to_dict(
+            graphlift.classify(graph))), "")
+        for other in (family, "projective"):
+            report = graphlift.validate_quantum_graph(graph, other)
+            doc = {"family": report.family, "passed": report.passed,
+                   "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                              for c in report.checks]}
+            assert run(capsys, "graph", "check", path, "--family", other,
+                       "--format", "json") == (0 if report.passed else 1, dumps(doc), "")
+        dims = ",".join(["1"] * len(graph.vertices))
+        assert run(capsys, "module", "random", "--graph", path, "--dims", dims,
+                   "--out", mod)[0] == 0
+        report = modules.validate_module(module_from_dict(read_json(mod)))
+        doc = {"residuals": report.residuals, "exempt": list(report.exempt),
+               "max_residual": report.max_residual, "passed": report.passed}
+        assert run(capsys, "module", "check", mod, "--format", "json") == (
+            0 if report.passed else 1, dumps(doc), "")
 
 
 class TestLiftCommands:
@@ -698,10 +790,12 @@ class TestBadNumbers:
         assert err == "error: /: edge '21': operator has non-finite entries\n"
 
     def test_nan_phase_refused(self, capsys, odd_graph_file):
-        code, _, err = run(capsys, "module", "make", "--graph", odd_graph_file,
-                           "--vertex", "1", "--z", "nan")
-        assert code == 2
-        assert "operator has non-finite entries" in err
+        """A NaN phase fails the modulus test, in both commands that take one."""
+        for command in (["module", "make", "--graph"], ["spectrum", "module"]):
+            code, out, err = run(capsys, *command, odd_graph_file, "--vertex", "1",
+                                 "--z", "nan")
+            assert (code, out) == (2, ""), command
+            assert err == "error: loop scalar must have modulus 1, got |z| = nan\n"
 
     def test_overflow_to_nan_fails(self, tmp_path, capsys):
         path = tmp_path / "big.json"

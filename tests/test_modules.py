@@ -355,6 +355,13 @@ class TestOneDimModules:
         with pytest.raises(ModuleError, match="modulus 1"):
             one_dim_module(g, "1", 0.5)
 
+    @pytest.mark.parametrize("z", [complex("nan"), complex("nanj"), complex("nan+nanj")])
+    def test_nan_modulus_refused(self, z):
+        """A NaN phase fails the modulus test, not the operator check."""
+        with pytest.raises(ModuleError) as info:
+            one_dim_module(sphere_odd_graph(2), "1", z)
+        assert str(info.value) == "loop scalar must have modulus 1, got |z| = nan"
+
     def test_loopless_vertex_rejected(self):
         g = sphere_even_graph(2)
         with pytest.raises(ModuleError, match="loops"):
