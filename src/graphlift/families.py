@@ -19,13 +19,14 @@ from .graphs import Graph, GraphError, loop_structure
 MAX_EDGES = 1_000_000
 
 # The most memory a lens graph may take, at `_PIECE_BYTES` for each leveled
-# edge its edge ids name (the pieces "ji@l" of an id). It was set when
-# `graph make lens --format json --out F` held the whole document, at 31-35
-# bytes a piece above the maxrss of `graphlift --help` for (n, p) = (5, 41),
-# (3, 300), (4, 101) and (2, 5000), 6.7 to 25 million pieces. Every output
-# mode now writes the text as it is made, which takes 7-11 bytes a piece
-# for (5, 41), (3, 300) and (4, 101) (2-CPU machine, Python 3.11.7).
-_PIECE_BYTES = 36
+# edge its edge ids name (the pieces "ji@l" of an id): the most that `graph
+# make lens` takes a piece above the maxrss of `graphlift --help`, rounded
+# up. Every output mode (stdout, --out, --format json --out, --dot) writes
+# the text as it is made and takes the same: 10.9 bytes a piece for
+# (n, p) = (5, 41), 7.3 for (3, 300), 8.2 for (4, 101) and 7.9 for
+# (2, 5000), 6.7 to 25 million pieces, weights all 1 (one child per case
+# and mode under a 3 GB RLIMIT_AS; 2-CPU machine, Python 3.11.7).
+_PIECE_BYTES = 11
 _LENS_BYTES = 1 << 30
 
 

@@ -23,18 +23,25 @@ Storage follows that description, so lift work scales with nonzeros rather
 than with dimension squared. The maximal paths of level k+1 at v are e.mu
 for each edge e into v and each level-k path mu at source(e), plus the
 length-0 path at v when v receives no edge, so each level is a path trie
-over the one below: a `PathLevel` of int arrays, a parent path and an edge
-per path, built from the level below in one vectorized step, the children
-of its paths taken in their traversal order. When every live vertex
-receives an edge, every level from 2 on comes out in traversal order, and
-one stable argsort by range puts it in basis order. Level 1, and every
-level of a graph with a live vertex that receives no edge, is sorted by a
-key per path instead: the rank of the parent's traversal sequence in the
-level below and the appended edge. Either way the work per path does not
-grow with the level. `basis_at` builds `(Path, fiber)` tuples from the trie
-only when asked, each `Path` its parent's extended by one edge, keeping
-only the level below. Basis order is range-major, so the entries with range
-v form one block of W_k, the slice `block(v, k)`, and P_v keeps it.
+over the one below: int arrays with a parent path and an edge per path.
+The number of paths and the dimension of every level follow from those
+counts per vertex alone, so a lift knows them before it grows anything,
+refuses one that would hold too much up front, and grows all its levels
+into one store whose arrays run end to end over levels 0..m+1, each level
+a slice (`paths_at(k)` gives one as a `PathLevel`). A level is grown from
+the one below in one vectorized step with only the fields that step reads,
+the children of its paths taken in their traversal order. When every live
+vertex receives an edge, every level from 2 on comes out in traversal
+order; level 1, and every level of a graph with a live vertex that
+receives no edge, is sorted into it by a key per path: the rank of the
+parent's traversal sequence in the level below and the appended edge.
+Either way the work per path does not grow with the level. The basis
+order, entry offsets and vertex blocks of all levels are then laid out at
+once, by one stable sort on (level, range). `basis_at` builds
+`(Path, fiber)` tuples from the trie only when asked, each `Path` its
+parent's extended by one edge, keeping only the level below. Basis order
+is range-major, so the entries with range v form one block of W_k, the
+slice `block(v, k)`, and P_v keeps it.
 E_e maps the whole block of source(e) and nothing else, since each path has
 a child per out-edge of its range: a level stores just those images, edge by
 edge, in one array. `edge_images(e, k)` reads one edge's as they are stored
@@ -48,14 +55,15 @@ placement into a `BlockMap`, the nonzeros of its blocks, for the callers
 that act on vectors, and so is each lifted intertwiner; the relation check
 reads the embedding Gram straight off the placements instead, for all
 levels in one pass: consecutive levels whose Gram terms fit a fixed budget
-are laid end to end and summed with one pair of bincounts, each level over
-its own slots, and a level over the budget goes alone.
+are read as one slice of the store and summed with one pair of bincounts,
+each level over its own slots, and a level over the budget goes alone.
 `edge_matrix`, `projection_matrix` and `embed_matrix` materialize dense
 matrices for callers that want them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -76,7 +84,7 @@ INTERTWINER_TOL = 1e-9
 # stops a level a user types; above the limit it ends in a LiftError
 # rather than a run that never returns. At the limit, `ck_residuals` on
 # the lift of `one_dim_module(sphere_odd_graph(1), "1", 1j)`, one path per
-# level, takes 0.26-0.29 s, most of it growing the levels (best of 3, five
+# level, takes 0.14-0.17 s, most of it growing the levels (best of 3, five
 # runs, 2-CPU machine, Python 3.11.7).
 MAX_LEVEL = 10_000
 
@@ -145,11 +153,6 @@ def _ramps(size: np.ndarray) -> np.ndarray:
     return at
 
 
-def _joined(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays end to end; a lone array as it is, not copied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 def _block_map(row0, col0, height, width, start, values, shape) -> BlockMap:
     """Block i, the height[i] x width[i] row-major array from values[start[i]],
     sits at (row0[i], col0[i]); blocks come in row order and share no row."""
@@ -182,6 +185,11 @@ class PathLevel(NamedTuple):
     that embeds onto path i: at full length k its tail without head[i],
     else the same path; -1 where that path has a zero fiber.
     Vertices and edges are numbered by their position in the graph.
+
+    A lift keeps all its levels in one such record, each per-path field
+    running end to end over levels 0..m+1 with each level's indices in its
+    own numbering, `bounds` holding one row per level and `dimension` the
+    sum; `TruncatedLift.paths_at` slices a level out of it.
     """
 
     parent: np.ndarray
@@ -199,7 +207,13 @@ class PathLevel(NamedTuple):
 
 
 class TruncatedLift:
-    """Levels 0..level+1 of the lifted representation of one module."""
+    """Levels 0..level+1 of the lifted representation of one module.
+
+    Nothing is grown until a level is read. The first read of any level
+    counts the paths and the dimension of every level 0..level+1 (`_sizes`)
+    and refuses the whole lift if one of them passes a limit; otherwise it
+    grows all of them at once into one all-level `PathLevel` (`_grow`), of
+    which `paths_at(k)` returns level k's slices."""
 
     def __init__(self, module: PythagoreanModule, level: int, validate: bool = True):
         if level < 0:
@@ -219,8 +233,9 @@ class TruncatedLift:
         self._edge_index = {eid: i for i, eid in enumerate(g._ids)}
         self._edge_range = np.array(g._range, dtype=np.intp)
         self._edge_source = np.array(g._source, dtype=np.intp)
-        by_id = sorted(range(len(g._ids)), key=g._ids.__getitem__)
-        self._edge_rank = np.argsort(by_id).astype(np.int32)
+        self._edge_rank = np.empty(len(g._ids), dtype=np.int32)
+        self._edge_rank[sorted(range(len(g._ids)), key=g._ids.__getitem__)] = np.arange(
+            len(g._ids))
         # out-edges grouped by source vertex, each group in id order
         self._out_edges = np.lexsort((self._edge_rank, self._edge_source))
         self._out_degree = np.bincount(self._edge_source, minlength=len(g.vertices))
@@ -229,23 +244,16 @@ class TruncatedLift:
         self._out_rank[self._out_edges] = (
             np.arange(len(g._ids)) - self._out_start[self._edge_source[self._out_edges]])
         self._fiber = np.array([module.dims[v] for v in g.vertices], dtype=np.intp)
-        self._vertex_ends = np.arange(len(g.vertices) + 1)
-        # the live vertices that receive no edge, and the length-0 paths at
-        # them above level 0: their parent, edge, range, source, length, head
+        # the live vertices that receive no edge, each with a length-0 path
+        # at every level
         self._roots = np.flatnonzero((self._fiber > 0) & (np.bincount(
             self._edge_range, minlength=self._fiber.size) == 0))
-        none = np.full(self._roots.size, -1, dtype=np.intp)
-        self._root_rows = (none, none, self._roots, self._roots,
-                           np.zeros_like(self._roots), none)
-        self._levels: list[PathLevel] = []
-        # the paths of the levels held and of the next one, checked by `_grow`
-        self._paths = int(np.count_nonzero(self._fiber))
-        # the traversal order of the last level as build indices (None when
-        # it is build order), and each path's rank in it; `_grow` sets both
-        # and reads the rank only on a level it keys, which a graph without
-        # roots never does after level 1
-        self._walk: np.ndarray | None = None
-        self._rank = np.zeros(0, dtype=np.intp)
+        # every level end to end, where each level starts in it (then the
+        # path count) and each level's dimension; set by the first read
+        self._trie: PathLevel | None = None
+        self._starts: list[int] = []
+        self._dims: list[int] = []
+        self._views: dict[int, PathLevel] = {}  # the levels read, as slices of the trie
         self._images: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._embeds: dict[int, BlockMap] = {}
         self._block_table: tuple[np.ndarray, np.ndarray] | None = None
@@ -260,16 +268,82 @@ class TruncatedLift:
     def paths_at(self, k: int) -> PathLevel:
         """The basis paths of W_k as per-path arrays; see `PathLevel`."""
         k = self._check_level(k, self.level + 1)
-        while len(self._levels) <= k:
-            self._levels.append(self._grow())
-        return self._levels[k]
+        if k not in self._views:
+            trie = self._grown()
+            a, b = self._starts[k], self._starts[k + 1]
+            self._views[k] = PathLevel(*(field[a:b] for field in trie[:10]), trie.bounds[k],
+                                       self._dims[k])
+        return self._views[k]
 
-    def _grow(self) -> PathLevel:
-        """Build the next level from the last one. Each path of level k+1 is
-        an edge e appended to a level-k path mu at source(e), or the
-        length-0 path at a vertex that receives no edge. The path that
-        embeds onto e.mu is e appended to the one that embeds onto mu, one
-        level lower.
+    def _grown(self) -> PathLevel:
+        """Every level, grown on the first call; see `paths_at`."""
+        if self._trie is None:
+            sizes, self._dims = self._sizes()
+            self._trie = self._grow(sizes)
+        return self._trie
+
+    def _sizes(self) -> tuple[list[int], list[int]]:
+        """The path count and the dimension of each level 0..level+1, counted
+        per range vertex in Python ints before anything is grown. At vertex
+        v, level 0 holds [d_v > 0] paths of d_v entries each; level k+1 holds
+        the level-k paths at the source of each edge into v, one edge
+        longer, and the length-0 path at v when v is live and receives no
+        edge. Levels are counted in turn, and the first that would bring
+        the lift past `_LIFT_BYTES` at `_PATH_BYTES` a path, or whose
+        dimension passes `_MAX_DIMENSION`, is refused."""
+        g = self.module.graph
+        fiber = self._fiber.tolist()
+        roots = self._roots.tolist()
+        out: list[list[int]] = [[] for _ in fiber]  # the range of each edge out of v
+        for s, r in zip(g._source, g._range):
+            out[s].append(r)
+        # per vertex, the paths with that range and their dimension, and the
+        # vertices that hold a path: only their out-edges are followed
+        paths, dims = [int(d > 0) for d in fiber], fiber
+        held = [v for v, d in enumerate(fiber) if d]
+        sizes, totals = [len(held)], [sum(fiber)]
+        root_dims = sum(fiber[v] for v in roots)
+        total = 0
+        for k in range(self.level + 2):
+            if k:
+                grown_paths, grown_dims = [0] * len(fiber), [0] * len(fiber)
+                grown = list(roots)
+                size, dimension = len(roots), root_dims
+                for v in roots:
+                    grown_paths[v], grown_dims[v] = 1, fiber[v]
+                for u in held:
+                    p, d = paths[u], dims[u]
+                    size += p * len(out[u])
+                    dimension += d * len(out[u])
+                    for r in out[u]:
+                        if not grown_paths[r]:
+                            grown.append(r)
+                        grown_paths[r] += p
+                        grown_dims[r] += d
+                paths, dims, held = grown_paths, grown_dims, grown
+                sizes.append(size)
+                totals.append(dimension)
+            total += sizes[k]
+            if total * _PATH_BYTES > _LIFT_BYTES:
+                raise LiftError(f"level {k} would bring the lift to {total} paths, "
+                                f"{total * _PATH_BYTES} bytes at {_PATH_BYTES} bytes a path, "
+                                f"more than the {_LIFT_BYTES} bytes a lift may hold")
+            if totals[k] > _MAX_DIMENSION:
+                raise LiftError(f"level {k} has dimension {totals[k]}, "
+                                f"more than the {_MAX_DIMENSION} a lift level may hold")
+        return sizes, totals
+
+    def _grow(self, sizes: list[int]) -> PathLevel:
+        """Grow the levels of these path counts into one all-level
+        `PathLevel`, written level by level into the rows of one table sized
+        in advance.
+
+        Each path of level k+1 is an edge e appended to a level-k path mu at
+        source(e), or the length-0 path at a vertex that receives no edge.
+        The path that embeds onto e.mu is e appended to the one that embeds
+        onto mu, one level lower. A level is grown from the one below with
+        only the fields that the next level reads; the basis layout of all
+        levels follows at the end (`_lay_out`).
 
         Basis order is range, then traversal sequence, a path before its
         extensions. The children blocks are laid out along the traversal
@@ -278,12 +352,11 @@ class TruncatedLift:
         k >= 1 on a graph where every live vertex receives an edge, that is
         the traversal order of level k+1: every path of level k has length
         k, so distinct parents have distinct sequences and neither is a
-        prefix of the other. Such a level is stored in traversal order, and
-        its basis order is one stable argsort by range.
+        prefix of the other. Such a level is stored in traversal order.
 
         Level 1, and every level of a graph with a live vertex that receives
         no edge, is put in traversal order by one key per path instead.
-        `_rank` holds the rank of each path's sequence among the paths of
+        `rank` holds the rank of each path's sequence among the paths of
         the last level: the key is rank(mu)·(|E|+1) + rank(e) + 1 for a new
         path mu.e of length k+1, and rank(S)·(|E|+1) for any other path S,
         which starts at a vertex that receives no edge and is its own `down`
@@ -294,95 +367,116 @@ class TruncatedLift:
         of level 1 tie at key 0 and are ranked apart in build order, which
         no later comparison sees: nothing else ranks between them. Keys stay
         below paths·(|E|+1), far inside int64."""
-        k = len(self._levels) - 1
-        if self._paths * _PATH_BYTES > _LIFT_BYTES:
-            raise LiftError(f"level {k + 1} would bring the lift to {self._paths} paths, "
-                            f"{self._paths * _PATH_BYTES} bytes at {_PATH_BYTES} bytes a path, "
-                            f"more than the {_LIFT_BYTES} bytes a lift may hold")
-        if k < 0:  # every sequence is empty, so the paths tie at rank 0
-            live = self._fiber.nonzero()[0]
-            none = np.full(live.size, -1, dtype=np.intp)
-            level = self._level_from(none, none, live, live, np.zeros_like(live), none, none,
-                                     None)
-            self._walk, self._rank = None, np.zeros(live.size, dtype=np.intp)
-            return level
-        low = self._levels[k]
-        count = self._out_degree[low.range]
-        if self._walk is None:
-            parent = np.arange(count.size).repeat(count)
-        else:
-            parent = self._walk.repeat(count[self._walk])
-        edge = self._out_edges[(self._out_start[low.range] - low.first)[parent]
-                               + np.arange(parent.size)]
-        rng = self._edge_range[edge]
-        source = low.source[parent]
-        if k == 0:  # paths of length <= 1 embed from their range vertex
-            index = np.full(self._fiber.size, -1, dtype=np.intp)
-            index[low.range] = np.arange(low.range.size)
-            down = index[rng]
-        else:
-            tail = low.down[parent]
-            down = np.where(tail >= 0, self._levels[k - 1].first[tail] + self._out_rank[edge],
-                            -1)
-        if k and not self._roots.size:  # already in traversal order
-            level = self._level_from(parent, edge, rng, source,
-                                     np.full(parent.size, k + 1, dtype=np.intp),
-                                     low.head[parent], down, None)
-            self._walk = None
-            return level
-        length = low.length[parent] + 1
-        head = np.where(length == 1, edge, low.head[parent])
-        if self._roots.size:
-            parent, edge, rng, source, length, head = (
-                np.concatenate(pair) for pair in
-                zip((parent, edge, rng, source, length, head), self._root_rows))
-            # length-0 paths embed from their own, the last of each level
-            down = np.concatenate((down, index[self._roots] if k == 0 else
-                                   np.arange(low.range.size - self._roots.size,
-                                             low.range.size)))
-        # a new path sorts as its parent, then its last edge; any other as
-        # the same path one level down, ahead of that path's extensions
-        new = length == k + 1
-        key = self._rank[np.where(new, parent, down)] * (self._edge_rank.size + 1)
-        key[new] += self._edge_rank[edge[new]] + 1
-        walk = key.argsort(kind="stable")
-        level = self._level_from(parent, edge, rng, source, length, head, down, walk)
-        self._walk, self._rank = walk, np.empty_like(walk)
-        self._rank[walk] = np.arange(walk.size)
-        return level
+        starts = self._starts = [0, *itertools.accumulate(sizes)]
+        # one row per field, each over every level
+        trie = np.empty((10, starts[-1]), dtype=np.intp)
+        parent, edge, head, rng, source, length, down, first, order, offset = trie
+        order[:] = np.arange(order.size)  # each level's traversal order, by trie index
+        roots, r = self._roots, self._roots.size
+        out_edges, out_start, out_rank = self._out_edges, self._out_start, self._out_rank
+        edge_range, out_degree, ramp = self._edge_range, self._out_degree, np.arange
+        # level 0: the length-0 path at each live vertex, all tied at rank 0
+        live = self._fiber.nonzero()[0]
+        trie[:3, : live.size] = -1  # no parent, edge or head at length 0
+        length[: live.size] = 0
+        rng[: live.size] = live
+        source[: live.size] = live
+        down[: live.size] = -1
+        count = out_degree[live]  # each path's children, in build order
+        first[: live.size] = count.cumsum() - count
+        index = np.full(self._fiber.size, -1, dtype=np.intp)  # level 0 by vertex
+        index[live] = ramp(live.size)
+        walk = rank = None
+        for k in range(len(sizes) - 1):
+            a, b, c = starts[k], starts[k + 1], starts[k + 2]
+            stop = c - r  # the children, then the length-0 paths at the roots
+            at = ramp(b - a).repeat(count) if walk is None else walk.repeat(count[walk])
+            grown = out_edges[(out_start[rng[a:b]] - first[a:b])[at] + ramp(stop - b)]
+            parent[b:stop] = at
+            edge[b:stop] = grown
+            rng[b:stop] = edge_range[grown]
+            source[b:stop] = source[a:b][at]
+            if k == 0:  # paths of length 1 start with their edge and embed from their range
+                length[b:stop] = 1
+                head[b:stop] = grown
+                down[b:stop] = index[rng[b:stop]]
+            else:
+                tail = down[a:b][at]
+                below = first[starts[k - 1] : a][tail]
+                below += out_rank[grown]
+                below[tail < 0] = -1
+                down[b:stop] = below
+                if r:  # a child of a length-0 path starts with its edge
+                    length[b:stop] = length[a:b][at] + 1
+                    head[b:stop] = np.where(length[b:stop] == 1, grown, head[a:b][at])
+                else:
+                    length[b:stop] = k + 1
+                    head[b:stop] = head[a:b][at]
+            if r:  # the length-0 paths, each embedding from its own, the last of each level
+                trie[:3, stop:c] = -1
+                length[stop:c] = 0
+                rng[stop:c] = roots
+                source[stop:c] = roots
+                down[stop:c] = index[roots] if k == 0 else ramp(b - a - r, b - a)
+            if k and not r:  # already in traversal order
+                walk = None
+            else:
+                # a new path sorts as its parent, then its last edge; any other
+                # as the same path one level down, ahead of that path's extensions
+                if k == 0:  # the paths below are all empty and tie
+                    key = np.zeros(c - b, dtype=np.intp)
+                    key[: stop - b] = self._edge_rank[grown] + 1
+                else:
+                    extended = length[b:c] == k + 1
+                    key = rank[np.where(extended, parent[b:c], down[b:c])] * (
+                        self._edge_rank.size + 1)
+                    key[extended] += self._edge_rank[edge[b:c][extended]] + 1
+                walk = key.argsort(kind="stable")
+                rank = np.empty_like(walk)
+                rank[walk] = ramp(walk.size)
+                order[b:c] = walk + b
+            count = out_degree[rng[b:c]]
+            if walk is None:
+                first[b:c] = count.cumsum() - count
+            else:
+                walked = count[walk]
+                first[b:c][walk] = walked.cumsum() - walked
+        bounds, dimension = self._lay_out(sizes, rng, source, order, offset)
+        return PathLevel(*map(_frozen, (parent, edge, rng, source, length, offset, first, head,
+                                        down, order, bounds)), dimension)
 
-    def _level_from(self, parent, edge, rng, source, length, head, down,
-                    walk) -> PathLevel:
-        """The level of these paths, given in build order: add the basis
-        order, the entry offsets, the first-child indices laid out along
-        `walk`, the traversal order (build order when None), and the vertex
-        blocks, and count the next level's paths. A level whose dimension
-        passes `_MAX_DIMENSION` is refused."""
-        if walk is None:
-            order = rng.argsort(kind="stable")
-            count = self._out_degree[rng]
-            ends = count.cumsum()
-            first = ends - count
-        else:
-            walked = rng[walk]
-            order = walk[walked.argsort(kind="stable")]
-            count = self._out_degree[walked]
-            ends = count.cumsum()
-            first = np.empty_like(count)
-            first[walk] = ends - count
-        starts = np.zeros(order.size + 1, dtype=np.intp)
-        self._fiber[source[order]].cumsum(out=starts[1:])
-        dimension = int(starts[-1])
-        if dimension > _MAX_DIMENSION:
-            raise LiftError(f"level {len(self._levels)} has dimension {dimension}, "
-                            f"more than the {_MAX_DIMENSION} a lift level may hold")
-        offset = np.empty_like(starts[:-1])
-        offset[order] = starts[:-1]
-        bounds = starts[np.searchsorted(rng[order], self._vertex_ends)]
-        # the next level holds a child per out-edge of each path, and the roots
-        self._paths += self._roots.size + (int(ends[-1]) if ends.size else 0)
-        return PathLevel(*map(_frozen, (parent, edge, rng, source, length, offset, first,
-                                        head, down, order, bounds)), dimension)
+    def _lay_out(self, sizes: list[int], rng: np.ndarray, source: np.ndarray,
+                 order: np.ndarray, offset: np.ndarray) -> tuple[np.ndarray, int]:
+        """Lay out the basis of every level at once: one stable sort of all
+        paths by level, then range, each level taken in its traversal order,
+        which `order` holds by trie index; one cumsum of the fibers in that
+        order; and one pass over the sorted keys for the vertex blocks.
+        Leaves each level's basis order in `order` and each path's entry
+        offset in `offset`; returns each level's vertex blocks as one row of
+        a table, and the dimension of all levels."""
+        n_vertices = self._fiber.size
+        starts, sizes = np.array(self._starts[:-1]), np.array(sizes)
+        # a path's key, level·(|V| + 1) + range, is one less than the flat
+        # index of its block's end in the table of block bounds
+        key = (np.arange(sizes.size) * (n_vertices + 1)).repeat(sizes)
+        key += rng[order]
+        basis = key.argsort(kind="stable")
+        key = key[basis]
+        basis = order[basis]
+        entries = np.zeros(basis.size + 1, dtype=np.intp)
+        self._fiber[source[basis]].cumsum(out=entries[1:])
+        at = starts.repeat(sizes)  # where each path's level starts
+        offset[basis] = entries[:-1] - entries[at]
+        np.subtract(basis, at, out=order)
+        del at, basis
+        # the dimension of each (level, range) block that holds a path, at its
+        # column; each level's bounds are their running sum over the row
+        cuts = _cuts(key)
+        ends = entries[cuts]
+        bounds = np.zeros((sizes.size, n_vertices + 1), dtype=np.intp)
+        bounds.reshape(-1)[key[cuts[:-1]] + 1] = ends[1:] - ends[:-1]
+        np.cumsum(bounds, axis=1, out=bounds)
+        return bounds, int(entries[-1])
 
     def basis_at(self, k: int) -> tuple[BasisEntry, ...]:
         """Ordered basis of W_k: vertex order, then path order, then fiber.
@@ -396,13 +490,14 @@ class TruncatedLift:
         """The `Path` of each path of level k, in build order, each its parent
         one level down extended by its edge. Built from level 0 on every
         call, keeping only the level below."""
-        self.paths_at(k)
+        k = self._check_level(k, self.level + 1)
+        trie = self._grown()
         g = self.module.graph
         paths: list[Path] = []
-        for level in self._levels[: k + 1]:
+        for a, b in zip(self._starts[: k + 1], self._starts[1 : k + 2]):
             paths = [Path(g, (), base=g.vertices[v]) if p < 0 else paths[p].extend(g._ids[e])
-                     for p, e, v in zip(level.parent.tolist(), level.edge.tolist(),
-                                        level.range.tolist())]
+                     for p, e, v in zip(trie.parent[a:b].tolist(), trie.edge[a:b].tolist(),
+                                        trie.range[a:b].tolist())]
         return paths
 
     @property
@@ -410,7 +505,9 @@ class TruncatedLift:
         return self.basis_at(self.level)
 
     def dimension_at(self, k: int) -> int:
-        return self.paths_at(k).dimension
+        k = self._check_level(k, self.level + 1)
+        self._grown()
+        return self._dims[k]
 
     @property
     def dimension(self) -> int:
@@ -451,10 +548,11 @@ class TruncatedLift:
             low, high = self.paths_at(k), self.paths_at(k + 1)
             start = low.bounds[self._edge_source]  # each edge acts on this block
             size = low.bounds[self._edge_source + 1] - start
-            ends = np.append(0, size.cumsum())
+            ends = np.zeros(size.size + 1, dtype=np.intp)
+            size.cumsum(out=ends[1:])
             col = np.arange(ends[-1]) + (start - ends[:-1]).repeat(size)
             # (mu, b) maps to (e.mu, b), the child of mu at the out-rank of e
-            path = np.repeat(low.order, self._fiber[low.source[low.order]])[col]
+            path = low.order.repeat(self._fiber[low.source[low.order]])[col]
             child = low.first[path] + self._out_rank.repeat(size)
             self._images[k] = (_frozen(high.offset[child] + col - low.offset[path]),
                                _frozen(ends))
@@ -569,13 +667,14 @@ class TruncatedLift:
         levels' rows and slots out level after level, so each slot still
         sums its own terms in row order and each level sums its own slots:
         every residual is the one its level alone would give."""
-        self.paths_at(self.level + 1)
+        self._grown()
         # at least 1, so that a run also holds at most the budget in rows
         widest = max(int(self._gram_terms()[4].max(initial=0)), 1)
+        starts = self._starts
         out: list[float] = []
         first = terms = 0
         for k in range(self.level + 1):
-            rows = self._levels[k + 1].order.size * widest  # bounds the level's terms
+            rows = (starts[k + 2] - starts[k + 1]) * widest  # bounds the level's terms
             if k > first and terms + rows > _GRAM_TERMS_PER_RUN:
                 out += self._gram_run(first, k)
                 first, terms = k, 0
@@ -592,6 +691,7 @@ class TruncatedLift:
         term += start[block].repeat(count)
         slot = cell[term]
         slot += base[down].repeat(count)
+        del down, block, base, count  # row-sized, freed before the bincounts
         # a run with no terms has no slots, and bincount then gives ints
         gram_re = np.bincount(slot, real[term], ends[-1]).astype(np.float64, copy=False)
         gram_im = np.bincount(slot, imag[term], ends[-1]).astype(np.float64, copy=False)
@@ -599,47 +699,49 @@ class TruncatedLift:
         gram_re **= 2
         gram_im **= 2
         slots = ends[bounds].tolist()
-        seen = np.append(0, side.cumsum())[bounds].tolist()
-        dims = [level.dimension for level in self._levels[first:stop]]
+        seen = np.zeros(side.size + 1, dtype=side.dtype)
+        side.cumsum(out=seen[1:])
+        seen = seen[bounds].tolist()
+        dims = self._dims[first:stop]
         # a lower entry that no row reads adds 1
-        return [float(np.sqrt(np.add.reduce(gram_re[a:b]) + np.add.reduce(gram_im[a:b])
-                              + (d - (s1 - s0))))
-                for a, b, s0, s1, d in zip(slots, slots[1:], seen, seen[1:], dims)]
+        return np.sqrt([np.add.reduce(gram_re[a:b]) + np.add.reduce(gram_im[a:b])
+                        + (d - (s1 - s0))
+                        for a, b, s0, s1, d in zip(slots, slots[1:], seen, seen[1:], dims)],
+                       dtype=np.float64).tolist()
 
     def _gram_layout(self, first: int, stop: int) -> tuple[np.ndarray, ...]:
-        """The placements of levels first..stop-1 (see `_placement`) laid end
-        to end, lower paths numbered through levels first..stop-1 in turn.
-        Returns, for each row path that reads a lower path, level after
-        level in basis order, that lower path and its block; the side of
-        each lower path's slot block (0 where no row reads it), and where
-        the slot blocks start, then the slot count, both in basis order;
-        where each lower path's slot block starts, by path; and where each
-        level's lower paths start in basis order, then their count. Apart
-        from `_gram_run`, so that its path-sized temporaries are freed
-        before the terms are formed; a lone level's arrays are read, not
-        copied."""
-        low, high = self._levels[first:stop], self._levels[first + 1 : stop + 1]
-        n = np.array([level.order.size for level in self._levels[first : stop + 1]])
-        shift = n.cumsum() - n
-        # the rows, numbered through levels first+1..stop in turn
-        rows = _joined([level.order for level in high]) + (shift[1:] - n[0]).repeat(n[1:])
-        down = _joined([level.down for level in high])[rows]
+        """The placements of levels first..stop-1 (see `_placement`) as they
+        lie end to end in the trie, lower paths numbered from the first path
+        of level first. Returns, for each row path that reads a lower path,
+        level after level in basis order, that lower path and its block; the
+        side of each lower path's slot block (0 where no row reads it), and
+        where the slot blocks start, then the slot count, both in basis
+        order; where each lower path's slot block starts, by path; and where
+        each level's lower paths start in basis order, then their count.
+        Apart from `_gram_run`, so that its path-sized temporaries are freed
+        before the terms are formed."""
+        trie = self._trie
+        starts = np.array(self._starts[first : stop + 2])
+        sizes = starts[1:] - starts[:-1]
+        shift = starts - starts[0]
+        # each row's level, as an index into `starts`, and the row's trie index
+        level = np.arange(1, sizes.size).repeat(sizes[1:])
+        rows = trie.order[starts[1] : starts[-1]] + starts[level]
+        down = trie.down[rows]
         fed = down >= 0
-        rows = rows[fed]
-        down = down[fed] + shift[:-1].repeat(n[1:])[fed]
-        block = self._block_of(_joined([level.length for level in high])[rows],
-                               np.arange(first + 1, stop + 1).repeat(n[1:])[fed],
-                               _joined([level.head for level in high])[rows],
-                               _joined([level.source for level in high])[rows])
-        lower = _joined([level.order for level in low]) + shift[:-1].repeat(n[:-1])
+        rows, level = rows[fed], level[fed]
+        down = down[fed] + shift[level - 1]
+        block = self._block_of(trie.length[rows], level + first, trie.head[rows],
+                               trie.source[rows])
+        lower = trie.order[starts[0] : starts[-2]] + shift[:-2].repeat(sizes[:-1])
         side = np.zeros_like(lower)
-        side[down] = self._fiber[_joined([level.source for level in low])[down]]
+        side[down] = self._fiber[trie.source[down + starts[0]]]
         side = side[lower]
         ends = np.zeros(side.size + 1, dtype=side.dtype)
         np.cumsum(side * side, out=ends[1:])
         base = np.empty_like(side)
         base[lower] = ends[:-1]
-        return down, block, side, ends, base, shift
+        return down, block, side, ends, base, shift[:-1]
 
     def edge_matrix(self, edge_id: str, k: int) -> np.ndarray:
         """Matrix of the edge generator from W_k to W_{k+1}; entries 0 or 1."""
@@ -773,12 +875,17 @@ class CkReport:
         return self.max_residual <= _require_tolerance(tol)
 
 
+def _cuts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted array starts, then its size."""
+    cut = np.ones(keys.size + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=cut[1:-1])
+    return np.flatnonzero(cut)
+
+
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of a sorted array, and how many times each occurs."""
-    cut = np.ones(keys.size + 1, dtype=bool)  # where a run starts, and the end
-    np.not_equal(keys[1:], keys[:-1], out=cut[1:-1])
-    ends = np.flatnonzero(cut)
-    return keys[ends[:-1]], np.diff(ends)
+    ends = _cuts(keys)
+    return keys[ends[:-1]], ends[1:] - ends[:-1]
 
 
 def ck_residuals(trunc: TruncatedLift) -> CkReport:
@@ -814,7 +921,7 @@ def ck_residuals(trunc: TruncatedLift) -> CkReport:
     ends = np.sort(np.concatenate(([0, trunc.dimension_at(m)], starts, stops)))
     cover = (np.searchsorted(starts, ends[:-1], "right")
              - np.searchsorted(np.sort(stops), ends[:-1], "right"))
-    completeness = float(np.sqrt(int(np.sum(np.diff(ends) * (cover - 1) ** 2))))
+    completeness = float(np.sqrt(int(np.sum((ends[1:] - ends[:-1]) * (cover - 1) ** 2))))
     # every image of the level, with its edge and the vertex that edge enters
     n_edges, n_vertices = len(g._ids), len(g.vertices)
     images = [trunc.edge_images(eid, m) for eid in g._ids]
@@ -832,7 +939,7 @@ def ck_residuals(trunc: TruncatedLift) -> CkReport:
     w, row = np.divmod(slot, upper)
     inside = (row >= high[w]) & (row < high[w + 1])
     off = (np.bincount(w, (hits - inside) ** 2, n_vertices)
-           + np.diff(high) - np.bincount(w, inside, n_vertices))
+           + (high[1:] - high[:-1]) - np.bincount(w, inside, n_vertices))
     edge_isometry = {eid: float(np.sqrt(wrong[i])) for i, eid in enumerate(g._ids)}
     receiving = set(into.tolist())
     vertex_sum = {v: float(np.sqrt(off[i])) for i, v in enumerate(g.vertices)

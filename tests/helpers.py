@@ -28,6 +28,7 @@ from graphlift import (
     sphere_odd_graph,
 )
 from graphlift import cli, modules
+from graphlift.lifting import PathLevel
 from graphlift.io import (LIFT_FORMAT, CodecError, _fail, _is_int, _need, _need_key,
                           module_to_dict)
 
@@ -397,6 +398,101 @@ def reference_basis(module: PythagoreanModule, k: int):
                 index[(p.edges, p.base)] = len(entries)
             entries.extend((p, b) for b in range(d))
     return entries, index
+
+
+def reference_levels(module: PythagoreanModule, top: int) -> list[PathLevel]:
+    """Reference only: levels 0..top of the path trie, each `PathLevel`
+    built from the one below by the per-level builder that the all-level
+    store of `TruncatedLift` replaced, with no size limit.
+
+    Level k+1 holds a child e.mu per level-k path mu and out-edge e of its
+    range, laid out along level k's traversal order, each path's children in
+    edge id order, then the length-0 path at each live vertex that receives
+    no edge. On a graph where every live vertex receives an edge, a level
+    from 2 on comes out in traversal order; level 1, and every level of any
+    other graph, is sorted into traversal order by a key per path: the rank
+    of its parent's sequence in the level below and its last edge for a new
+    path, the rank of its own sequence one level down for a carried one.
+    Each level is then laid out on its own: basis order by one stable
+    argsort by range, offsets by a cumsum of the fibers in that order, the
+    vertex blocks by a searchsorted."""
+    g = module.graph
+    n_vertices, n_edges = len(g.vertices), len(g._ids)
+    fiber = np.array([module.dims[v] for v in g.vertices], dtype=np.intp)
+    edge_range = np.array(g._range, dtype=np.intp)
+    edge_source = np.array(g._source, dtype=np.intp)
+    edge_rank = np.argsort(sorted(range(n_edges), key=g._ids.__getitem__)).astype(np.int32)
+    out_edges = np.lexsort((edge_rank, edge_source))
+    out_degree = np.bincount(edge_source, minlength=n_vertices)
+    out_start = out_degree.cumsum() - out_degree
+    out_rank = np.empty_like(out_edges)
+    out_rank[out_edges] = np.arange(n_edges) - out_start[edge_source[out_edges]]
+    roots = np.flatnonzero((fiber > 0) & (np.bincount(edge_range, minlength=n_vertices) == 0))
+    none = np.full(roots.size, -1, dtype=np.intp)
+    root_rows = (none, none, roots, roots, np.zeros_like(roots), none)
+
+    def level_from(parent, edge, rng, source, length, head, down, walk) -> PathLevel:
+        if walk is None:
+            order = rng.argsort(kind="stable")
+            count = out_degree[rng]
+            ends = count.cumsum()
+            first = ends - count
+        else:
+            walked = rng[walk]
+            order = walk[walked.argsort(kind="stable")]
+            count = out_degree[walked]
+            ends = count.cumsum()
+            first = np.empty_like(count)
+            first[walk] = ends - count
+        starts = np.zeros(order.size + 1, dtype=np.intp)
+        fiber[source[order]].cumsum(out=starts[1:])
+        offset = np.empty_like(starts[:-1])
+        offset[order] = starts[:-1]
+        bounds = starts[np.searchsorted(rng[order], np.arange(n_vertices + 1))]
+        return PathLevel(parent, edge, rng, source, length, offset, first, head, down,
+                         order, bounds, int(starts[-1]))
+
+    live = fiber.nonzero()[0]
+    none = np.full(live.size, -1, dtype=np.intp)
+    levels = [level_from(none, none, live, live, np.zeros_like(live), none, none, None)]
+    walk, rank = None, np.zeros(live.size, dtype=np.intp)
+    for k in range(top):
+        low = levels[k]
+        count = out_degree[low.range]
+        parent = np.arange(count.size).repeat(count) if walk is None else walk.repeat(
+            count[walk])
+        edge = out_edges[(out_start[low.range] - low.first)[parent] + np.arange(parent.size)]
+        rng = edge_range[edge]
+        source = low.source[parent]
+        if k == 0:  # paths of length <= 1 embed from their range vertex
+            index = np.full(n_vertices, -1, dtype=np.intp)
+            index[low.range] = np.arange(low.range.size)
+            down = index[rng]
+        else:
+            tail = low.down[parent]
+            down = np.where(tail >= 0, levels[k - 1].first[tail] + out_rank[edge], -1)
+        if k and not roots.size:  # already in traversal order
+            levels.append(level_from(parent, edge, rng, source,
+                                     np.full(parent.size, k + 1, dtype=np.intp),
+                                     low.head[parent], down, None))
+            walk = None
+            continue
+        length = low.length[parent] + 1
+        head = np.where(length == 1, edge, low.head[parent])
+        if roots.size:
+            parent, edge, rng, source, length, head = (
+                np.concatenate(pair) for pair in
+                zip((parent, edge, rng, source, length, head), root_rows))
+            down = np.concatenate((down, index[roots] if k == 0 else
+                                   np.arange(low.range.size - roots.size, low.range.size)))
+        new = length == k + 1
+        key = rank[np.where(new, parent, down)] * (n_edges + 1)
+        key[new] += edge_rank[edge[new]] + 1
+        walk = key.argsort(kind="stable")
+        levels.append(level_from(parent, edge, rng, source, length, head, down, walk))
+        rank = np.empty_like(walk)
+        rank[walk] = np.arange(walk.size)
+    return levels
 
 
 def reference_edge_targets(module: PythagoreanModule, k: int) -> dict:

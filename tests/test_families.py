@@ -294,7 +294,7 @@ class TestLensIdBudget:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr == (
             "error: lens graph with n=3, p=997 has edge ids of 497998515 leveled edges, "
-            "17927946540 bytes at 36 bytes each, more than the 1073741824 bytes a lens "
+            "5477983665 bytes at 11 bytes each, more than the 1073741824 bytes a lens "
             "graph may take\n")
 
     def test_largest_measured_lenses_fit(self):

@@ -42,7 +42,7 @@ from graphlift import (
     word_operator,
 )
 from graphlift import lifting
-from graphlift.lifting import MAX_LEVEL, _act
+from graphlift.lifting import MAX_LEVEL, PathLevel, _act
 
 from helpers import (
     compose_paths,
@@ -56,6 +56,7 @@ from helpers import (
     reference_edge_targets,
     reference_embed_map,
     reference_gram_residual,
+    reference_levels,
     small_multigraphs,
     supported_graphs,
     unfed_fiber_module,
@@ -109,33 +110,101 @@ class TestLevelCap:
 
 
 class TestPathBudget:
-    """A lift counts the paths of the levels it holds and of the next one,
-    and refuses to grow a level that would take the count past its budget."""
+    """A lift counts the paths and the dimension of every level it holds
+    before it grows any, and refuses the first level that would take the
+    paths held past its budget or whose dimension passes the limit."""
+
+    @staticmethod
+    def two_loops() -> PythagoreanModule:
+        g = Graph(("1",), (Edge("a", "1", "1"), Edge("b", "1", "1")))
+        return PythagoreanModule(g, {"1": 1}, {"a": np.array([[0.6]]),
+                                               "b": np.array([[0.8]])})
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.one_of(supported_graphs(), small_multigraphs()), st.integers(0, 2**32 - 1))
     def test_count_is_exact(self, graph, seed):
         dims = random_feasible_dims(graph, np.random.default_rng(seed), hi=2)
         module = random_module(graph, dims, seed)
-        sizes = [lift(module, 4, validate=False).paths_at(k).order.size for k in range(6)]
+        levels = reference_levels(module, 5)
         t = lift(module, 4, validate=False)
-        for k in range(5):
-            t.paths_at(k)
-            assert t._paths == sum(sizes[: k + 2])
+        assert t._sizes() == ([level.order.size for level in levels],
+                              [level.dimension for level in levels])
+        t.paths_at(0)  # grows every level, each where the counts put it
+        assert np.diff(t._starts).tolist() == [level.order.size for level in levels]
 
-    def test_refused_before_the_level_is_grown(self, monkeypatch):
-        g = Graph(("1",), (Edge("a", "1", "1"), Edge("b", "1", "1")))
-        module = PythagoreanModule(g, {"1": 1}, {"a": np.array([[0.6]]), "b": np.array([[0.8]])})
-        # levels 0..3 hold 1 + 2 + 4 + 8 paths; the budget is inclusive
+    def test_budget_is_inclusive(self, monkeypatch):
+        # levels 0..3 hold 1 + 2 + 4 + 8 paths, and level 4 16 more
         monkeypatch.setattr(lifting, "_LIFT_BYTES", 15 * lifting._PATH_BYTES)
-        t = lift(module, 3)
-        assert t.dimension_at(3) == 8
+        assert lift(self.two_loops(), 2).dimension_at(3) == 8
+        t = lift(self.two_loops(), 3)
         with pytest.raises(LiftError) as caught:
-            t.paths_at(4)
+            t.dimension_at(0)
         assert str(caught.value) == (
             "level 4 would bring the lift to 31 paths, 4216 bytes at 136 bytes a path, "
             "more than the 2040 bytes a lift may hold")
-        assert len(t._levels) == 4
+
+    def test_refusal_grows_no_level(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a level was grown")
+
+        monkeypatch.setattr(TruncatedLift, "_grow", refuse)
+        t = lift(self.two_loops(), 40)
+        for k in (0, 41):  # the first read refuses, and so does every later one
+            with pytest.raises(LiftError) as caught:
+                t.paths_at(k)
+            assert str(caught.value) == (
+                "level 21 would bring the lift to 4194303 paths, 570425208 bytes at "
+                "136 bytes a path, more than the 536870912 bytes a lift may hold")
+        assert t._trie is None
+
+    def test_levels_are_refused_in_order(self, monkeypatch):
+        # level 2 holds 4 paths of dimension 4 and would bring the lift to 7
+        # paths; a limit on either refuses level 2 with its own message
+        monkeypatch.setattr(lifting, "_MAX_DIMENSION", 3)
+        monkeypatch.setattr(lifting, "_LIFT_BYTES", 6 * lifting._PATH_BYTES)
+        with pytest.raises(LiftError, match="^level 2 would bring the lift to 7 paths"):
+            lift(self.two_loops(), 5).paths_at(0)
+        monkeypatch.setattr(lifting, "_LIFT_BYTES", 7 * lifting._PATH_BYTES)
+        with pytest.raises(LiftError) as caught:
+            lift(self.two_loops(), 5).paths_at(0)
+        assert str(caught.value) == (
+            "level 2 has dimension 4, more than the 3 a lift level may hold")
+
+
+class TestTrieOracle:
+    """Every field of every level of the all-level store is bitwise the one
+    the per-level builder gives (`reference_levels`)."""
+
+    @staticmethod
+    def check(module: PythagoreanModule, level: int):
+        t = lift(module, level, validate=False)
+        want = reference_levels(module, level + 1)
+        for k, expected in enumerate(want):
+            got = t.paths_at(k)
+            for name, a, b in zip(PathLevel._fields, got, expected):
+                if name == "dimension":
+                    assert type(a) is int and a == b, (k, name)
+                else:
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (k, name)
+                    assert not a.flags.writeable, (k, name)
+        assert len(t._starts) == len(want) + 1
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(graph=st.one_of(supported_graphs(), small_multigraphs()),
+           level=st.integers(0, 6), data=st.data())
+    def test_levels_match_the_per_level_builder(self, graph, level, data):
+        dims = {v: data.draw(st.integers(0, 2)) for v in graph.vertices}
+        module = PythagoreanModule(graph, dims, {
+            e.id: np.ones((dims[e.source], dims[e.range])) for e in graph.edges})
+        self.check(module, level)
+
+    @pytest.mark.parametrize("g, top", [
+        (sphere_even_graph(2), 40),  # two vertices receive no edge
+        (sphere_odd_graph(3), 40),
+        (lens_graph_coprime(LensParams(3, 4, (1, 3, 1))), 12),
+    ])
+    def test_deep_levels(self, g, top):
+        self.check(random_module(g, {v: 1 for v in g.vertices}, 3), top)
 
 
 class TestBasis:
